@@ -472,16 +472,17 @@ def _exp_malliavin(cfg: ExperimentConfig, out_dir: Path):
     worst_rel = 0.0
     norm_lo, norm_hi = math.inf, -math.inf
     all_pass = True
-    for i in range(cfg.n_paths):
-        rep = malliavin.derivative_report(
-            cfg.x0,
-            drift,
-            SamplePath(spec.times, drivers[i], holder_hint=cfg.hurst),
-            cfg.t_check,
-            direction,
-            cfg.hurst,
-            eps_list=cfg.eps_list,
-        )
+    reports = malliavin.derivative_report(
+        cfg.x0,
+        drift,
+        drivers,
+        spec.times,
+        cfg.t_check,
+        direction,
+        cfg.hurst,
+        eps_list=cfg.eps_list,
+    )
+    for rep in reports:
         all_pass = all_pass and rep.passed
         err = abs(rep.analytic_value - rep.extrapolated_fd)
         worst_rel = max(worst_rel, err / max(1e-300, abs(rep.analytic_value)))

@@ -9,6 +9,11 @@ content of the absolute-continuity criterion), the analytic directional
 derivative against step-function directions, and the finite-difference
 counterpart obtained by re-solving perturbed equations and extrapolating the
 difference quotients to zero.
+
+``derivative_report`` checks a whole batch of drivers at once: the direction
+is embedded once, and every driver's base row and perturbed rows are stacked
+into a single ``solve_batch`` call.  Solver rows do not depend on the batch
+they are solved in, so each report equals the one a single-driver call gives.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .fbm import embed_direction, grid_inner_product, inner_product
 from .paths import SamplePath, StepFunction
-from .solver import DriftSpec, SolveConfig, solve_batch
+from .solver import DriftSpec, SolveConfig, eval_along_path, solve_batch
 
 __all__ = [
     "DerivativeReport",
@@ -52,17 +57,7 @@ class DerivativeReport:
 
 def _dfdx_cumulative(solution: SamplePath, drift: DriftSpec) -> np.ndarray:
     """Trapezoidal cumulative of df/dx(r, X_r) from 0, along the computed path."""
-    times, vals = solution.times, solution.values
-    try:
-        dv = np.asarray(drift.dfdx(times, vals), dtype=np.float64)
-        assert dv.shape == vals.shape
-    except Exception:
-        dv = np.array(
-            [float(np.asarray(drift.dfdx(float(t), np.asarray(v)))) for t, v in zip(times, vals)]
-        )
-    if not np.isfinite(dv[0]):
-        dv = dv.copy()
-        dv[0] = dv[1]
+    dv = eval_along_path(drift.dfdx, solution.times, solution.values)
     dt = solution.dt
     return np.concatenate([[0.0], np.cumsum(0.5 * (dv[1:] + dv[:-1]) * dt)])
 
@@ -110,6 +105,75 @@ def directional_derivative_analytic(
     return inner_product(phi, kernel_step, hurst)
 
 
+def _perturbed_solve(
+    x0: float,
+    drift: DriftSpec,
+    drivers: np.ndarray,
+    times: np.ndarray,
+    t: float,
+    phi: StepFunction,
+    hurst: float,
+    eps_list,
+    config: SolveConfig | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve every driver row and its perturbations d + e h in one batch.
+
+    Rows are stacked per driver as [d, d + e_1 h, ..., d + e_E h] with the
+    eps values in decreasing order.  Returns the eps values, the base
+    solutions (n_paths, n_steps + 1) and the difference quotients
+    (X^eps_t - X_t)/eps, shaped (n_paths, E).
+    """
+    eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=np.float64)
+    if eps_arr.size < 1 or np.any(eps_arr <= 0):
+        raise ValueError("eps_list must contain positive values")
+    if drivers.ndim != 2:
+        raise ValueError("drivers must be a 2-d array (n_paths, n_steps + 1)")
+    h = embed_direction(phi, hurst, times)
+    j = h.index_of(t)
+    n_paths, n_pts = drivers.shape
+    rows = np.empty((n_paths, 1 + eps_arr.size, n_pts))
+    rows[:, 0] = drivers
+    rows[:, 1:] = drivers[:, None, :] + eps_arr[:, None] * h.values
+    sols = solve_batch(x0, drift, rows.reshape(-1, n_pts), times, config)
+    sols = sols.reshape(rows.shape)
+    quotients = (sols[:, 1:, j] - sols[:, :1, j]) / eps_arr
+    return eps_arr, sols[:, 0], quotients
+
+
+def _extrapolate(
+    eps_arr: np.ndarray, quotients: np.ndarray
+) -> tuple[tuple[tuple[float, float], ...], float]:
+    """Richardson limit at eps -> 0 of one path's quotients, eps decreasing.
+
+    Assumes a first-order expansion in eps; when the quotients do not shrink
+    consistently with that, the smallest-eps quotient is returned with an
+    ``ExtrapolationWarning`` attributed to the caller of the public function.
+    """
+    fd_values = tuple((float(e), float(q)) for e, q in zip(eps_arr, quotients))
+    if eps_arr.size == 1:
+        return fd_values, float(quotients[0])
+    diffs = np.diff(quotients)
+    scale = max(1.0, float(np.max(np.abs(quotients))))
+    if np.all(np.abs(diffs) <= 1e-12 * scale):
+        # exactly linear response (zero-drift case): any quotient is the limit
+        return fd_values, float(quotients[-1])
+    if eps_arr.size >= 3:
+        expected = (eps_arr[0] - eps_arr[1]) / (eps_arr[1] - eps_arr[2])
+        observed = diffs[0] / diffs[1] if diffs[1] != 0 else np.inf
+        if not 0.4 * expected <= observed <= 2.5 * expected:
+            warnings.warn(
+                f"difference quotients not first-order (ratio {observed:.3g}, "
+                f"expected {expected:.3g}); reporting the smallest-step value",
+                ExtrapolationWarning,
+                stacklevel=3,
+            )
+            return fd_values, float(quotients[-1])
+    e1, e2 = eps_arr[-2], eps_arr[-1]
+    q1, q2 = quotients[-2], quotients[-1]
+    extrapolated = q2 + e2 * (q2 - q1) / (e1 - e2)
+    return fd_values, float(extrapolated)
+
+
 def directional_derivative_fd(
     x0: float,
     drift: DriftSpec,
@@ -128,65 +192,40 @@ def directional_derivative_fd(
     consistently with that, the smallest-eps quotient is returned with an
     ``ExtrapolationWarning``.
     """
-    eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=np.float64)
-    if eps_arr.size < 1 or np.any(eps_arr <= 0):
-        raise ValueError("eps_list must contain positive values")
-    h = embed_direction(phi, hurst, driver.times)
-    j = driver.index_of(t)
-    rows = np.vstack([driver.values] + [driver.values + e * h.values for e in eps_arr])
-    sols = solve_batch(x0, drift, rows, driver.times, config)
-    base = sols[0, j]
-    quotients = (sols[1:, j] - base) / eps_arr
-    fd_values = tuple((float(e), float(q)) for e, q in zip(eps_arr, quotients))
-    if eps_arr.size == 1:
-        return fd_values, float(quotients[0])
-    diffs = np.diff(quotients)
-    scale = max(1.0, float(np.max(np.abs(quotients))))
-    if np.all(np.abs(diffs) <= 1e-12 * scale):
-        # exactly linear response (zero-drift case): any quotient is the limit
-        return fd_values, float(quotients[-1])
-    if eps_arr.size >= 3:
-        expected = (eps_arr[0] - eps_arr[1]) / (eps_arr[1] - eps_arr[2])
-        observed = diffs[0] / diffs[1] if diffs[1] != 0 else np.inf
-        if not 0.4 * expected <= observed <= 2.5 * expected:
-            warnings.warn(
-                f"difference quotients not first-order (ratio {observed:.3g}, "
-                f"expected {expected:.3g}); reporting the smallest-step value",
-                ExtrapolationWarning,
-                stacklevel=2,
-            )
-            return fd_values, float(quotients[-1])
-    e1, e2 = eps_arr[-2], eps_arr[-1]
-    q1, q2 = quotients[-2], quotients[-1]
-    extrapolated = q2 + e2 * (q2 - q1) / (e1 - e2)
-    return fd_values, float(extrapolated)
+    eps_arr, _, quotients = _perturbed_solve(
+        x0, drift, driver.values[None, :], driver.times, t, phi, hurst, eps_list, config
+    )
+    return _extrapolate(eps_arr, quotients[0])
 
 
 def derivative_report(
     x0: float,
     drift: DriftSpec,
-    driver: SamplePath,
+    drivers: np.ndarray,
+    times: np.ndarray,
     t: float,
     phi: StepFunction,
     hurst: float,
     eps_list=(0.1, 0.05, 0.025),
     tolerance: tuple[float, float] = (1e-3, 1e-2),
     config: SolveConfig | None = None,
-) -> DerivativeReport:
-    """Full check: analytic vs extrapolated finite difference, plus the norm.
+) -> list[DerivativeReport]:
+    """Full check per driver row: analytic vs extrapolated finite difference, plus the norm.
 
-    Passes when |analytic - extrapolated| <= max(abs_tol, rel_tol * |analytic|).
+    ``drivers`` is (n_paths, n_steps + 1) on the grid ``times``; one report is
+    returned per row, computed from a single batched solve.  A report passes
+    when |analytic - extrapolated| <= max(abs_tol, rel_tol * |analytic|).
     """
-    solution = SamplePath(
-        driver.times,
-        solve_batch(x0, drift, driver.values[None, :], driver.times, config)[0],
-        holder_hint=driver.holder_hint,
+    eps_arr, base, quotients = _perturbed_solve(
+        x0, drift, np.asarray(drivers, dtype=np.float64), times, t, phi, hurst, eps_list, config
     )
-    analytic = directional_derivative_analytic(solution, drift, t, phi, hurst)
-    fd_values, extrapolated = directional_derivative_fd(
-        x0, drift, driver, t, phi, hurst, eps_list, config
-    )
-    norm_sq = derivative_norm_sq(solution, drift, t, hurst)
     abs_tol, rel_tol = tolerance
-    passed = abs(analytic - extrapolated) <= max(abs_tol, rel_tol * abs(analytic))
-    return DerivativeReport(t, analytic, fd_values, extrapolated, norm_sq, passed)
+    reports = []
+    for values, path_quotients in zip(base, quotients):
+        solution = SamplePath(times, values, holder_hint=hurst)
+        analytic = directional_derivative_analytic(solution, drift, t, phi, hurst)
+        fd_values, extrapolated = _extrapolate(eps_arr, path_quotients)
+        norm_sq = derivative_norm_sq(solution, drift, t, hurst)
+        passed = abs(analytic - extrapolated) <= max(abs_tol, rel_tol * abs(analytic))
+        reports.append(DerivativeReport(t, analytic, fd_values, extrapolated, norm_sq, passed))
+    return reports

@@ -38,7 +38,7 @@ __all__ = [
     "check_cir_conditions",
     "solve_pathwise",
     "solve_batch",
-    "drift_along_path",
+    "eval_along_path",
     "residual_defect",
     "cir_transform",
     "cir_drift_transform",
@@ -58,8 +58,11 @@ class PositivityError(SolverError):
 class DriftSpec:
     """A drift f(t, x) with its x-derivative and assumption envelopes.
 
-    ``f`` and ``dfdx`` must accept a scalar time and a value array.  The
-    envelopes witness the structural assumptions: ``lower_envelope`` g with
+    ``f`` and ``dfdx`` must accept a scalar time with a value array (one
+    solver step across a batch) and, elementwise, a time array with a value
+    array of the same shape (every grid point along one path); each returns
+    an array of the value shape or a scalar.  The envelopes witness the
+    structural assumptions: ``lower_envelope`` g with
     f(t, x) >= g(t) x^{-singularity_exponent} near 0, ``upper_envelope`` h
     with f(t, x) <= h(t)(1 + 1/x).  ``inverse_coeff`` is set when
     f(t, x) = c(t)/x exactly, unlocking the closed-form implicit step.
@@ -81,13 +84,10 @@ class DriftSpec:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    scheme: str = "drift_implicit_euler"
     newton_tol: float = 1e-10
     max_newton_iters: int = 200
 
     def __post_init__(self) -> None:
-        if self.scheme != "drift_implicit_euler":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
 
@@ -425,19 +425,24 @@ def solve_pathwise(
     return SamplePath(driver.times, values, holder_hint=driver.holder_hint)
 
 
-def drift_along_path(drift: DriftSpec, times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """f(t_i, x_i) along a path; a nonfinite value at t=0 is replaced by its neighbor."""
-    try:
-        fv = np.asarray(drift.f(times, values), dtype=np.float64)
-        assert fv.shape == values.shape
-    except Exception:
-        fv = np.array(
-            [float(np.asarray(drift.f(float(t), np.asarray(v)))) for t, v in zip(times, values)]
+def eval_along_path(fn: Callable, times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """fn(t_i, x_i) along a path, for a drift callable ``f`` or ``dfdx``.
+
+    ``fn`` is called once with the whole time and value arrays; a scalar
+    result is broadcast, any other shape than ``values.shape`` raises
+    ``ValueError``.  A nonfinite value at t=0 is replaced by its neighbor.
+    """
+    out = np.asarray(fn(times, values), dtype=np.float64)
+    if out.ndim == 0:
+        out = np.full(values.shape, float(out))
+    elif out.shape != values.shape:
+        raise ValueError(
+            f"drift callable returned shape {out.shape} along a path of shape {values.shape}"
         )
-    if not np.isfinite(fv[0]):
-        fv = fv.copy()
-        fv[0] = fv[1]
-    return fv
+    if not np.isfinite(out[0]):
+        out = out.copy()
+        out[0] = out[1]
+    return out
 
 
 def residual_defect(solution: SamplePath, drift: DriftSpec, driver: SamplePath) -> float:
@@ -449,7 +454,7 @@ def residual_defect(solution: SamplePath, drift: DriftSpec, driver: SamplePath) 
     if not np.array_equal(solution.times, driver.times):
         raise ValueError("solution and driver must share one grid")
     times, vals = solution.times, solution.values
-    fv = drift_along_path(drift, times, vals)
+    fv = eval_along_path(drift.f, times, vals)
     dt = solution.dt
     drift_integral = np.concatenate([[0.0], np.cumsum(0.5 * (fv[1:] + fv[:-1]) * dt)])
     defect = vals - vals[0] - drift_integral - (driver.values - driver.values[0])

@@ -15,7 +15,7 @@ from fbmsde.malliavin import (
     malliavin_kernel,
 )
 from fbmsde.paths import SamplePath, StepFunction
-from fbmsde.solver import reciprocal_drift, solve_pathwise, zero_drift
+from fbmsde.solver import power_drift, reciprocal_drift, solve_pathwise, zero_drift
 
 
 def _flat_driver(n, horizon=1.0):
@@ -135,10 +135,11 @@ class TestDirectionalDerivative:
     @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15])
     def test_fd_matches_analytic(self, seed):
         driver = sample_fbm(FbmSpec(hurst=0.75, n_steps=2048, seed=seed))
-        rep = derivative_report(
+        [rep] = derivative_report(
             1.0,
             reciprocal_drift(1.0),
-            driver,
+            driver.values[None, :],
+            driver.times,
             1.0,
             StepFunction.indicator(0.0, 0.5),
             0.75,
@@ -148,6 +149,39 @@ class TestDirectionalDerivative:
         assert abs(rep.analytic_value - rep.extrapolated_fd) <= max(
             1e-3, 1e-2 * abs(rep.analytic_value)
         )
+
+
+class TestBatchedReport:
+    @pytest.mark.parametrize(
+        "drift",
+        [reciprocal_drift(1.0), zero_drift(), power_drift(1.0, 0.0, 1.5)],
+        ids=["closed-form", "zero-linear-response", "newton"],
+    )
+    def test_batch_equals_single_rows(self, drift):
+        spec = FbmSpec(hurst=0.75, n_steps=512, seed=21)
+        drivers = sample_fbm_batch(spec, 6)
+        args = (1.0, StepFunction.indicator(0.0, 0.5), 0.75)
+        batched = derivative_report(1.0, drift, drivers, spec.times, *args)
+        single = [
+            derivative_report(1.0, drift, row[None, :], spec.times, *args)[0] for row in drivers
+        ]
+        assert len(batched) == len(single) == 6
+        for b, s in zip(batched, single):
+            # float reprs round-trip exactly, so equal reprs mean equal bits
+            assert repr(b) == repr(s)
+
+    def test_one_dimensional_drivers_rejected(self):
+        driver = sample_fbm(FbmSpec(hurst=0.75, n_steps=64, seed=23))
+        with pytest.raises(ValueError):
+            derivative_report(
+                1.0,
+                reciprocal_drift(1.0),
+                driver.values,
+                driver.times,
+                1.0,
+                StepFunction.indicator(0.0, 0.5),
+                0.75,
+            )
 
 
 def test_no_atoms_in_terminal_law():

@@ -16,6 +16,7 @@ from fbmsde.solver import (
     cir_drift_transform,
     cir_transform,
     custom_drift,
+    eval_along_path,
     power_drift,
     reciprocal_drift,
     residual_defect,
@@ -145,6 +146,19 @@ class TestSolver:
         assert d1_tot <= 2.0 * (2.0 * d2_tot)
         assert d1_tot >= d2_tot  # refinement helps at all
 
+    @pytest.mark.parametrize(
+        "drift",
+        [reciprocal_drift(1.0), power_drift(1.0, 0.0, 1.5)],
+        ids=["closed-form", "newton"],
+    )
+    def test_rows_independent_of_batch(self, drift):
+        spec = FbmSpec(hurst=0.75, n_steps=512, seed=17)
+        drivers = sample_fbm_batch(spec, 12)
+        batch = solve_batch(1.0, drift, drivers, spec.times)
+        for row, solved in zip(drivers, batch):
+            alone = solve_batch(1.0, drift, row[None, :], spec.times)[0]
+            assert np.array_equal(solved, alone)
+
     def test_initial_value_validated(self):
         with pytest.raises(ValueError):
             solve_pathwise(-1.0, reciprocal_drift(1.0), _flat_driver(16))
@@ -188,6 +202,38 @@ class TestResidualDefect:
             defects.append(residual_defect(sol, drift, driver))
         assert defects[0] >= 2.0 * defects[1] * 0.7
         assert defects[1] >= 2.0 * defects[2] * 0.7
+
+
+class TestEvalAlongPath:
+    def test_drift_error_propagates(self):
+        def scalar_time_only(t, x):
+            if np.ndim(t):
+                raise RuntimeError("scalar time only")
+            return 1.0 / np.asarray(x, dtype=np.float64)
+
+        drift = custom_drift(
+            scalar_time_only,
+            lambda t, x: -1.0 / np.asarray(x, dtype=np.float64) ** 2,
+            singularity_exponent=1.0,
+            lower_envelope=lambda t: 1.0,
+            upper_envelope=lambda t: 1.0,
+        )
+        driver = _flat_driver(64)
+        sol = solve_pathwise(1.0, reciprocal_drift(1.0), driver)
+        with pytest.raises(RuntimeError, match="scalar time only"):
+            residual_defect(sol, drift, driver)
+
+    def test_shape_checked_and_scalar_broadcast(self):
+        times = np.linspace(0.0, 1.0, 9)
+        values = np.ones(9)
+        assert np.array_equal(eval_along_path(lambda t, x: 2.0, times, values), np.full(9, 2.0))
+        with pytest.raises(ValueError, match="shape"):
+            eval_along_path(lambda t, x: np.ones(3), times, values)
+
+    def test_nonfinite_start_replaced_by_neighbor(self):
+        times = np.linspace(0.0, 1.0, 3)
+        got = eval_along_path(lambda t, x: x, times, np.array([np.inf, 3.0, 2.0]))
+        assert np.array_equal(got, [3.0, 3.0, 2.0])
 
 
 class TestCir:
