@@ -16,26 +16,19 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import fbm, fraccalc, malliavin, solver, verify
-from .paths import SamplePath, StepFunction
+from .paths import GridError, SamplePath, StepFunction
 
 __all__ = ["ExperimentConfig", "Claim", "RunReport", "ConfigError", "parse_config", "run_experiment", "main"]
 
-EXPERIMENTS = (
-    "fbm-sample",
-    "simulate",
-    "verify-bound",
-    "neg-moments",
-    "scaling",
-    "malliavin",
-    "cir",
-    "moments",
-)
-
 _DRIFT_FAMILIES = ("reciprocal", "power", "bessel")
+_POSITIVE_KEYS = (
+    "n_paths", "threads", "drift_k", "singularity_exponent", "x0", "y0", "cir_k", "scale_a"
+)
 
 # Base seed for the independent comparison batch of the scaling experiment;
 # XOR keeps its per-path keys disjoint from the primary batch.
@@ -77,54 +70,36 @@ class ExperimentConfig:
     wide: bool = False
 
     def validate(self) -> None:
+        """Reject the config before any work; the library's own checks raise ConfigError too."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         if not 0.5 < self.hurst < 1.0:
             raise ConfigError(f"hurst must lie in (1/2, 1), got {self.hurst}")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
-        if self.n_steps < 2:
-            raise ConfigError("n_steps must be at least 2")
-        if self.n_paths < 1:
-            raise ConfigError("n_paths must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 bits")
-        if self.method not in ("circulant_embedding", "cholesky"):
-            raise ConfigError(f"method must be circulant_embedding or cholesky, got {self.method!r}")
+        try:
+            self.fbm_spec()
+            verify.admissible_order_window(self.beta, self.gamma)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        for key in _POSITIVE_KEYS:
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be positive")
+        for key in ("tau", "t_check", "scale_t"):
+            if not 0 < getattr(self, key) <= self.horizon:
+                raise ConfigError(f"{key} must lie in (0, horizon]")
         if self.drift not in _DRIFT_FAMILIES:
             raise ConfigError(f"drift must be one of {_DRIFT_FAMILIES}, got {self.drift!r}")
-        if self.drift_k <= 0:
-            raise ConfigError("drift_k must be positive")
         if self.time_exponent < 0:
             raise ConfigError("time_exponent must be nonnegative")
-        if self.singularity_exponent <= 0:
-            raise ConfigError("singularity_exponent must be positive")
         if self.bessel_dimension < 2:
             raise ConfigError("bessel_dimension must be at least 2")
-        if self.x0 <= 0 or self.y0 <= 0:
-            raise ConfigError("x0 and y0 must be strictly positive")
-        if self.cir_k <= 0:
-            raise ConfigError("cir_k must be positive")
         if not 0.5 < self.beta < self.hurst:
             raise ConfigError(f"beta must lie in (1/2, hurst), got {self.beta}")
-        if self.gamma <= 2.0:
-            raise ConfigError("gamma must exceed 2")
-        if any(p < 0 for p in self.p_orders):
-            raise ConfigError("p_orders must be nonnegative")
-        if any(t <= 0 or t > self.horizon for t in self.t_eval):
-            raise ConfigError("t_eval times must lie in (0, horizon]")
-        if not 0 < self.tau <= self.horizon:
-            raise ConfigError("tau must lie in (0, horizon]")
-        if not 0 < self.t_check <= self.horizon:
-            raise ConfigError("t_check must lie in (0, horizon]")
-        if any(e <= 0 for e in self.eps_list) or len(self.eps_list) < 1:
+        if not self.p_orders or any(p < 0 for p in self.p_orders):
+            raise ConfigError("p_orders must contain nonnegative values")
+        if not self.t_eval or any(t <= 0 or t > self.horizon for t in self.t_eval):
+            raise ConfigError("t_eval must contain times in (0, horizon]")
+        if not self.eps_list or any(e <= 0 for e in self.eps_list):
             raise ConfigError("eps_list must contain positive values")
-        if self.scale_a <= 0:
-            raise ConfigError("scale_a must be positive")
-        if not 0 < self.scale_t <= self.horizon:
-            raise ConfigError("scale_t must lie in (0, horizon]")
-        if self.threads < 1:
-            raise ConfigError("threads must be positive")
 
     def drift_spec(self) -> solver.DriftSpec:
         if self.drift == "reciprocal":
@@ -169,28 +144,35 @@ class RunReport:
     def all_ok(self) -> bool:
         return all(c.passed is not False for c in self.claims)
 
+    @property
+    def tally(self) -> tuple[int, int, int]:
+        """Counts of (pass, fail, not-applicable) claims.
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_TUPLE_KEYS = {"p_orders", "t_eval", "eps_list"}
-_INT_KEYS = {"n_steps", "n_paths", "seed", "bessel_dimension", "threads"}
-_STR_KEYS = {"experiment", "method", "drift", "output_dir"}
-_BOOL_KEYS = {"wide"}
+        ``count`` compares by equality, so numpy booleans are counted too.
+        """
+        outcomes = [c.passed for c in self.claims]
+        return outcomes.count(True), outcomes.count(False), outcomes.count(None)
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _parse_floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in raw.split(",") if part.strip())
+
+
+# Each config key's type, read off the dataclass, and the parser for each type.
+_KINDS = get_type_hints(ExperimentConfig)
+_PARSERS = {int: int, float: float, str: str, bool: _parse_bool, tuple[float, ...]: _parse_floats}
 
 
 def _parse_value(key: str, raw: str):
-    if key in _STR_KEYS:
-        return raw
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _TUPLE_KEYS:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    return float(raw)
+    return _PARSERS[_KINDS[key]](raw)
 
 
 def parse_config(text: str) -> dict:
@@ -210,7 +192,7 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, _, raw_val = line.partition("=")
         key, raw_val = key.strip(), raw_val.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _KINDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -256,7 +238,10 @@ def _write_paths_csv(
     return names
 
 
-def _write_report(out_dir: Path, report: RunReport) -> str:
+_REPORT_NAME = "report.txt"
+
+
+def _write_report(out_dir: Path, report: RunReport) -> None:
     lines = ["fbmsde report", f"experiment: {report.config.experiment}", "config:"]
     for f in fields(ExperimentConfig):
         lines.append(f"  {f.name}: {_fmt(getattr(report.config, f.name))}")
@@ -269,15 +254,10 @@ def _write_report(out_dir: Path, report: RunReport) -> str:
         lines.append(f"    criterion: {c.criterion}")
         lines.append(f"    outcome: {c.outcome}")
     lines.append("artifacts:")
-    for name in report.artifacts:
+    for name in report.artifacts[:-1]:  # the last artifact is this report
         lines.append(f"  - {name}")
-    n_pass = sum(1 for c in report.claims if c.passed is True)
-    n_fail = sum(1 for c in report.claims if c.passed is False)
-    n_na = sum(1 for c in report.claims if c.passed is None)
-    lines.append(f"summary: {n_pass} pass, {n_fail} fail, {n_na} not-applicable")
-    name = "report.txt"
-    (out_dir / name).write_text("\n".join(lines) + "\n")
-    return name
+    lines.append("summary: {} pass, {} fail, {} not-applicable".format(*report.tally))
+    (out_dir / _REPORT_NAME).write_text("\n".join(lines) + "\n")
 
 
 def _snap_down(t: float, dt: float) -> float:
@@ -290,38 +270,26 @@ def _snap_down(t: float, dt: float) -> float:
 
 
 def _exp_fbm_sample(cfg: ExperimentConfig, out_dir: Path):
+    """sample fractional noise paths and check the terminal variance"""
     spec = cfg.fbm_spec()
     values = fbm.sample_fbm_batch(spec, cfg.n_paths, threads=cfg.threads)
     terminal = values[:, -1]
     target = cfg.horizon ** (2.0 * cfg.hurst)
+    var_hat = float(np.var(terminal, ddof=1)) if cfg.n_paths > 1 else 0.0
     if cfg.n_paths >= 100:
-        var_hat = float(np.var(terminal, ddof=1))
         sq = terminal**2
         se_var = float(np.sqrt((np.mean(sq**2) - np.mean(sq) ** 2) / cfg.n_paths))
-        claims = [
-            Claim(
-                "terminal_variance",
-                var_hat,
-                target,
-                "|value - bound| <= 3 standard errors of the variance estimate",
-                abs(var_hat - target) <= 3.0 * se_var,
-            )
-        ]
+        criterion = "|value - bound| <= 3 standard errors of the variance estimate"
+        passed = abs(var_hat - target) <= 3.0 * se_var
     else:
-        claims = [
-            Claim(
-                "terminal_variance",
-                float(np.var(terminal, ddof=1)) if cfg.n_paths > 1 else 0.0,
-                target,
-                "not applicable: variance check needs n_paths >= 100",
-                None,
-            )
-        ]
+        criterion, passed = "not applicable: variance check needs n_paths >= 100", None
+    claims = [Claim("terminal_variance", var_hat, target, criterion, passed)]
     artifacts = _write_paths_csv(out_dir, spec.times, values, cfg.wide)
     return claims, artifacts
 
 
 def _exp_simulate(cfg: ExperimentConfig, out_dir: Path):
+    """solve the singular equation over a Monte Carlo batch; positivity audit"""
     drift = cfg.drift_spec()
     times, drivers, solutions = verify.simulate_paths(
         cfg.fbm_spec(), drift, cfg.x0, cfg.n_paths, threads=cfg.threads
@@ -352,6 +320,7 @@ def _exp_simulate(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _exp_verify_bound(cfg: ExperimentConfig, out_dir: Path):
+    """audit the explicit sup-norm bound path by path"""
     lo, hi = verify.admissible_order_window(cfg.beta, cfg.gamma)
     if lo >= hi:
         raise ConfigError(
@@ -383,12 +352,15 @@ def _exp_verify_bound(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _exp_neg_moments(cfg: ExperimentConfig, out_dir: Path):
+    """inverse-moment inequality below its time threshold"""
     if cfg.drift != "reciprocal":
         raise ConfigError("neg-moments requires drift = reciprocal")
-    drift = cfg.drift_spec()
     spec = cfg.fbm_spec()
-    times, _, solutions = verify.simulate_paths(spec, drift, cfg.x0, cfg.n_paths, threads=cfg.threads)
-    dt = float(times[1] - times[0])
+    dt = float(spec.times[1] - spec.times[0])
+    if any(_snap_down(t, dt) == 0.0 for t in cfg.t_eval):
+        raise ConfigError(f"every t_eval must be at least one grid step dt={_fmt(dt)}")
+    drift = cfg.drift_spec()
+    _, _, solutions = verify.simulate_paths(spec, drift, cfg.x0, cfg.n_paths, threads=cfg.threads)
     claims = []
     for p in cfg.p_orders:
         for t_req in cfg.t_eval:
@@ -413,6 +385,7 @@ def _exp_neg_moments(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _exp_scaling(cfg: ExperimentConfig, out_dir: Path):
+    """distributional self-similarity under time-space rescaling"""
     if cfg.n_paths < 1000:
         raise ConfigError(
             "scaling needs n_paths >= 1000 per side for the asymptotic KS critical value"
@@ -465,8 +438,13 @@ def _exp_scaling(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _exp_malliavin(cfg: ExperimentConfig, out_dir: Path):
-    drift = cfg.drift_spec()
+    """analytic vs finite-difference directional derivatives"""
     spec = cfg.fbm_spec()
+    try:  # the same grid lookup the derivative report makes on each solution
+        SamplePath(spec.times, spec.times).index_of(cfg.t_check)
+    except GridError as exc:
+        raise ConfigError(f"t_check: {exc}") from exc
+    drift = cfg.drift_spec()
     direction = StepFunction.indicator(0.0, cfg.tau)
     drivers = fbm.sample_fbm_batch(spec, cfg.n_paths, threads=cfg.threads)
     worst_rel = 0.0
@@ -509,6 +487,7 @@ def _exp_malliavin(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _exp_cir(cfg: ExperimentConfig, out_dir: Path):
+    """square-root-diffusion change of variables: residual and positivity"""
     k = cfg.cir_k
     cir = solver.CirDriftSpec(
         f=lambda t, y: k * np.ones_like(np.asarray(y, dtype=np.float64)),
@@ -552,6 +531,9 @@ def _exp_cir(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _exp_moments(cfg: ExperimentConfig, out_dir: Path):
+    """half-batch stability of sup-norm moments"""
+    if cfg.n_paths < 4:
+        raise ConfigError("moments needs n_paths >= 4 for its two half-batch estimates")
     drift = cfg.drift_spec()
     _, _, solutions = verify.simulate_paths(
         cfg.fbm_spec(), drift, cfg.x0, cfg.n_paths, threads=cfg.threads
@@ -571,6 +553,7 @@ def _exp_moments(cfg: ExperimentConfig, out_dir: Path):
     return claims, []
 
 
+# The experiments in subcommand order; each runner's docstring is its help text.
 _RUNNERS = {
     "fbm-sample": _exp_fbm_sample,
     "simulate": _exp_simulate,
@@ -583,6 +566,9 @@ _RUNNERS = {
 }
 
 
+EXPERIMENTS = tuple(_RUNNERS)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Execute one experiment: validates, runs, writes report + CSV artifacts."""
     cfg.validate()
@@ -591,9 +577,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     start = time.perf_counter()
     claims, artifacts = _RUNNERS[cfg.experiment](cfg, out_dir)
     wall = time.perf_counter() - start
-    report = RunReport(cfg, tuple(claims), tuple(artifacts), wall)
-    report_name = _write_report(out_dir, report)
-    report = RunReport(cfg, report.claims, report.artifacts + (report_name,), wall)
+    report = RunReport(cfg, tuple(claims), (*artifacts, _REPORT_NAME), wall)
+    _write_report(out_dir, report)
     return report
 
 
@@ -611,28 +596,19 @@ def _build_parser() -> argparse.ArgumentParser:
             "Exit codes: 0 all claims pass, 1 claim failure, 2 usage error."
         ),
     )
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", type=str, default=None, help="flat key=value config file")
+    for key, kind in _KINDS.items():
+        if key == "experiment":
+            continue
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            flags.add_argument(flag, action="store_const", const=True, default=None)
+        else:
+            flags.add_argument(flag, type=str, default=None, metavar=key.upper())
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="EXPERIMENT")
-    descriptions = {
-        "fbm-sample": "sample fractional noise paths and check the terminal variance",
-        "simulate": "solve the singular equation over a Monte Carlo batch; positivity audit",
-        "verify-bound": "audit the explicit sup-norm bound path by path",
-        "neg-moments": "inverse-moment inequality below its time threshold",
-        "scaling": "distributional self-similarity under time-space rescaling",
-        "malliavin": "analytic vs finite-difference directional derivatives",
-        "cir": "square-root-diffusion change of variables: residual and positivity",
-        "moments": "half-batch stability of sup-norm moments",
-    }
-    for name in EXPERIMENTS:
-        sp = sub.add_parser(name, help=descriptions[name])
-        sp.add_argument("--config", type=str, default=None, help="flat key=value config file")
-        for f in fields(ExperimentConfig):
-            if f.name == "experiment":
-                continue
-            flag = "--" + f.name.replace("_", "-")
-            if f.name in _BOOL_KEYS:
-                sp.add_argument(flag, action="store_const", const=True, default=None)
-            else:
-                sp.add_argument(flag, type=str, default=None, metavar=f.name.upper())
+    for name, runner in _RUNNERS.items():
+        sub.add_parser(name, help=runner.__doc__, parents=[flags])
     return parser
 
 
@@ -648,18 +624,16 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
             )
         values.update(file_values)
     seed_given = "seed" in values
-    for f in fields(ExperimentConfig):
-        if f.name == "experiment":
+    for key, kind in _KINDS.items():
+        raw = getattr(args, key)
+        if key == "experiment" or raw is None:
             continue
-        raw = getattr(args, f.name, None)
-        if raw is None:
-            continue
-        if f.name == "seed":
+        if key == "seed":
             seed_given = True
         try:
-            values[f.name] = raw if f.name in _BOOL_KEYS else _parse_value(f.name, str(raw))
+            values[key] = raw if kind is bool else _parse_value(key, raw)
         except ValueError as exc:
-            raise ConfigError(f"bad value for --{f.name.replace('_', '-')}: {exc}") from exc
+            raise ConfigError(f"bad value for --{key.replace('_', '-')}: {exc}") from exc
     if not seed_given and os.environ.get("SEED"):
         try:
             values["seed"] = int(os.environ["SEED"])
@@ -677,13 +651,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    n_fail = sum(1 for c in report.claims if c.passed is False)
-    n_na = sum(1 for c in report.claims if c.passed is None)
+    n_pass, n_fail, n_na = report.tally
     status = "PASS" if report.all_ok else "FAIL"
     print(
-        f"{cfg.experiment}: {status} "
-        f"({len(report.claims) - n_fail - n_na} pass, {n_fail} fail, {n_na} not-applicable) "
-        f"in {report.wall_clock:.2f}s -> {Path(cfg.output_dir) / 'report.txt'}"
+        f"{cfg.experiment}: {status} ({n_pass} pass, {n_fail} fail, {n_na} not-applicable) "
+        f"in {report.wall_clock:.2f}s -> {Path(cfg.output_dir) / _REPORT_NAME}"
     )
     return 0 if report.all_ok else 1
 

@@ -82,10 +82,12 @@ class DriftSpec:
     positive_domain: bool = True
 
 
+_MAX_NEWTON_ITERS = 200
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     newton_tol: float = 1e-10
-    max_newton_iters: int = 200
 
     def __post_init__(self) -> None:
         if self.newton_tol <= 0:
@@ -230,10 +232,38 @@ class AssumptionReport:
         return self.nonnegative_decreasing and self.singular_repulsion and self.reciprocal_growth
 
 
-def _default_lattice(horizon: float, x_max: float) -> tuple[np.ndarray, np.ndarray]:
-    ts = np.linspace(horizon / 24, horizon, 24)
-    xs = np.geomspace(1e-4, x_max, 48)
-    return ts, xs
+_TOL = 1e-12
+
+
+def _lattice(horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The audit lattice: 24 times in (0, horizon] and 48 values in [1e-4, 10]."""
+    return np.linspace(horizon / 24, horizon, 24), np.geomspace(1e-4, 10.0, 48)
+
+
+def _below(values: np.ndarray, floor) -> bool:
+    """Some value lies below ``floor`` by more than the relative and absolute slack."""
+    return bool(np.any(values < floor * (1.0 - 1e-9) - _TOL))
+
+
+def _above(values: np.ndarray, cap) -> bool:
+    """Some value lies above ``cap`` by more than the relative and absolute slack."""
+    return bool(np.any(values > cap * (1.0 + 1e-9) + _TOL))
+
+
+def _first_violation(ts: np.ndarray, tests: list) -> str | None:
+    """Scan the lattice times in order and try each ``(bad, message)`` test at
+    every t in order; the first test that holds gives ``"<message> at t=..."``.
+    """
+    for t in ts:
+        for bad, message in tests:
+            if bad(t):
+                return f"{message} at t={t:.4g}"
+    return None
+
+
+def _report_args(*found: str | None) -> tuple:
+    """Report fields from scan results: one pass flag per scan, then the details."""
+    return (*(v is None for v in found), tuple(v for v in found if v is not None))
 
 
 def check_drift_assumptions(
@@ -242,8 +272,6 @@ def check_drift_assumptions(
     *,
     beta: float | None = None,
     horizon: float = 1.0,
-    x_max: float = 10.0,
-    lattice: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> AssumptionReport:
     """Evaluate the structural assumptions on a (t, x) lattice; reports, never raises.
 
@@ -253,54 +281,34 @@ def check_drift_assumptions(
     """
     if beta is None:
         beta = 0.5 * (0.5 + hurst)
-    ts, xs = lattice if lattice is not None else _default_lattice(horizon, x_max)
-    details: list[str] = []
-    tol = 1e-12
-
-    ok_sign = True
-    for t in ts:
-        fv = np.asarray(drift.f(t, xs), dtype=np.float64)
-        dv = np.asarray(drift.dfdx(t, xs), dtype=np.float64)
-        if np.any(fv < -tol):
-            ok_sign = False
-            details.append(f"f(t, x) < 0 at t={t:.4g}")
-            break
-        if np.any(dv > tol):
-            ok_sign = False
-            details.append(f"df/dx > 0 at t={t:.4g}")
-            break
-
+    ts, xs = _lattice(horizon)
+    xs_small = xs[xs < drift.x1]
     alpha = drift.singularity_exponent
-    ok_rep = alpha > 1.0 / beta - 1.0
-    if not ok_rep:
-        details.append(
-            f"singularity exponent {alpha} <= 1/beta - 1 = {1.0 / beta - 1.0:.4g} (beta={beta})"
+    g, h = drift.lower_envelope, drift.upper_envelope
+    f = lambda t, x=xs: np.asarray(drift.f(t, x), dtype=np.float64)
+    dfdx = lambda t: np.asarray(drift.dfdx(t, xs), dtype=np.float64)
+
+    sign = _first_violation(
+        ts,
+        [
+            (lambda t: _below(f(t), 0.0), "f(t, x) < 0"),
+            (lambda t: _above(dfdx(t), 0.0), "df/dx > 0"),
+        ],
+    )
+    if alpha > 1.0 / beta - 1.0:
+        floor = lambda t: xs_small.size > 0 and _below(f(t, xs_small), g(t) * xs_small**-alpha)
+        repulsion = _first_violation(
+            ts,
+            [(lambda t: g(t) <= 0, "lower envelope not positive"), (floor, "f below g(t) x^-alpha")],
         )
     else:
-        xs_small = xs[xs < drift.x1]
-        for t in ts:
-            if drift.lower_envelope(t) <= 0:
-                ok_rep = False
-                details.append(f"lower envelope not positive at t={t:.4g}")
-                break
-            if xs_small.size:
-                fv = np.asarray(drift.f(t, xs_small), dtype=np.float64)
-                floor = drift.lower_envelope(t) * xs_small**-alpha
-                if np.any(fv < floor * (1.0 - 1e-9) - tol):
-                    ok_rep = False
-                    details.append(f"f below g(t) x^-alpha at t={t:.4g}")
-                    break
-
-    ok_growth = True
-    for t in ts:
-        fv = np.asarray(drift.f(t, xs), dtype=np.float64)
-        cap = drift.upper_envelope(t) * (1.0 + 1.0 / xs)
-        if np.any(fv > cap * (1.0 + 1e-9) + tol):
-            ok_growth = False
-            details.append(f"f above h(t)(1 + 1/x) at t={t:.4g}")
-            break
-
-    return AssumptionReport(ok_sign, ok_rep, ok_growth, tuple(details))
+        repulsion = (
+            f"singularity exponent {alpha} <= 1/beta - 1 = {1.0 / beta - 1.0:.4g} (beta={beta})"
+        )
+    growth = _first_violation(
+        ts, [(lambda t: _above(f(t), h(t) * (1.0 + 1.0 / xs)), "f above h(t)(1 + 1/x)")]
+    )
+    return AssumptionReport(*_report_args(sign, repulsion, growth))
 
 
 def _implicit_step(
@@ -318,7 +326,7 @@ def _implicit_step(
             raise SolverError(f"inverse coefficient negative at t={t}")
         return 0.5 * (b + np.sqrt(b * b + 4.0 * dt * c))
 
-    tol, max_iter = config.newton_tol, config.max_newton_iters
+    tol = config.newton_tol
 
     def residual(x):
         return x - dt * np.asarray(drift.f(t, x), dtype=np.float64) - b
@@ -358,7 +366,7 @@ def _implicit_step(
     x = np.clip(x0, lo, hi)
     res = residual(x)
     done = np.abs(res) <= tol
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON_ITERS):
         if np.all(done):
             break
         lo = np.where(~done & (res < 0), x, lo)
@@ -489,51 +497,34 @@ class CirConditionReport:
         return self.small_value_floor and self.dominates_derivative and self.affine_growth
 
 
-def check_cir_conditions(
-    cir: CirDriftSpec,
-    *,
-    horizon: float = 1.0,
-    x_max: float = 10.0,
-    lattice: tuple[np.ndarray, np.ndarray] | None = None,
-) -> CirConditionReport:
-    ts, xs = lattice if lattice is not None else _default_lattice(horizon, x_max)
-    details: list[str] = []
-    tol = 1e-12
-    ok_a = True
-    xs_small = xs[xs < cir.x1]
-    for t in ts:
-        g = cir.lower_envelope(t)
-        if g <= 0:
-            ok_a = False
-            details.append(f"(a) lower envelope not positive at t={t:.4g}")
-            break
-        if xs_small.size:
-            fv = np.asarray(cir.f(t, xs_small), dtype=np.float64)
-            if np.any(fv < g * (1.0 - 1e-9) - tol):
-                ok_a = False
-                details.append(f"(a) f below its small-value floor at t={t:.4g}")
-                break
-    ok_b = True
-    for t in ts:
-        fv = np.asarray(cir.f(t, xs), dtype=np.float64)
-        if np.any(fv < -tol):
-            ok_b = False
-            details.append(f"f(t, y) < 0 at t={t:.4g}")
-            break
-        dv = np.asarray(cir.dfdy(t, xs), dtype=np.float64)
-        if np.any(fv < xs * dv - tol - 1e-9 * np.abs(fv)):
-            ok_b = False
-            details.append(f"(b) f < y df/dy at t={t:.4g}")
-            break
-    ok_c = True
-    for t in ts:
-        fv = np.asarray(cir.f(t, xs), dtype=np.float64)
-        cap = cir.upper_envelope(t) * (xs + 1.0)
-        if np.any(fv > cap * (1.0 + 1e-9) + tol):
-            ok_c = False
-            details.append(f"(c) f above h(t)(y + 1) at t={t:.4g}")
-            break
-    return CirConditionReport(ok_a, ok_b, ok_c, tuple(details))
+def check_cir_conditions(cir: CirDriftSpec, *, horizon: float = 1.0) -> CirConditionReport:
+    """Evaluate conditions (a)-(c) on a (t, y) lattice; reports, never raises."""
+    ts, ys = _lattice(horizon)
+    ys_small = ys[ys < cir.x1]
+    g, h = cir.lower_envelope, cir.upper_envelope
+    f = lambda t, y=ys: np.asarray(cir.f(t, y), dtype=np.float64)
+    y_dfdy = lambda t: ys * np.asarray(cir.dfdy(t, ys), dtype=np.float64)
+
+    floor = lambda t: ys_small.size > 0 and _below(f(t, ys_small), g(t))
+    small_value_floor = _first_violation(
+        ts,
+        [
+            (lambda t: g(t) <= 0, "(a) lower envelope not positive"),
+            (floor, "(a) f below its small-value floor"),
+        ],
+    )
+
+    def dominated(t):
+        fv = f(t)
+        return bool(np.any(fv < y_dfdy(t) - _TOL - 1e-9 * np.abs(fv)))
+
+    dominates = _first_violation(
+        ts, [(lambda t: _below(f(t), 0.0), "f(t, y) < 0"), (dominated, "(b) f < y df/dy")]
+    )
+    growth = _first_violation(
+        ts, [(lambda t: _above(f(t), h(t) * (ys + 1.0)), "(c) f above h(t)(y + 1)")]
+    )
+    return CirConditionReport(*_report_args(small_value_floor, dominates, growth))
 
 
 def cir_transform(value: float, direction: str) -> float:

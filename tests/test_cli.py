@@ -2,9 +2,18 @@
 
 import filecmp
 
+import numpy as np
 import pytest
 
-from fbmsde.cli import ConfigError, ExperimentConfig, main, parse_config, run_experiment
+from fbmsde.cli import (
+    Claim,
+    ConfigError,
+    ExperimentConfig,
+    RunReport,
+    main,
+    parse_config,
+    run_experiment,
+)
 
 
 class TestParseConfig:
@@ -197,3 +206,113 @@ def test_run_experiment_returns_report(tmp_path):
     assert report.all_ok
     assert report.wall_clock >= 0.0
     assert "report.txt" in report.artifacts
+
+
+# One out-of-range value for each check in ``ExperimentConfig.validate``; every
+# one must be rejected before any work with exit code 2.
+_REJECTED = [
+    ("--hurst", "0.4"),
+    ("--hurst", "0.5"),
+    ("--hurst", "1.0"),
+    ("--horizon", "0"),
+    ("--n-steps", "1"),
+    ("--n-paths", "0"),
+    ("--seed", "-1"),
+    ("--seed", str(2**64)),
+    ("--method", "fft"),
+    ("--drift", "cubic"),
+    ("--drift-k", "0"),
+    ("--time-exponent", "-1"),
+    ("--singularity-exponent", "0"),
+    ("--bessel-dimension", "1"),
+    ("--x0", "0"),
+    ("--y0", "-1"),
+    ("--cir-k", "0"),
+    ("--beta", "0.5"),
+    ("--beta", "0.75"),
+    ("--gamma", "2"),
+    ("--p-orders", "-1"),
+    ("--t-eval", "0"),
+    ("--t-eval", "1.5"),
+    ("--tau", "0"),
+    ("--tau", "1.5"),
+    ("--t-check", "0"),
+    ("--t-check", "1.5"),
+    ("--eps-list", "0.1,-0.05"),
+    ("--eps-list", ","),
+    ("--scale-a", "0"),
+    ("--scale-t", "0"),
+    ("--scale-t", "1.5"),
+    ("--threads", "0"),
+]
+
+
+@pytest.mark.parametrize("flag,value", _REJECTED, ids=[f"{f}={v}" for f, v in _REJECTED])
+def test_out_of_range_value_exits_2(tmp_path, capsys, flag, value):
+    args = ["fbm-sample", "--n-paths", "8", "--n-steps", "16", flag, value]
+    assert main([*args, "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "report.txt").exists()
+
+
+def test_every_subcommand_accepts_every_config_flag():
+    from dataclasses import fields
+
+    from fbmsde import cli
+
+    assert cli.EXPERIMENTS == (
+        "fbm-sample", "simulate", "verify-bound", "neg-moments",
+        "scaling", "malliavin", "cir", "moments",
+    )
+    parser = cli._build_parser()
+    keys = [f.name for f in fields(ExperimentConfig) if f.name != "experiment"]
+    argv = []
+    for key in keys:
+        argv += ["--" + key.replace("_", "-")] + ([] if key == "wide" else ["1"])
+    for name in cli.EXPERIMENTS:
+        args = parser.parse_args([name, "--config", "run.cfg", *argv])
+        assert args.experiment == name and args.config == "run.cfg"
+        for key in keys:
+            assert getattr(args, key) == (True if key == "wide" else "1"), (name, key)
+
+
+# Configs that would pass validation but fail inside the library (or check
+# nothing at all); each runner rejects them before any sampling.  Each entry
+# gives the arguments and a fragment of the error message.
+_RUNNER_REJECTED = {
+    "moments-too-few-paths": (["moments", "--n-paths", "2", "--n-steps", "16"], "n_paths >= 4"),
+    "malliavin-t-check-off-grid": (
+        ["malliavin", "--n-paths", "2", "--n-steps", "7", "--t-check", "0.3"],
+        "t_check",
+    ),
+    "moments-empty-p-orders": (["moments", "--p-orders", ","], "p_orders"),
+    "neg-moments-empty-t-eval": (["neg-moments", "--t-eval", ","], "t_eval"),
+    "neg-moments-t-eval-snaps-to-0": (
+        ["neg-moments", "--t-eval", "0.2,0.001", "--n-steps", "16"],
+        "dt=0.0625",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_RUNNER_REJECTED))
+def test_config_caused_errors_exit_2(tmp_path, capsys, name):
+    argv, fragment = _RUNNER_REJECTED[name]
+    assert main([*argv, "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert not (tmp_path / "report.txt").exists()
+
+
+def test_tally_counts_numpy_booleans():
+    outcomes = [True, np.True_, False, np.False_, None]
+    claims = tuple(Claim(f"c{i}", 0.0, None, "reported", p) for i, p in enumerate(outcomes))
+    report = RunReport(ExperimentConfig(experiment="cir"), claims, (), 0.0)
+    assert report.tally == (2, 2, 1)
+
+
+def test_report_summary_matches_stdout(tmp_path, capsys):
+    # the cir residual claim's outcome is a numpy boolean
+    assert main(["cir", "--n-paths", "16", "--n-steps", "64", "--output-dir", str(tmp_path)]) == 0
+    assert "(2 pass, 0 fail, 0 not-applicable)" in capsys.readouterr().out
+    summary = (tmp_path / "report.txt").read_text().splitlines()[-1]
+    assert summary == "summary: 2 pass, 0 fail, 0 not-applicable"

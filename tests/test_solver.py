@@ -7,7 +7,9 @@ from fbmsde.fbm import FbmSpec, sample_fbm, sample_fbm_batch
 from fbmsde.fraccalc import holder_seminorm, young_integral
 from fbmsde.paths import SamplePath
 from fbmsde.solver import (
+    AssumptionReport,
     CirConditionError,
+    CirConditionReport,
     CirDriftSpec,
     SolveConfig,
     bessel_drift,
@@ -78,6 +80,104 @@ class TestAssumptionChecker:
         drift = power_drift(1.0, 0.0, 0.2)
         rep = check_drift_assumptions(drift, 0.75, beta=0.7)
         assert not rep.singular_repulsion
+
+
+def _arr(x):
+    return np.asarray(x, dtype=np.float64)
+
+
+def _drift(f, dfdx, alpha=1.0, g=lambda t: 1.0, h=lambda t: 1.0, x1=1.0):
+    return custom_drift(
+        f, dfdx, singularity_exponent=alpha, lower_envelope=g, upper_envelope=h, x1=x1
+    )
+
+
+_T0 = "at t=0.04167"
+
+# Every detail message of the drift checker, with the exact report each case gives.
+_DRIFT_CASES = {
+    "reciprocal": (reciprocal_drift(1.0), {}, (True, True, True), ()),
+    "bessel": (bessel_drift(3, 0.7), {"horizon": 2.0}, (True, True, True), ()),
+    "power_unit": (power_drift(1.0, 1.0, 1.0), {}, (True, True, True), ()),
+    "power_shallow": (
+        power_drift(1.0, 0.0, 0.2), {"beta": 0.7}, (True, False, True),
+        ("singularity exponent 0.2 <= 1/beta - 1 = 0.4286 (beta=0.7)",),
+    ),
+    "increasing": (
+        _drift(lambda t, x: _arr(x), lambda t, x: np.ones_like(_arr(x))), {}, (False, False, False),
+        (f"df/dx > 0 {_T0}", f"f below g(t) x^-alpha {_T0}", f"f above h(t)(1 + 1/x) {_T0}"),
+    ),
+    "negative": (
+        _drift(lambda t, x: -1.0 / _arr(x), lambda t, x: 1.0 / _arr(x) ** 2), {}, (False, False, True),
+        (f"f(t, x) < 0 {_T0}", f"f below g(t) x^-alpha {_T0}"),
+    ),
+    "steep": (
+        _drift(lambda t, x: t * _arr(x) ** -2.0, lambda t, x: -2.0 * t * _arr(x) ** -3.0,
+               alpha=2.0, g=lambda t: t, h=lambda t: t),
+        {}, (True, True, False), (f"f above h(t)(1 + 1/x) {_T0}",),
+    ),
+    "late_sign": (
+        _drift(lambda t, x: (1.0 - t) / _arr(x), lambda t, x: -(1.0 - t) / _arr(x) ** 2,
+               g=lambda t: 1.0 - t, h=lambda t: abs(1.0 - t)),
+        {"horizon": 1.5}, (False, False, True),
+        ("f(t, x) < 0 at t=1.062", "lower envelope not positive at t=1"),
+    ),
+    "weak_floor": (
+        _drift(lambda t, x: 0.5 / _arr(x), lambda t, x: -0.5 / _arr(x) ** 2), {}, (True, False, True),
+        (f"f below g(t) x^-alpha {_T0}",),
+    ),
+    "zero_envelope": (
+        _drift(lambda t, x: 1.0 / _arr(x), lambda t, x: -1.0 / _arr(x) ** 2, g=lambda t: 0.0),
+        {}, (True, False, True), (f"lower envelope not positive {_T0}",),
+    ),
+    "no_small_x": (
+        _drift(lambda t, x: 1.0 / _arr(x), lambda t, x: -1.0 / _arr(x) ** 2, x1=1e-6),
+        {}, (True, True, True), (),
+    ),
+    "zero": (
+        zero_drift(), {}, (True, False, True),
+        ("singularity exponent 0.0 <= 1/beta - 1 = 0.6 (beta=0.625)",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_DRIFT_CASES))
+def test_drift_checker_report_is_pinned(name):
+    drift, kwargs, flags, details = _DRIFT_CASES[name]
+    assert check_drift_assumptions(drift, 0.75, **kwargs) == AssumptionReport(*flags, details)
+
+
+def _cir(f, dfdy, g=lambda t: 1.0, h=lambda t: 1.0, x1=1.0):
+    return CirDriftSpec(f=f, dfdy=dfdy, lower_envelope=g, upper_envelope=h, x1=x1)
+
+
+_ZERO = lambda t, y: np.zeros_like(_arr(y))
+_ONE = lambda t, y: np.ones_like(_arr(y))
+
+# Every detail message of the square-root-diffusion checker, pinned the same way.
+_CIR_CASES = {
+    "constant": (_cir(lambda t, y: 0.5 * _ONE(t, y), _ZERO, g=lambda t: 0.5, h=lambda t: 0.5),
+                 {}, (True, True, True), ()),
+    "affine": (_cir(lambda t, y: 1.0 + _arr(y), _ONE), {"horizon": 3.0}, (True, True, True), ()),
+    "linear": (_cir(lambda t, y: _arr(y), _ONE, g=lambda t: 0.1), {}, (False, True, True),
+               (f"(a) f below its small-value floor {_T0}",)),
+    "zero": (_cir(_ZERO, _ZERO, g=lambda t: 0.0, h=lambda t: 0.0), {}, (False, True, True),
+             (f"(a) lower envelope not positive {_T0}",)),
+    "negative": (_cir(lambda t, y: -1.0 - _arr(y), lambda t, y: -_ONE(t, y)), {}, (False, False, True),
+                 (f"(a) f below its small-value floor {_T0}", f"f(t, y) < 0 {_T0}")),
+    "convex": (_cir(lambda t, y: 1.0 + _arr(y) ** 2, lambda t, y: 2.0 * _arr(y)), {},
+               (True, False, False), (f"(b) f < y df/dy {_T0}", f"(c) f above h(t)(y + 1) {_T0}")),
+    "late_floor": (_cir(lambda t, y: (1.0 - t) * _ONE(t, y), _ZERO, g=lambda t: 1.0 - t),
+                   {"horizon": 1.5}, (False, False, True),
+                   ("(a) lower envelope not positive at t=1", "f(t, y) < 0 at t=1.062")),
+    "no_small_y": (_cir(lambda t, y: _arr(y), _ONE, x1=1e-6), {}, (True, True, True), ()),
+}
+
+
+@pytest.mark.parametrize("name", list(_CIR_CASES))
+def test_cir_checker_report_is_pinned(name):
+    cir, kwargs, flags, details = _CIR_CASES[name]
+    assert check_cir_conditions(cir, **kwargs) == CirConditionReport(*flags, details)
 
 
 class TestSolver:
