@@ -209,10 +209,20 @@ def check_path_bound(
 
     Both sides are grid quantities: the driver's Hölder seminorm is the grid
     scan (a lower bound, making the right side conservative) and the solution
-    sup is the grid maximum.
+    sup is the grid maximum.  Raises ``ValueError`` unless ``solutions`` and
+    ``drivers`` share one shape with a column per grid time and hold only
+    finite values (``holder_seminorm`` rejects a non-finite driver).
     """
     solutions = np.atleast_2d(solutions)
     drivers = np.atleast_2d(drivers)
+    if solutions.shape != drivers.shape:
+        raise ValueError(
+            f"solutions {solutions.shape} and drivers {drivers.shape} differ in shape"
+        )
+    if solutions.shape[1] != len(times):
+        raise ValueError(f"paths have {solutions.shape[1]} columns for {len(times)} grid times")
+    if not np.all(np.isfinite(solutions)):
+        raise ValueError("solutions must be finite")
     horizon = float(times[-1])
     k_sup = drift_sup_envelope(drift, horizon)
     c_ibp = ibp_constant(beta, gamma)

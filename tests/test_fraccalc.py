@@ -24,6 +24,23 @@ def _path(fn, n, horizon=1.0, hint=1.0):
     return SamplePath.from_function(fn, horizon, n, holder_hint=hint)
 
 
+def _per_lag_seminorm(x, s, t, beta):
+    """Reference: the seminorm scanned one lag at a time."""
+    i, j = x.slice_indices(s, t)
+    vals = x.values[i : j + 1]
+    m = vals.size
+    dt = x.dt
+    if m <= 4096:
+        lags = range(1, m)
+    else:
+        lags = [1 << k for k in range(int(math.log2(m - 1)) + 1) if (1 << k) < m]
+    best = 0.0
+    for lag in lags:
+        top = np.max(np.abs(vals[lag:] - vals[:-lag]))
+        best = max(best, top / (lag * dt) ** beta)
+    return float(best)
+
+
 class TestNorms:
     def test_sup_norm_constant_and_linear(self):
         assert sup_norm(_path(lambda t: -3.0 + 0 * t, 64), 0.0, 1.0) == 3.0
@@ -67,9 +84,46 @@ class TestNorms:
         val = holder_seminorm(rough, 0.0, 1.0, 0.65)
         assert np.isfinite(val) and val > 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_seminorm_rejects_non_finite_path(self, bad):
+        values = np.linspace(0.0, 1.0, 9)
+        values[4] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            holder_seminorm(SamplePath(np.linspace(0.0, 1.0, 9), values), 0.0, 1.0, 0.5)
+
     def test_report(self):
         rep = holder_report(_path(lambda t: t, 64), 0.0, 1.0, 0.5)
         assert rep.sup_norm == 1.0 and rep.seminorm == pytest.approx(1.0)
+
+
+class TestSeminormScan:
+    """The blocked lag scan equals the per-lag scan bit for bit."""
+
+    @staticmethod
+    def _walk(m, seed):
+        rng = np.random.default_rng(seed)
+        return SamplePath(np.linspace(0.0, 1.0, m), np.cumsum(rng.standard_normal(m)) / m**0.75)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.65, 0.99])
+    @pytest.mark.parametrize("m", [2, 3, 63, 64, 65, 66, 129, 1025, 4096, 4097])
+    def test_whole_interval(self, m, beta):
+        p = self._walk(m, seed=m)
+        assert holder_seminorm(p, 0.0, 1.0, beta) == _per_lag_seminorm(p, 0.0, 1.0, beta)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.65, 0.99])
+    @pytest.mark.parametrize("m", [65, 1025, 4096])
+    def test_power_path_ties_every_lag(self, m, beta):
+        # t**beta by Python's power, as the divisors are: every lag's ratio is
+        # 1 exactly, so a last-bit change in any divisor changes the value
+        times = np.linspace(0.0, 1.0, m)
+        p = SamplePath(times, [u**beta for u in times.tolist()])
+        assert holder_seminorm(p, 0.0, 1.0, beta) == _per_lag_seminorm(p, 0.0, 1.0, beta) == 1.0
+
+    @pytest.mark.parametrize("beta", [0.3, 0.65, 0.99])
+    @pytest.mark.parametrize("s, t", [(0.25, 1.0), (0.1, 0.6), (0.5, 0.56), (0.999, 1.0)])
+    def test_sub_interval(self, s, t, beta):
+        p = self._walk(1025, seed=7)
+        assert holder_seminorm(p, s, t, beta) == _per_lag_seminorm(p, s, t, beta)
 
 
 class TestLeftDerivative:

@@ -119,6 +119,31 @@ class TestPathBoundAudit:
         assert rep.pass_fraction == 1.0
         assert rep.worst_margin >= 0.0
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("missing_driver", "differ in shape"),
+            ("short_grid", "columns for"),
+            ("nan_solution", "finite"),
+            ("inf_driver", "finite"),
+        ],
+    )
+    def test_malformed_inputs_rejected(self, case, message):
+        drift = reciprocal_drift(1.0)
+        times, drivers, sols = simulate_paths(
+            FbmSpec(hurst=0.75, n_steps=64, seed=5), drift, 1.0, 3
+        )
+        if case == "missing_driver":
+            drivers = drivers[:2]
+        elif case == "short_grid":
+            times = times[:-1]
+        elif case == "nan_solution":
+            sols[1, 10] = np.nan
+        else:
+            drivers[2, 5] = np.inf
+        with pytest.raises(ValueError, match=message):
+            check_path_bound(drift, sols, drivers, times, beta=0.65, gamma=3.0)
+
 
 class TestPairingBound:
     def test_explicit_constant_dominates_on_solution_paths(self):
