@@ -272,7 +272,7 @@ def _snap_down(t: float, dt: float) -> float:
 def _exp_fbm_sample(cfg: ExperimentConfig, out_dir: Path):
     """sample fractional noise paths and check the terminal variance"""
     spec = cfg.fbm_spec()
-    values = fbm.sample_fbm_batch(spec, cfg.n_paths, threads=cfg.threads)
+    values = fbm.sample_fbm_batch(spec, cfg.n_paths)
     terminal = values[:, -1]
     target = cfg.horizon ** (2.0 * cfg.hurst)
     var_hat = float(np.var(terminal, ddof=1)) if cfg.n_paths > 1 else 0.0
@@ -446,7 +446,7 @@ def _exp_malliavin(cfg: ExperimentConfig, out_dir: Path):
         raise ConfigError(f"t_check: {exc}") from exc
     drift = cfg.drift_spec()
     direction = StepFunction.indicator(0.0, cfg.tau)
-    drivers = fbm.sample_fbm_batch(spec, cfg.n_paths, threads=cfg.threads)
+    drivers = fbm.sample_fbm_batch(spec, cfg.n_paths)
     worst_rel = 0.0
     norm_lo, norm_hi = math.inf, -math.inf
     all_pass = True

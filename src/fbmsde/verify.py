@@ -437,20 +437,19 @@ def simulate_paths(
     """Sample drivers and solve the equation for each: (times, drivers, solutions).
 
     Per-path seeding plus chunked solving keep every byte independent of the
-    thread count.
+    thread count, which only splits the solve.
     """
     times = spec.times
-    drivers = sample_fbm_batch(spec, n_paths, threads=threads)
+    drivers = sample_fbm_batch(spec, n_paths)
+    if threads <= 1:
+        return times, drivers, solve_batch(x0, drift, drivers, times, config)
     solutions = np.empty_like(drivers)
-    if threads > 1:
-        chunks = np.array_split(np.arange(n_paths), threads * 4)
+    chunks = np.array_split(np.arange(n_paths), threads * 4)
 
-        def run(idx: np.ndarray) -> None:
-            if idx.size:
-                solutions[idx] = solve_batch(x0, drift, drivers[idx], times, config)
+    def run(idx: np.ndarray) -> None:
+        if idx.size:
+            solutions[idx] = solve_batch(x0, drift, drivers[idx], times, config)
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, chunks))
-    else:
-        solutions[:] = solve_batch(x0, drift, drivers, times, config)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run, chunks))
     return times, drivers, solutions

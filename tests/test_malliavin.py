@@ -1,6 +1,7 @@
 """Derivative kernel bounds, norm positivity, analytic vs finite-difference checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,6 +170,41 @@ class TestBatchedReport:
         for b, s in zip(batched, single):
             # float reprs round-trip exactly, so equal reprs mean equal bits
             assert repr(b) == repr(s)
+
+    def test_kernel_evaluated_once_per_row(self):
+        spec = FbmSpec(hurst=0.75, n_steps=128, seed=22)
+        drivers = sample_fbm_batch(spec, 5)
+        args = (spec.times, 1.0, StepFunction.indicator(0.0, 0.5), 0.75)
+        base = reciprocal_drift(1.0)
+        path_calls = []
+
+        def dfdx(t, x):
+            if np.shape(x) == spec.times.shape:
+                path_calls.append(x)
+            return base.dfdx(t, x)
+
+        counted = replace(base, dfdx=dfdx)
+        reports = derivative_report(1.0, counted, drivers, *args)
+        assert len(path_calls) == len(drivers)
+        assert [repr(r) for r in reports] == [
+            repr(r) for r in derivative_report(1.0, base, drivers, *args)
+        ]
+
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    @pytest.mark.parametrize(
+        "drift", [reciprocal_drift(1.0), power_drift(1.0, 0.0, 1.5)], ids=["closed-form", "newton"]
+    )
+    def test_report_matches_public_functions(self, drift, t):
+        from fbmsde.solver import solve_batch
+
+        spec = FbmSpec(hurst=0.75, n_steps=256, seed=24)
+        drivers = sample_fbm_batch(spec, 4)
+        phi = StepFunction.indicator(0.0, 0.3)
+        reports = derivative_report(1.0, drift, drivers, spec.times, t, phi, 0.75)
+        for rep, values in zip(reports, solve_batch(1.0, drift, drivers, spec.times)):
+            sol = SamplePath(spec.times, values)
+            assert rep.analytic_value == directional_derivative_analytic(sol, drift, t, phi, 0.75)
+            assert rep.norm_sq == derivative_norm_sq(sol, drift, t, 0.75)
 
     def test_one_dimensional_drivers_rejected(self):
         driver = sample_fbm(FbmSpec(hurst=0.75, n_steps=64, seed=23))
