@@ -162,13 +162,22 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    # No config key admits NaN or an infinity, and the range checks in
+    # ``validate`` only compare, which NaN passes.
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in raw.split(",") if part.strip())
+    return tuple(_parse_float(part) for part in raw.split(",") if part.strip())
 
 
 # Each config key's type, read off the dataclass, and the parser for each type.
 _KINDS = get_type_hints(ExperimentConfig)
-_PARSERS = {int: int, float: float, str: str, bool: _parse_bool, tuple[float, ...]: _parse_floats}
+_PARSERS = {int: int, float: _parse_float, str: str, bool: _parse_bool, tuple[float, ...]: _parse_floats}
 
 
 def _parse_value(key: str, raw: str):

@@ -14,10 +14,14 @@ path space.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+# numpy 2 loads these submodules on first attribute access; importing them
+# here keeps that cost in start-up rather than inside the first sample.
+from numpy.fft import fft
+from numpy.random import Generator, Philox
 
 from .paths import SamplePath, StepFunction
 
@@ -98,9 +102,9 @@ def kernel_coeff(hurst: float) -> float:
 def _sqrt_kernel_const(hurst: float) -> float:
     # c_H = sqrt(H(2H-1) / B(2-2H, H-1/2)); log-gamma form stays finite as H -> 1.
     log_beta = (
-        gammaln(2.0 - 2.0 * hurst)
-        + gammaln(hurst - 0.5)
-        - gammaln(1.5 - hurst)
+        math.lgamma(2.0 - 2.0 * hurst)
+        + math.lgamma(hurst - 0.5)
+        - math.lgamma(1.5 - hurst)
     )
     return float(np.sqrt(kernel_coeff(hurst) * np.exp(-log_beta)))
 
@@ -156,7 +160,7 @@ def _circulant_sqrt_eigs(hurst: float, n: int) -> np.ndarray:
     h2 = 2.0 * hurst
     gamma = 0.5 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
     row = np.concatenate([gamma, gamma[-2:0:-1]])
-    eigs = np.fft.fft(row).real
+    eigs = fft(row).real
     if eigs.min() < -_EIG_TOL:
         raise FbmSamplingError(
             f"circulant embedding produced eigenvalue {eigs.min():.3e} < -{_EIG_TOL}; "
@@ -187,7 +191,7 @@ def _cholesky_factor(hurst: float, n: int) -> np.ndarray:
 
 
 def _philox_state(key: int) -> dict:
-    """The state ``np.random.Philox(key=key)`` starts in: counter zero, empty buffer."""
+    """The state ``Philox(key=key)`` starts in: counter zero, empty buffer."""
     ctr = {"counter": [0, 0, 0, 0], "key": [key, 0]}
     return dict(bit_generator="Philox", state=ctr, buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0)
 
@@ -213,7 +217,7 @@ def sample_fbm_batch(spec: FbmSpec, n_paths: int) -> np.ndarray:
         raise ValueError("n_paths must be positive")
     n = spec.n_steps
     circulant = spec.method == "circulant_embedding"
-    rng = np.random.Generator(np.random.Philox(key=0))
+    rng = Generator(Philox(key=0))
     normals = np.empty((min(_BLOCK_ROWS, n_paths), 2 * n if circulant else n))
     out = np.zeros((n_paths, n + 1))
     for lo in range(0, n_paths, len(normals)):
@@ -233,7 +237,7 @@ def sample_fbm_batch(spec: FbmSpec, n_paths: int) -> np.ndarray:
         w[:, [0, n]] = coeff[[0, n]] * np.sqrt(2.0) * z[:, :2]
         np.multiply(coeff[1:n], z[:, 2:].view(np.complex128), out=w[:, 1:n])
         np.conj(w[:, n - 1 : 0 : -1], out=w[:, n + 1 :])
-        w = np.fft.fft(w, axis=1)
+        w = fft(w, axis=1)
         np.multiply((spec.horizon / n) ** spec.hurst, w.real[:, :n], out=block)
         np.cumsum(block, axis=1, out=block)
     return out

@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln
 
 from .fbm import FbmSpec, sample_fbm_batch
 from .fraccalc import default_ibp_order, holder_seminorm
@@ -59,7 +58,7 @@ def admissible_order_window(beta: float, gamma: float) -> tuple[float, float]:
 
 
 def _beta_fn(x: float, y: float) -> float:
-    return math.exp(betaln(x, y))
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
 def ibp_constant(beta: float, gamma: float, order: float | None = None) -> float:

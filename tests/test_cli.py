@@ -1,10 +1,16 @@
 """Config parsing, report determinism, exit codes."""
 
 import filecmp
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fbmsde
 from fbmsde.cli import (
     Claim,
     ConfigError,
@@ -52,6 +58,11 @@ class TestParseConfig:
     def test_tuple_values(self):
         values = parse_config("p_orders = 1, 2, 4\n")
         assert values["p_orders"] == (1.0, 2.0, 4.0)
+
+    @pytest.mark.parametrize("line", ["drift_k = nan", "x0 = inf", "t_eval = 0.2, -inf"])
+    def test_non_finite_value_rejected_with_line(self, line):
+        with pytest.raises(ConfigError, match="line 2.*finite"):
+            parse_config(f"experiment = simulate\n{line}\n")
 
 
 class TestValidation:
@@ -208,8 +219,9 @@ def test_run_experiment_returns_report(tmp_path):
     assert "report.txt" in report.artifacts
 
 
-# One out-of-range value for each check in ``ExperimentConfig.validate``; every
-# one must be rejected before any work with exit code 2.
+# One out-of-range value for each check in ``ExperimentConfig.validate``, then
+# non-finite values, which the float parsers reject; every one must be
+# rejected before any work with exit code 2.
 _REJECTED = [
     ("--hurst", "0.4"),
     ("--hurst", "0.5"),
@@ -244,6 +256,11 @@ _REJECTED = [
     ("--scale-t", "0"),
     ("--scale-t", "1.5"),
     ("--threads", "0"),
+    ("--x0", "inf"),
+    ("--drift-k", "nan"),
+    ("--gamma", "inf"),
+    ("--t-eval", "nan"),
+    ("--eps-list", "0.1,nan"),
 ]
 
 
@@ -316,3 +333,19 @@ def test_report_summary_matches_stdout(tmp_path, capsys):
     assert "(2 pass, 0 fail, 0 not-applicable)" in capsys.readouterr().out
     summary = (tmp_path / "report.txt").read_text().splitlines()[-1]
     assert summary == "summary: 2 pass, 0 fail, 0 not-applicable"
+
+
+def test_import_loads_numpy_only():
+    # numpy is the one runtime dependency, and numpy 2's lazily loaded fft and
+    # random submodules must load at import, not inside the first sample.
+    code = (
+        "import json, sys; import fbmsde, fbmsde.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))))"
+    )
+    src = str(Path(fbmsde.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    loaded = set(json.loads(out.stdout))
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+    assert {"numpy.fft", "numpy.random"} <= loaded

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import beta as beta_fn
 
 from fbmsde.fbm import (
     _BLOCK_ROWS,
@@ -14,6 +15,7 @@ from fbmsde.fbm import (
     _circulant_sqrt_eigs,
     _cholesky_factor,
     _philox_state,
+    _sqrt_kernel_const,
     embed_direction,
     grid_inner_product,
     hurst_covariance,
@@ -55,6 +57,13 @@ def test_kernel_coeff_values():
     assert kernel_coeff(0.9) == pytest.approx(0.72, abs=1e-12)
     with pytest.raises(ValueError):
         kernel_coeff(1.2)
+
+
+@pytest.mark.parametrize("hurst", [0.501, 0.6, 0.75, 0.9, 0.99, 0.999])
+def test_sqrt_kernel_const_matches_beta_function(hurst):
+    # c_H = sqrt(H(2H-1) / B(2-2H, H-1/2)), with scipy's Beta as the oracle
+    expected = math.sqrt(hurst * (2 * hurst - 1) / beta_fn(2 - 2 * hurst, hurst - 0.5))
+    assert _sqrt_kernel_const(hurst) == pytest.approx(expected, rel=1e-13)
 
 
 class TestVolterraKernel:

@@ -264,6 +264,29 @@ class TestSolver:
             solve_pathwise(-1.0, reciprocal_drift(1.0), _flat_driver(16))
 
 
+@pytest.mark.parametrize("hurst", [0.55, 0.75])
+@pytest.mark.parametrize(
+    "drift",
+    [reciprocal_drift(1.0), power_drift(1.0, 0.0, 1.5)],
+    ids=["closed-form", "newton"],
+)
+def test_observed_strong_order(hurst, drift):
+    # E max|x_dt - x_ref| against a 2^12-step reference on the same drivers,
+    # dt = 2^-5 ... 2^-9; the log-log slope is the observed strong order.
+    # A scheme that lags the noise by one step has order about H, so the
+    # test uses H <= 0.75 where that stays outside the bound.
+    spec = FbmSpec(hurst=hurst, n_steps=2**12, seed=3)
+    drivers = sample_fbm_batch(spec, 100)
+    ref = solve_batch(1.0, drift, drivers, spec.times)
+    dts, errs = [], []
+    for stride in (2**3, 2**4, 2**5, 2**6, 2**7):
+        coarse = solve_batch(1.0, drift, drivers[:, ::stride], spec.times[::stride])
+        errs.append(np.mean(np.max(np.abs(coarse - ref[:, ::stride]), axis=1)))
+        dts.append(stride * 2.0**-12)
+    slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
+    assert abs(slope - 1.0) <= 0.15, f"observed strong order {slope:.3f}"
+
+
 class TestComparison:
     def test_ordering_contraction_monotone(self):
         spec = FbmSpec(hurst=0.75, n_steps=512, seed=44)

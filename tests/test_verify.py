@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta as beta_fn
 
 from fbmsde.fbm import FbmSpec
 from fbmsde.fraccalc import holder_seminorm, sup_norm, young_integral
@@ -62,6 +63,20 @@ class TestIbpConstant:
         bi = beta * (1 - 1 / gamma) - a + 1.0
         b2 = math.gamma(bi) * math.gamma(a + beta) / math.gamma(bi + a + beta)
         assert ibp_constant(beta, gamma, a) == pytest.approx(c5 * c6 * max(b1, b2), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "beta,gamma",
+        [(0.501, 251.0), (0.51, 26.0), (0.99, 3.0), (0.999, 2.001)],
+    )
+    def test_domain_edges_match_scipy_beta(self, beta, gamma):
+        # beta near 1/2 needs gamma just past beta / (2 beta - 1) for a window
+        lo, hi = admissible_order_window(beta, gamma)
+        a = 0.5 * (lo + hi)
+        beta_int = beta * (1 - 1 / gamma)
+        c5 = max(1.0 / math.gamma(1.0 - a), a / ((beta_int - a) * math.gamma(1.0 - a)))
+        c6 = (1.0 + (1.0 - a) / (a + beta - 1.0)) / math.gamma(a)
+        b = max(beta_fn(1.0 - a, a + beta), beta_fn(beta_int - a + 1.0, a + beta))
+        assert ibp_constant(beta, gamma, a) == pytest.approx(c5 * c6 * b, rel=1e-13)
 
     def test_degenerate_window_rejected(self):
         # beta = 0.6, gamma = 3 sits exactly on the empty-window boundary
