@@ -73,6 +73,12 @@ class ExperimentConfig:
         """Reject the config before any work; the library's own checks raise ConfigError too."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        # The range checks below only compare, which NaN passes.
+        for key, kind in _KINDS.items():
+            if kind is float or kind == tuple[float, ...]:
+                value = getattr(self, key)
+                if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                    raise ConfigError(f"{key} must be finite, got {value}")
         if not 0.5 < self.hurst < 1.0:
             raise ConfigError(f"hurst must lie in (1/2, 1), got {self.hurst}")
         try:
@@ -163,8 +169,8 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_float(raw: str) -> float:
-    # No config key admits NaN or an infinity, and the range checks in
-    # ``validate`` only compare, which NaN passes.
+    # No config key admits NaN or an infinity; rejecting them here names the
+    # config-file line, ahead of the same check in ``validate``.
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {raw!r}")
@@ -227,22 +233,23 @@ def _fmt(x) -> str:
 def _write_paths_csv(
     out_dir: Path, times: np.ndarray, values: np.ndarray, wide: bool, stem: str = "path"
 ) -> list[str]:
+    # "%.17g" % x is _fmt(float(x)): one format per row, not one call per value.
     values = np.atleast_2d(values)
     names: list[str] = []
     if wide:
         name = f"{stem}s.csv"
+        line = ",".join(["%.17g"] * (values.shape[0] + 1)) + "\n"
         with open(out_dir / name, "w") as fh:
             fh.write("time," + ",".join(f"{stem}_{i:04d}" for i in range(values.shape[0])) + "\n")
-            for j, t in enumerate(times):
-                fh.write(_fmt(float(t)) + "," + ",".join(_fmt(float(v)) for v in values[:, j]) + "\n")
+            fh.writelines(line % tuple(r) for r in np.column_stack([times, values.T]).tolist())
         names.append(name)
     else:
         for i, row in enumerate(values):
             name = f"{stem}_{i:04d}.csv"
             with open(out_dir / name, "w") as fh:
                 fh.write("time,value\n")
-                for t, v in zip(times, row):
-                    fh.write(f"{_fmt(float(t))},{_fmt(float(v))}\n")
+                rows = np.column_stack([times, row]).tolist()
+                fh.writelines("%.17g,%.17g\n" % tuple(r) for r in rows)
             names.append(name)
     return names
 

@@ -19,6 +19,7 @@ textbook definition so that the left/right pairing is real and
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -74,6 +75,18 @@ def sup_norm(x: SamplePath, s: float, t: float) -> float:
     return float(np.max(np.abs(x.values[i : j + 1])))
 
 
+@functools.lru_cache(maxsize=32)
+def _lag_divisors(n_lags: int, dt: float, beta: float) -> tuple[np.ndarray, bool]:
+    """Read-only divisors ``(lag * dt) ** beta`` for lags 1..n_lags; True if none decreases.
+
+    numpy's vectorised power differs from Python's in the last bit on some
+    divisors, which would change the seminorm.
+    """
+    divisors = np.array([(lag * dt) ** beta for lag in range(1, n_lags + 1)])
+    divisors.setflags(write=False)
+    return divisors, bool(np.all(divisors[1:] >= divisors[:-1]))
+
+
 def holder_seminorm(x: SamplePath, s: float, t: float, beta: float) -> float:
     """Grid Hölder seminorm sup |x(u)-x(v)| / |u-v|^beta over [s, t].
 
@@ -88,6 +101,16 @@ def holder_seminorm(x: SamplePath, s: float, t: float, beta: float) -> float:
     ``(lag * dt) ** beta`` is Python's power, so the value is bit-identical
     to a scan of one lag at a time.  A path that is not finite on [s, t]
     raises ``ValueError``.
+
+    The scan stops before the block starting at lag L once
+    ``osc / divisor(L) <= best``, where ``osc = max - min`` of the path on
+    [s, t] and ``best`` is the largest ratio so far.  The stop is exact:
+    every increment |x(v) - x(u)| is at most max - min, so its rounded value
+    is at most ``osc``; correctly rounded division is monotone in both
+    operands, so no ratio at a lag >= L exceeds ``osc / divisor(L)`` as long
+    as the divisors never decrease from L on.  Python's power is not
+    guaranteed monotone, so the divisors are checked once per grid, and the
+    full scan runs when they do decrease somewhere.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
@@ -106,12 +129,13 @@ def holder_seminorm(x: SamplePath, s: float, t: float, beta: float) -> float:
             top = np.max(np.abs(vals[lag:] - vals[:-lag]))
             best = max(best, top / (lag * dt) ** beta)
         return float(best)
-    # numpy's vectorised power differs from Python's in the last bit on some
-    # divisors, which would change the value.
-    divisors = np.array([(lag * dt) ** beta for lag in range(1, m)])
+    divisors, monotone = _lag_divisors(m - 1, dt, beta)
+    osc = vals.max() - vals.min()
     pad = np.concatenate((vals, np.full(_LAG_BLOCK, np.nan)))
     buf = np.empty((_LAG_BLOCK, m - 1))
     for lag in range(1, m, _LAG_BLOCK):
+        if monotone and osc / divisors[lag - 1] <= best:
+            break
         b = min(_LAG_BLOCK, m - lag)
         # row k: the path shifted by lag + k; its NaN tail is the pairs past the end
         rows = sliding_window_view(pad[lag:], m - lag)[:b]

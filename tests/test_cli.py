@@ -16,6 +16,8 @@ from fbmsde.cli import (
     ConfigError,
     ExperimentConfig,
     RunReport,
+    _fmt,
+    _write_paths_csv,
     main,
     parse_config,
     run_experiment,
@@ -79,6 +81,21 @@ class TestValidation:
         cfg = ExperimentConfig(experiment="verify-bound", hurst=0.6, beta=0.65)
         with pytest.raises(ConfigError, match="beta"):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"x0": float("inf")}, {"drift_k": float("nan")}, {"t_eval": (0.2, float("nan"))}],
+        ids=["x0=inf", "drift_k=nan", "t_eval=nan"],
+    )
+    def test_non_finite_value_rejected_without_the_parsers(self, tmp_path, field):
+        # a config built in Python never meets the CLI float parsers
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(
+            experiment="simulate", n_paths=8, n_steps=16, output_dir=str(out), **field
+        )
+        with pytest.raises(ConfigError, match="finite"):
+            run_experiment(cfg)
+        assert not out.exists()
 
 
 class TestCliProcess:
@@ -220,7 +237,7 @@ def test_run_experiment_returns_report(tmp_path):
 
 
 # One out-of-range value for each check in ``ExperimentConfig.validate``, then
-# non-finite values, which the float parsers reject; every one must be
+# non-finite values, which the float parsers reject first; every one must be
 # rejected before any work with exit code 2.
 _REJECTED = [
     ("--hurst", "0.4"),
@@ -318,6 +335,43 @@ def test_config_caused_errors_exit_2(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
     assert not (tmp_path / "report.txt").exists()
+
+
+def _per_value_csv(out_dir, times, values, wide, stem="path"):
+    """The CSV writer as it was before bulk formatting: one ``_fmt`` call per value."""
+    values = np.atleast_2d(values)
+    names = []
+    if wide:
+        name = f"{stem}s.csv"
+        with open(out_dir / name, "w") as fh:
+            fh.write("time," + ",".join(f"{stem}_{i:04d}" for i in range(values.shape[0])) + "\n")
+            for j, t in enumerate(times):
+                fh.write(_fmt(float(t)) + "," + ",".join(_fmt(float(v)) for v in values[:, j]) + "\n")
+        names.append(name)
+    else:
+        for i, row in enumerate(values):
+            name = f"{stem}_{i:04d}.csv"
+            with open(out_dir / name, "w") as fh:
+                fh.write("time,value\n")
+                for t, v in zip(times, row):
+                    fh.write(f"{_fmt(float(t))},{_fmt(float(v))}\n")
+            names.append(name)
+    return names
+
+
+@pytest.mark.parametrize("wide", [True, False], ids=["wide", "long"])
+def test_bulk_csv_matches_per_value_writer(tmp_path, wide):
+    times = np.linspace(0.0, 1.0, 7)
+    values = np.array([
+        [-0.0, 5e-324, 1e308, 0.1, 3.0, -2.0, 2.0**53],
+        [1.0, -1e-300, 0.1 + 0.2, -7.0, 1.0 / 3.0, -1e308, 4.9e-324],
+    ])
+    (tmp_path / "bulk").mkdir()
+    (tmp_path / "ref").mkdir()
+    names = _write_paths_csv(tmp_path / "bulk", times, values, wide)
+    assert names == _per_value_csv(tmp_path / "ref", times, values, wide)
+    for name in names:
+        assert (tmp_path / "bulk" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
 def test_tally_counts_numpy_booleans():

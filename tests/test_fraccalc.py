@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fbmsde import fraccalc
 from fbmsde.fbm import FbmSpec, sample_fbm
 from fbmsde.fraccalc import (
     OrderValidityWarning,
@@ -97,7 +98,7 @@ class TestNorms:
 
 
 class TestSeminormScan:
-    """The blocked lag scan equals the per-lag scan bit for bit."""
+    """The blocked lag scan, with its early stop, equals the per-lag scan bit for bit."""
 
     @staticmethod
     def _walk(m, seed):
@@ -105,7 +106,8 @@ class TestSeminormScan:
         return SamplePath(np.linspace(0.0, 1.0, m), np.cumsum(rng.standard_normal(m)) / m**0.75)
 
     @pytest.mark.parametrize("beta", [0.3, 0.65, 0.99])
-    @pytest.mark.parametrize("m", [2, 3, 63, 64, 65, 66, 129, 1025, 4096, 4097])
+    # 1000 and 4000 points leave a last block shorter than 64 lags
+    @pytest.mark.parametrize("m", [2, 3, 63, 64, 65, 66, 129, 1000, 1025, 4000, 4096, 4097])
     def test_whole_interval(self, m, beta):
         p = self._walk(m, seed=m)
         assert holder_seminorm(p, 0.0, 1.0, beta) == _per_lag_seminorm(p, 0.0, 1.0, beta)
@@ -124,6 +126,85 @@ class TestSeminormScan:
     def test_sub_interval(self, s, t, beta):
         p = self._walk(1025, seed=7)
         assert holder_seminorm(p, s, t, beta) == _per_lag_seminorm(p, s, t, beta)
+
+    # The early stop: the scan ends once max - min over the next lag's
+    # divisor cannot beat the best ratio so far.
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Count the lag blocks the exact scan reads."""
+        seen = []
+        view = fraccalc.sliding_window_view
+
+        def counting_view(*args, **kwargs):
+            seen.append(1)
+            return view(*args, **kwargs)
+
+        monkeypatch.setattr(fraccalc, "sliding_window_view", counting_view)
+        return seen
+
+    def test_constant_path_stops_before_the_first_block(self, blocks):
+        p = SamplePath(np.linspace(0.0, 1.0, 1025), np.full(1025, 4.2))
+        assert holder_seminorm(p, 0.0, 1.0, 0.5) == _per_lag_seminorm(p, 0.0, 1.0, 0.5) == 0.0
+        assert blocks == []
+
+    def test_linear_path_scans_every_block(self, blocks):
+        # the ratio (lag dt)^0.7 grows with the lag, so the last lag wins
+        p = _path(lambda t: t, 1024)
+        assert holder_seminorm(p, 0.0, 1.0, 0.3) == _per_lag_seminorm(p, 0.0, 1.0, 0.3)
+        assert len(blocks) == 16
+
+    def test_walk_stops_early(self, blocks):
+        p = self._walk(1025, seed=3)
+        assert holder_seminorm(p, 0.0, 1.0, 0.65) == _per_lag_seminorm(p, 0.0, 1.0, 0.65)
+        assert 0 < len(blocks) < 16
+
+    @pytest.mark.parametrize("beta", [0.3, 0.65, 0.99])
+    def test_spike_in_final_block(self, beta):
+        p = self._walk(1025, seed=5)
+        values = p.values.copy()
+        values[-20] += 10.0 * np.ptp(values)
+        p = SamplePath(p.times, values)
+        assert holder_seminorm(p, 0.0, 1.0, beta) == _per_lag_seminorm(p, 0.0, 1.0, beta)
+
+    @pytest.mark.parametrize("peak", [65, 129, 577])
+    def test_best_ratio_at_first_lag_of_a_block(self, peak):
+        # a ramp that levels off at index `peak`: the ratio rises with the lag
+        # up to `peak` and falls after it, so the stop test at block `peak`
+        # must use that block's first divisor
+        times = np.linspace(0.0, 1.0, 1025)
+        p = SamplePath(times, np.minimum(times, times[peak]))
+        assert holder_seminorm(p, 0.0, 1.0, 0.3) == _per_lag_seminorm(p, 0.0, 1.0, 0.3)
+
+    def test_divisors_cached_read_only(self):
+        divisors, monotone = fraccalc._lag_divisors(1024, 1.0 / 1024, 0.65)
+        assert monotone and divisors.shape == (1024,)
+        assert not divisors.flags.writeable
+        with pytest.raises(ValueError):
+            divisors[0] = 1.0
+        assert fraccalc._lag_divisors(1024, 1.0 / 1024, 0.65)[0] is divisors
+
+    def test_non_monotone_divisors_scan_every_block(self, monkeypatch, blocks):
+        p = self._walk(1025, seed=3)
+        real = fraccalc._lag_divisors
+        monkeypatch.setattr(fraccalc, "_lag_divisors", lambda *key: (real(*key)[0], False))
+        assert holder_seminorm(p, 0.0, 1.0, 0.65) == _per_lag_seminorm(p, 0.0, 1.0, 0.65)
+        assert len(blocks) == 16
+
+    def test_divisor_dip_is_not_pruned_away(self, monkeypatch):
+        # a divisor that drops at the last lag lifts that lag's ratio above
+        # every earlier one; only the full scan finds it
+        p = self._walk(1025, seed=3)
+        divisors = fraccalc._lag_divisors(1024, p.dt, 0.65)[0].copy()
+        divisors[-1] = divisors[0]
+        monkeypatch.setattr(fraccalc, "_lag_divisors", lambda *key: (divisors, False))
+        vals = p.values
+        expected = max(
+            float(np.max(np.abs(vals[lag:] - vals[:-lag]))) / divisors[lag - 1]
+            for lag in range(1, 1025)
+        )
+        assert expected == abs(vals[-1] - vals[0]) / divisors[0]
+        assert holder_seminorm(p, 0.0, 1.0, 0.65) == expected
 
 
 class TestLeftDerivative:
