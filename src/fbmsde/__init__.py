@@ -28,7 +28,6 @@ from .solver import (
     CirDriftSpec,
     DriftSpec,
     PositivityError,
-    SolveConfig,
     SolverError,
     bessel_drift,
     check_cir_conditions,

@@ -510,7 +510,6 @@ def _exp_cir(cfg: ExperimentConfig, out_dir: Path):
         dfdy=lambda t, y: np.zeros_like(np.asarray(y, dtype=np.float64)),
         lower_envelope=lambda t: k,
         upper_envelope=lambda t: k,
-        params={"k": k},
     )
     # deterministic smooth-driver residual check of the change of variables
     n_smooth = max(cfg.n_steps, 1000)

@@ -117,24 +117,27 @@ def _gauss_panel(f, a: float, b: float) -> float:
     return half * float(np.dot(_GAUSS_W, f(mid + half * _GAUSS_X)))
 
 
-def _adaptive_gauss(f, a: float, b: float, rtol: float, scale: float, depth: int = 0) -> float:
+_KERNEL_RTOL = 1e-8  # relative tolerance of the adaptive rule in volterra_kernel
+
+
+def _adaptive_gauss(f, a: float, b: float, scale: float, depth: int = 0) -> float:
     whole = _gauss_panel(f, a, b)
     mid = 0.5 * (a + b)
     split = _gauss_panel(f, a, mid) + _gauss_panel(f, mid, b)
-    if abs(split - whole) <= rtol * max(abs(split), scale) or depth >= 40:
+    if abs(split - whole) <= _KERNEL_RTOL * max(abs(split), scale) or depth >= 40:
         return split
-    return _adaptive_gauss(f, a, mid, rtol, scale, depth + 1) + _adaptive_gauss(
-        f, mid, b, rtol, scale, depth + 1
+    return _adaptive_gauss(f, a, mid, scale, depth + 1) + _adaptive_gauss(
+        f, mid, b, scale, depth + 1
     )
 
 
-def volterra_kernel(t: float, s: float, hurst: float, rtol: float = 1e-8) -> float:
+def volterra_kernel(t: float, s: float, hurst: float) -> float:
     """Square-root kernel K(t, s) of the covariance factorization.
 
     K(t, s) = c_H s^{1/2-H} * integral_s^t (u-s)^{H-3/2} u^{H-1/2} du for
     s < t, zero otherwise.  The substitution w = (u-s)^{H-1/2} removes the
     endpoint singularity completely, so an adaptive Gauss rule on the smooth
-    integrand reaches the requested relative tolerance.
+    integrand reaches a relative tolerance of 1e-8.
     """
     if s <= 0:
         raise ValueError("s must be positive")
@@ -149,16 +152,21 @@ def volterra_kernel(t: float, s: float, hurst: float, rtol: float = 1e-8) -> flo
     def integrand(w: np.ndarray) -> np.ndarray:
         return (s + w**inv_q) ** q
 
-    val = _adaptive_gauss(integrand, 0.0, w_max, rtol, scale=w_max * s**q) * inv_q
+    val = _adaptive_gauss(integrand, 0.0, w_max, scale=w_max * s**q) * inv_q
     return _sqrt_kernel_const(hurst) * s ** (0.5 - hurst) * val
+
+
+def _fgn_autocovariance(hurst: float, n_lags: int) -> np.ndarray:
+    """Autocovariance of unit-step fractional Gaussian noise at lags 0 .. n_lags - 1."""
+    k = np.arange(n_lags, dtype=np.float64)
+    h2 = 2.0 * hurst
+    return 0.5 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
 
 
 @functools.lru_cache(maxsize=64)
 def _circulant_sqrt_eigs(hurst: float, n: int) -> np.ndarray:
     """sqrt(eig / (2m)) of the size-m = 2n circulant embedding of unit-step noise."""
-    k = np.arange(n + 1, dtype=np.float64)
-    h2 = 2.0 * hurst
-    gamma = 0.5 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
+    gamma = _fgn_autocovariance(hurst, n + 1)
     row = np.concatenate([gamma, gamma[-2:0:-1]])
     eigs = fft(row).real
     if eigs.min() < -_EIG_TOL:
@@ -287,8 +295,7 @@ def grid_inner_product(
         raise ValueError("level arrays must be 1-d and equally long")
     m = u.size
     h2 = 2.0 * hurst
-    k = np.arange(m, dtype=np.float64)
-    gamma = 0.5 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
+    gamma = _fgn_autocovariance(hurst, m)
     # np.correlate(u, v, "full")[m-1+k] = sum_i u_{i+k} v_i
     cross = np.correlate(u, v, "full")
     total = gamma[0] * cross[m - 1]

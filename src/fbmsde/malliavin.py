@@ -25,7 +25,7 @@ import numpy as np
 
 from .fbm import embed_direction, grid_inner_product, inner_product
 from .paths import SamplePath, StepFunction
-from .solver import DriftSpec, SolveConfig, eval_along_path, solve_batch
+from .solver import DriftSpec, cumulative_along_path, solve_batch
 
 __all__ = [
     "DerivativeReport",
@@ -37,6 +37,11 @@ __all__ = [
     "directional_derivative_fd",
     "derivative_report",
 ]
+
+
+# a report passes when analytic and extrapolated values differ by at most
+# max(_ABS_TOL, _REL_TOL * |analytic|)
+_ABS_TOL, _REL_TOL = 1e-3, 1e-2
 
 
 class ExtrapolationWarning(UserWarning):
@@ -55,26 +60,19 @@ class DerivativeReport:
     passed: bool
 
 
-def _dfdx_cumulative(solution: SamplePath, drift: DriftSpec) -> np.ndarray:
-    """Trapezoidal cumulative of df/dx(r, X_r) from 0, along the computed path."""
-    dv = eval_along_path(drift.dfdx, solution.times, solution.values)
-    dt = solution.dt
-    return np.concatenate([[0.0], np.cumsum(0.5 * (dv[1:] + dv[:-1]) * dt)])
-
-
 def malliavin_kernel(solution: SamplePath, drift: DriftSpec, s: float, t: float) -> float:
     """exp(integral_s^t df/dx(r, X_r) dr); lies in (0, 1] since df/dx <= 0."""
     i, j = solution.index_of(s), solution.index_of(t)
     if i > j:
         raise ValueError("need s <= t")
-    cum = _dfdx_cumulative(solution, drift)
+    cum = cumulative_along_path(drift.dfdx, solution)
     return float(np.exp(cum[j] - cum[i]))
 
 
 def kernel_profile(solution: SamplePath, drift: DriftSpec, t: float) -> np.ndarray:
     """malliavin_kernel(solution, drift, s_i, t) for every grid point s_i <= t."""
     j = solution.index_of(t)
-    cum = _dfdx_cumulative(solution, drift)
+    cum = cumulative_along_path(drift.dfdx, solution)
     return np.exp(cum[j] - cum[: j + 1])
 
 
@@ -111,7 +109,6 @@ def _perturbed_solve(
     phi: StepFunction,
     hurst: float,
     eps_list,
-    config: SolveConfig | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve every driver row and its perturbations d + e h in one batch.
 
@@ -131,7 +128,7 @@ def _perturbed_solve(
     rows = np.empty((n_paths, 1 + eps_arr.size, n_pts))
     rows[:, 0] = drivers
     rows[:, 1:] = drivers[:, None, :] + eps_arr[:, None] * h.values
-    sols = solve_batch(x0, drift, rows.reshape(-1, n_pts), times, config)
+    sols = solve_batch(x0, drift, rows.reshape(-1, n_pts), times)
     sols = sols.reshape(rows.shape)
     quotients = (sols[:, 1:, j] - sols[:, :1, j]) / eps_arr
     return eps_arr, sols[:, 0], quotients
@@ -179,7 +176,6 @@ def directional_derivative_fd(
     phi: StepFunction,
     hurst: float,
     eps_list=(0.1, 0.05, 0.025),
-    config: SolveConfig | None = None,
 ) -> tuple[tuple[tuple[float, float], ...], float]:
     """Difference quotients (X^eps_t - X_t)/eps and their limit at eps -> 0.
 
@@ -190,7 +186,7 @@ def directional_derivative_fd(
     ``ExtrapolationWarning``.
     """
     eps_arr, _, quotients = _perturbed_solve(
-        x0, drift, driver.values[None, :], driver.times, t, phi, hurst, eps_list, config
+        x0, drift, driver.values[None, :], driver.times, t, phi, hurst, eps_list
     )
     return _extrapolate(eps_arr, quotients[0])
 
@@ -204,19 +200,16 @@ def derivative_report(
     phi: StepFunction,
     hurst: float,
     eps_list=(0.1, 0.05, 0.025),
-    tolerance: tuple[float, float] = (1e-3, 1e-2),
-    config: SolveConfig | None = None,
 ) -> list[DerivativeReport]:
     """Full check per driver row: analytic vs extrapolated finite difference, plus the norm.
 
     ``drivers`` is (n_paths, n_steps + 1) on the grid ``times``; one report per
     row, from one batched solve and one kernel evaluation per path.  A report
-    passes when |analytic - extrapolated| <= max(abs_tol, rel_tol * |analytic|).
+    passes when |analytic - extrapolated| <= max(1e-3, 1e-2 * |analytic|).
     """
     eps_arr, base, quotients = _perturbed_solve(
-        x0, drift, np.asarray(drivers, dtype=np.float64), times, t, phi, hurst, eps_list, config
+        x0, drift, np.asarray(drivers, dtype=np.float64), times, t, phi, hurst, eps_list
     )
-    abs_tol, rel_tol = tolerance
     reports = []
     for values, path_quotients in zip(base, quotients):
         solution = SamplePath(times, values, holder_hint=hurst)
@@ -224,6 +217,6 @@ def derivative_report(
         analytic = inner_product(phi, step, hurst)
         fd_values, extrapolated = _extrapolate(eps_arr, path_quotients)
         norm_sq = grid_inner_product(step.levels, step.levels, solution.dt, hurst)
-        passed = abs(analytic - extrapolated) <= max(abs_tol, rel_tol * abs(analytic))
+        passed = abs(analytic - extrapolated) <= max(_ABS_TOL, _REL_TOL * abs(analytic))
         reports.append(DerivativeReport(t, analytic, fd_values, extrapolated, norm_sq, passed))
     return reports

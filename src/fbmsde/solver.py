@@ -13,7 +13,7 @@ variables, and an a-posteriori residual for the integral equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,6 @@ from .paths import SamplePath
 
 __all__ = [
     "DriftSpec",
-    "SolveConfig",
     "CirDriftSpec",
     "AssumptionReport",
     "CirConditionReport",
@@ -39,6 +38,7 @@ __all__ = [
     "solve_pathwise",
     "solve_batch",
     "eval_along_path",
+    "cumulative_along_path",
     "residual_defect",
     "cir_transform",
     "cir_drift_transform",
@@ -76,25 +76,13 @@ class DriftSpec:
     lower_envelope: Callable
     upper_envelope: Callable
     x1: float = 1.0
-    params: dict = field(default_factory=dict)
     inverse_coeff: Callable | None = None
     homogeneity: tuple[float, float, float] | None = None
     positive_domain: bool = True
 
 
 _MAX_NEWTON_ITERS = 200
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    newton_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-
-
-_DEFAULT_CONFIG = SolveConfig()
+_NEWTON_TOL = 1e-10  # |x - dt f(t, x) - b| at which a Newton step stops
 
 
 def reciprocal_drift(k: float) -> DriftSpec:
@@ -109,7 +97,6 @@ def reciprocal_drift(k: float) -> DriftSpec:
         lower_envelope=lambda t: k,
         upper_envelope=lambda t: k,
         x1=np.inf,
-        params={"k": k},
         inverse_coeff=lambda t: k,
         homogeneity=(0.0, 0.0, -1.0),
     )
@@ -128,7 +115,6 @@ def power_drift(k: float, time_exponent: float, singularity_exponent: float) -> 
         lower_envelope=lambda t: k * t**p,
         upper_envelope=lambda t: k * t**p,
         x1=1.0,
-        params={"k": k, "time_exponent": p, "singularity_exponent": q},
         inverse_coeff=(lambda t: k * t**p) if q == 1.0 else None,
         homogeneity=(p, 0.0, -q),
     )
@@ -150,7 +136,6 @@ def bessel_drift(dimension: int, hurst: float) -> DriftSpec:
         lower_envelope=lambda t: c * t**e,
         upper_envelope=lambda t: c * t**e,
         x1=np.inf,
-        params={"dimension": dimension, "hurst": hurst},
         inverse_coeff=lambda t: c * t**e,
         # time degree 2H-1 recorded as (p, q) = (-1, 2) so p + q H is exact
         homogeneity=(-1.0, 2.0, -1.0),
@@ -213,7 +198,6 @@ def scaled_drift(drift: DriftSpec, factor: float) -> DriftSpec:
         dfdx=lambda t, x: factor * base_d(t, x),
         lower_envelope=lambda t: factor * base_g(t),
         upper_envelope=lambda t: factor * base_h(t),
-        params={**drift.params, "scale": factor},
         inverse_coeff=(lambda t: factor * base_c(t)) if base_c is not None else None,
     )
 
@@ -317,7 +301,6 @@ def _implicit_step(
     b: np.ndarray,
     x_prev: np.ndarray,
     dt: float,
-    config: SolveConfig,
 ) -> np.ndarray:
     """Solve x - dt f(t, x) = b elementwise; unique root by monotonicity."""
     if drift.inverse_coeff is not None:
@@ -325,8 +308,6 @@ def _implicit_step(
         if c < 0:
             raise SolverError(f"inverse coefficient negative at t={t}")
         return 0.5 * (b + np.sqrt(b * b + 4.0 * dt * c))
-
-    tol = config.newton_tol
 
     def residual(x):
         return x - dt * np.asarray(drift.f(t, x), dtype=np.float64) - b
@@ -365,7 +346,7 @@ def _implicit_step(
 
     x = np.clip(x0, lo, hi)
     res = residual(x)
-    done = np.abs(res) <= tol
+    done = np.abs(res) <= _NEWTON_TOL
     for _ in range(_MAX_NEWTON_ITERS):
         if np.all(done):
             break
@@ -378,7 +359,7 @@ def _implicit_step(
         cand = np.where(outside & ~done, 0.5 * (lo + hi), cand)
         x = np.where(done, x, cand)
         res = np.where(done, res, residual(x))
-        done = done | (np.abs(res) <= tol)
+        done = done | (np.abs(res) <= _NEWTON_TOL)
     if not np.all(done):
         raise SolverError(
             f"implicit step did not converge at t={t}; max residual {np.max(np.abs(res)):.3e}"
@@ -386,20 +367,13 @@ def _implicit_step(
     return x
 
 
-def solve_batch(
-    x0,
-    drift: DriftSpec,
-    driver_values: np.ndarray,
-    times: np.ndarray,
-    config: SolveConfig | None = None,
-) -> np.ndarray:
+def solve_batch(x0, drift: DriftSpec, driver_values: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Drift-implicit Euler for a batch of paths sharing one grid.
 
     ``driver_values`` is (n_paths, n_steps + 1); ``x0`` is a scalar or a
     per-path vector.  Per-path results are independent of the batch
     composition: each path's Newton iteration freezes at its own convergence.
     """
-    config = config or _DEFAULT_CONFIG
     drivers = np.atleast_2d(np.asarray(driver_values, dtype=np.float64))
     times = np.asarray(times, dtype=np.float64)
     n_paths, n_pts = drivers.shape
@@ -415,21 +389,16 @@ def solve_batch(
     x = x0_vec
     for k in range(n_pts - 1):
         b = x + (drivers[:, k + 1] - drivers[:, k])
-        x = _implicit_step(drift, float(times[k + 1]), b, x, dt, config)
+        x = _implicit_step(drift, float(times[k + 1]), b, x, dt)
         if drift.positive_domain and np.any(x <= 0):
             raise PositivityError(f"nonpositive value after step {k + 1}")
         out[:, k + 1] = x
     return out
 
 
-def solve_pathwise(
-    x0: float,
-    drift: DriftSpec,
-    driver: SamplePath,
-    config: SolveConfig | None = None,
-) -> SamplePath:
+def solve_pathwise(x0: float, drift: DriftSpec, driver: SamplePath) -> SamplePath:
     """Solve one path of x' = f(t, x) + phi'; strictly positive for repulsive drifts."""
-    values = solve_batch(x0, drift, driver.values[None, :], driver.times, config)[0]
+    values = solve_batch(x0, drift, driver.values[None, :], driver.times)[0]
     return SamplePath(driver.times, values, holder_hint=driver.holder_hint)
 
 
@@ -453,6 +422,12 @@ def eval_along_path(fn: Callable, times: np.ndarray, values: np.ndarray) -> np.n
     return out
 
 
+def cumulative_along_path(fn: Callable, path: SamplePath) -> np.ndarray:
+    """Trapezoidal cumulative integral of fn(s, x_s) from 0 to each grid time."""
+    v = eval_along_path(fn, path.times, path.values)
+    return np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * path.dt)])
+
+
 def residual_defect(solution: SamplePath, drift: DriftSpec, driver: SamplePath) -> float:
     """Max over the grid of |x_t - x_0 - trapz(f(s, x_s)) - phi_t|.
 
@@ -461,10 +436,8 @@ def residual_defect(solution: SamplePath, drift: DriftSpec, driver: SamplePath) 
     """
     if not np.array_equal(solution.times, driver.times):
         raise ValueError("solution and driver must share one grid")
-    times, vals = solution.times, solution.values
-    fv = eval_along_path(drift.f, times, vals)
-    dt = solution.dt
-    drift_integral = np.concatenate([[0.0], np.cumsum(0.5 * (fv[1:] + fv[:-1]) * dt)])
+    vals = solution.values
+    drift_integral = cumulative_along_path(drift.f, solution)
     defect = vals - vals[0] - drift_integral - (driver.values - driver.values[0])
     return float(np.max(np.abs(defect)))
 
@@ -482,7 +455,6 @@ class CirDriftSpec:
     lower_envelope: Callable
     upper_envelope: Callable
     x1: float = 1.0
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -576,16 +548,10 @@ def cir_drift_transform(cir: CirDriftSpec, *, horizon: float = 1.0, validate: bo
         lower_envelope=lambda t: 2.0 * cir.lower_envelope(t),
         upper_envelope=lambda t: 2.0 * cir.upper_envelope(t),
         x1=cir.x1,
-        params=dict(cir.params),
     )
 
 
-def solve_cir(
-    y0: float,
-    cir: CirDriftSpec,
-    driver: SamplePath,
-    config: SolveConfig | None = None,
-) -> SamplePath:
+def solve_cir(y0: float, cir: CirDriftSpec, driver: SamplePath) -> SamplePath:
     """Solve the square-root-diffusion equation through the 2 sqrt(y) transform.
 
     Integrates the transformed equation from x0 = 2 sqrt(y0) and maps back;
@@ -597,5 +563,5 @@ def solve_cir(
     if y0 <= 0:
         raise ValueError("y0 must be strictly positive")
     drift = cir_drift_transform(cir, horizon=driver.horizon, validate=False)
-    x_path = solve_pathwise(cir_transform(y0, "forward"), drift, driver, config)
+    x_path = solve_pathwise(cir_transform(y0, "forward"), drift, driver)
     return SamplePath(driver.times, x_path.values**2 / 4.0, holder_hint=driver.holder_hint)

@@ -17,7 +17,7 @@ import numpy as np
 from .fbm import FbmSpec, sample_fbm_batch
 from .fraccalc import default_ibp_order, holder_seminorm
 from .paths import SamplePath
-from .solver import DriftSpec, SolveConfig, scaled_drift, solve_batch
+from .solver import DriftSpec, scaled_drift, solve_batch
 
 __all__ = [
     "BoundConstants",
@@ -174,9 +174,12 @@ def supnorm_bound(
         return math.inf
 
 
-def drift_sup_envelope(drift: DriftSpec, horizon: float, n_grid: int = 512) -> float:
-    """sup of the drift's upper envelope h on [0, horizon] (grid evaluation)."""
-    ts = np.linspace(0.0, horizon, n_grid + 1)
+_ENVELOPE_CELLS = 512
+
+
+def drift_sup_envelope(drift: DriftSpec, horizon: float) -> float:
+    """sup of the drift's upper envelope h on [0, horizon], taken over 513 grid times."""
+    ts = np.linspace(0.0, horizon, _ENVELOPE_CELLS + 1)
     vals = [float(drift.upper_envelope(float(t))) for t in ts]
     return max(v for v in vals if np.isfinite(v))
 
@@ -431,7 +434,6 @@ def simulate_paths(
     x0: float,
     n_paths: int,
     threads: int = 1,
-    config: SolveConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample drivers and solve the equation for each: (times, drivers, solutions).
 
@@ -441,13 +443,13 @@ def simulate_paths(
     times = spec.times
     drivers = sample_fbm_batch(spec, n_paths)
     if threads <= 1:
-        return times, drivers, solve_batch(x0, drift, drivers, times, config)
+        return times, drivers, solve_batch(x0, drift, drivers, times)
     solutions = np.empty_like(drivers)
     chunks = np.array_split(np.arange(n_paths), threads * 4)
 
     def run(idx: np.ndarray) -> None:
         if idx.size:
-            solutions[idx] = solve_batch(x0, drift, drivers[idx], times, config)
+            solutions[idx] = solve_batch(x0, drift, drivers[idx], times)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(run, chunks))

@@ -1,5 +1,6 @@
 """Derivative kernel bounds, norm positivity, analytic vs finite-difference checks."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -205,6 +206,32 @@ class TestBatchedReport:
             sol = SamplePath(spec.times, values)
             assert rep.analytic_value == directional_derivative_analytic(sol, drift, t, phi, 0.75)
             assert rep.norm_sq == derivative_norm_sq(sol, drift, t, 0.75)
+
+    @pytest.mark.parametrize(
+        "drift, digest",
+        [
+            (
+                reciprocal_drift(1.0),
+                "7e82d3c8bbb4f35d582a683f76657ea4f5b5cd24408da8ac435394ea006607da",
+            ),
+            (
+                power_drift(1.0, 0.0, 1.5),
+                "4a9689349b323478454e9f6cd7685442a172e5a6ab39f1ec131e6544c0bd33ba",
+            ),
+        ],
+        ids=["closed-form", "newton"],
+    )
+    def test_report_is_pinned(self, drift, digest):
+        # float reprs round-trip exactly, so this pins every reported bit; a
+        # change must be declared with new digests.  Taken with numpy 2.4.6.
+        spec = FbmSpec(0.75, n_steps=256, seed=2024)
+        drivers = sample_fbm_batch(spec, 8)[:4]
+        reports = derivative_report(
+            1.0, drift, drivers, spec.times, 1.0, StepFunction.indicator(0.0, 0.5), 0.75
+        )
+        assert all(rep.passed for rep in reports)
+        text = "\n".join(repr(rep) for rep in reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_one_dimensional_drivers_rejected(self):
         driver = sample_fbm(FbmSpec(hurst=0.75, n_steps=64, seed=23))

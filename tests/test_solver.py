@@ -1,17 +1,19 @@
 """Assumption checker, implicit stepper closed forms, positivity, change of variables."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from fbmsde.fbm import FbmSpec, sample_fbm, sample_fbm_batch
 from fbmsde.fraccalc import holder_seminorm, young_integral
+from fbmsde import solver
 from fbmsde.paths import SamplePath
 from fbmsde.solver import (
     AssumptionReport,
     CirConditionError,
     CirConditionReport,
     CirDriftSpec,
-    SolveConfig,
     bessel_drift,
     check_cir_conditions,
     check_drift_assumptions,
@@ -205,7 +207,7 @@ class TestSolver:
         )
         driver = sample_fbm(FbmSpec(hurst=0.75, n_steps=256, seed=9))
         fast_sol = solve_pathwise(1.0, reciprocal_drift(k), driver)
-        slow_sol = solve_pathwise(1.0, slow, driver, SolveConfig(newton_tol=1e-13))
+        slow_sol = solve_pathwise(1.0, slow, driver)
         assert np.max(np.abs(fast_sol.values - slow_sol.values)) < 1e-10
 
     def test_positivity_on_fbm_batch(self):
@@ -215,17 +217,16 @@ class TestSolver:
         assert np.min(sols) > 0.0
 
     def test_implicit_residual_within_tolerance(self):
-        cfg = SolveConfig(newton_tol=1e-11)
         drift = power_drift(1.0, 0.0, 1.5)
         driver = sample_fbm(FbmSpec(hurst=0.75, n_steps=256, seed=4))
-        sol = solve_pathwise(1.0, drift, driver, cfg)
+        sol = solve_pathwise(1.0, drift, driver)
         dt = sol.dt
         for k in range(1, sol.times.size):
             t, x = sol.times[k], sol.values[k]
             resid = x - dt * float(drift.f(t, np.asarray(x))) - (
                 sol.values[k - 1] + driver.values[k] - driver.values[k - 1]
             )
-            assert abs(resid) <= cfg.newton_tol * 1.01
+            assert abs(resid) <= solver._NEWTON_TOL * 1.01
 
     def test_self_convergence_first_order(self):
         # fix one fine driver, restrict to coarser grids, compare dt vs dt/2 vs dt/4
@@ -285,6 +286,54 @@ def test_observed_strong_order(hurst, drift):
         dts.append(stride * 2.0**-12)
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert abs(slope - 1.0) <= 0.15, f"observed strong order {slope:.3f}"
+
+
+@pytest.mark.parametrize("x0", [1e-12, 1e-6])
+@pytest.mark.parametrize("hurst", [0.501, 0.999])
+@pytest.mark.parametrize("family", ["reciprocal", "power", "bessel"])
+def test_domain_edges(family, hurst, x0):
+    # a start next to the singularity, with H next to either end of (1/2, 1)
+    drift = {
+        "reciprocal": reciprocal_drift(1.0),
+        "power": power_drift(1.0, 0.0, 1.5),
+        "bessel": bessel_drift(2, hurst),
+    }[family]
+    spec = FbmSpec(hurst=hurst, n_steps=256, seed=31)
+    drivers = sample_fbm_batch(spec, 8)
+    sols = solve_batch(x0, drift, drivers, spec.times)
+    assert np.all(np.isfinite(sols)) and np.all(sols > 0.0)
+    if drift.inverse_coeff is None:
+        # every step went through Newton: redo each step's residual as the solver forms it
+        dt = float(spec.times[1] - spec.times[0])
+        for k in range(1, spec.times.size):
+            x = sols[:, k]
+            b = sols[:, k - 1] + (drivers[:, k] - drivers[:, k - 1])
+            resid = x - dt * np.asarray(drift.f(float(spec.times[k]), x)) - b
+            assert np.max(np.abs(resid)) <= solver._NEWTON_TOL
+
+
+class TestBytePins:
+    # A change to the solver's output bytes must be declared: update these
+    # digests with it.  Taken with numpy 2.4.6.
+    @pytest.mark.parametrize(
+        "drift, digest",
+        [
+            (
+                reciprocal_drift(1.0),
+                "52a686a2f48ea34c2b86ebd32aa5568b6fda7cbf167d28dbf5d3cd7b55f13bd6",
+            ),
+            (
+                power_drift(1.0, 0.0, 1.5),
+                "1e5b5b3f3174feaeeea737f3a9e19f1885c51b133f6b1a4a9e50ae40642a9c13",
+            ),
+        ],
+        ids=["closed-form", "newton"],
+    )
+    def test_solve_batch_is_pinned(self, drift, digest):
+        spec = FbmSpec(0.75, n_steps=256, seed=2024)
+        sols = solve_batch(1.0, drift, sample_fbm_batch(spec, 8), spec.times)
+        assert sols.shape == (8, 257)
+        assert hashlib.sha256(sols.astype("<f8").tobytes()).hexdigest() == digest
 
 
 class TestComparison:
