@@ -14,11 +14,9 @@ from .fbm import (
     volterra_kernel,
 )
 from .fraccalc import (
-    HolderReport,
     default_ibp_order,
     frac_deriv_left,
     frac_deriv_right,
-    holder_report,
     holder_seminorm,
     riemann_stieltjes,
     sup_norm,

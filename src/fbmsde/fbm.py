@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,11 @@ class FbmSpec:
             raise ValueError("n_steps must be at least 2")
         if self.method not in ("circulant_embedding", "cholesky"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not 0 <= int(self.seed) < 2**64:
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
     @property

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,8 +29,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .paths import GridError, SamplePath
 
 __all__ = [
-    "HolderReport",
-    "holder_report",
     "sup_norm",
     "holder_seminorm",
     "frac_deriv_left",
@@ -41,10 +38,6 @@ __all__ = [
     "default_ibp_order",
     "OrderValidityWarning",
 ]
-
-# Exact pair scan is affordable up to this many grid points; beyond it the
-# seminorm restricts to dyadic index distances.
-_EXACT_SEMINORM_LIMIT = 4096
 
 # Lags the exact scan handles per vectorised step.
 _LAG_BLOCK = 64
@@ -57,16 +50,6 @@ _SNAP = 1e-12
 
 class OrderValidityWarning(UserWarning):
     """The fractional order lies outside the admissible window for the inputs."""
-
-
-@dataclass(frozen=True)
-class HolderReport:
-    """Sup norm and grid Hölder seminorm of a path over one interval."""
-
-    interval: tuple[float, float]
-    beta: float
-    sup_norm: float
-    seminorm: float
 
 
 def sup_norm(x: SamplePath, s: float, t: float) -> float:
@@ -90,14 +73,14 @@ def _lag_divisors(n_lags: int, dt: float, beta: float) -> tuple[np.ndarray, bool
 def holder_seminorm(x: SamplePath, s: float, t: float, beta: float) -> float:
     """Grid Hölder seminorm sup |x(u)-x(v)| / |u-v|^beta over [s, t].
 
-    Exact over all grid pairs up to 4096 points; above that only pairs whose
-    index distance is a power of two are scanned.  Either way the value is a
-    lower bound of the continuum seminorm and never decreases under grid
-    refinement.
+    Exact over all grid pairs at every grid size, so the value is a lower
+    bound of the continuum seminorm and never decreases under grid
+    refinement.  The cost is O(m^2) in the m grid points on [s, t] unless the
+    early stop below prunes the scan.
 
-    The exact scan takes the lags 64 at a time: one strided view holds the
-    path shifted by each lag of the block, padded with NaN past its end, and
-    a NaN-skipping max gives the largest increment per lag.  Each divisor
+    The scan takes the lags 64 at a time: one strided view holds the path
+    shifted by each lag of the block, padded with NaN past its end, and a
+    NaN-skipping max gives the largest increment per lag.  Each divisor
     ``(lag * dt) ** beta`` is Python's power, so the value is bit-identical
     to a scan of one lag at a time.  A path that is not finite on [s, t]
     raises ``ValueError``.
@@ -123,12 +106,6 @@ def holder_seminorm(x: SamplePath, s: float, t: float, beta: float) -> float:
         raise ValueError(f"path is not finite on [{s}, {t}]")
     dt = x.dt
     best = 0.0
-    if m > _EXACT_SEMINORM_LIMIT:
-        lags = [1 << k for k in range(int(math.log2(m - 1)) + 1) if (1 << k) < m]
-        for lag in lags:
-            top = np.max(np.abs(vals[lag:] - vals[:-lag]))
-            best = max(best, top / (lag * dt) ** beta)
-        return float(best)
     divisors, monotone = _lag_divisors(m - 1, dt, beta)
     osc = vals.max() - vals.min()
     pad = np.concatenate((vals, np.full(_LAG_BLOCK, np.nan)))
@@ -145,10 +122,6 @@ def holder_seminorm(x: SamplePath, s: float, t: float, beta: float) -> float:
         tops = np.fmax.reduce(diffs, axis=1)
         best = max(best, float(np.max(tops / divisors[lag - 1 : lag - 1 + b])))
     return best
-
-
-def holder_report(x: SamplePath, s: float, t: float, beta: float) -> HolderReport:
-    return HolderReport((s, t), beta, sup_norm(x, s, t), holder_seminorm(x, s, t, beta))
 
 
 def _interp3(times: np.ndarray, values: np.ndarray, u: float) -> tuple[int, float]:

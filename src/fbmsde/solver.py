@@ -340,7 +340,7 @@ def _implicit_step(
         bad = residual(hi) <= 0
         if not np.any(bad):
             break
-        hi = np.where(bad, 2.0 * hi + 1.0, hi)
+        hi = np.where(bad, hi + np.abs(hi) + 1.0, hi)
     else:
         raise SolverError("could not bracket the implicit step from above")
 

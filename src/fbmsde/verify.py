@@ -209,11 +209,12 @@ def check_path_bound(
 ) -> BoundAuditReport:
     """Audit sup |x| <= bound(driver seminorm) path by path.
 
-    Both sides are grid quantities: the driver's Hölder seminorm is the grid
-    scan (a lower bound, making the right side conservative) and the solution
-    sup is the grid maximum.  Raises ``ValueError`` unless ``solutions`` and
-    ``drivers`` share one shape with a column per grid time and hold only
-    finite values (``holder_seminorm`` rejects a non-finite driver).
+    Both sides are grid quantities: the driver's Hölder seminorm is the exact
+    maximum over all grid pairs (a lower bound of the continuum seminorm,
+    making the right side conservative) and the solution sup is the grid
+    maximum.  Raises ``ValueError`` unless ``solutions`` and ``drivers``
+    share one shape with a column per grid time and hold only finite values
+    (``holder_seminorm`` rejects a non-finite driver).
     """
     solutions = np.atleast_2d(solutions)
     drivers = np.atleast_2d(drivers)

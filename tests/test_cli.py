@@ -77,6 +77,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="nope").validate()
 
+    def test_non_integer_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            ExperimentConfig(experiment="fbm-sample", seed=1.9).validate()
+
     def test_beta_must_sit_below_hurst(self):
         cfg = ExperimentConfig(experiment="verify-bound", hurst=0.6, beta=0.65)
         with pytest.raises(ConfigError, match="beta"):

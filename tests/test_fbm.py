@@ -151,6 +151,18 @@ class TestSampler:
         se = math.sqrt((np.mean(sq**2) - np.mean(sq) ** 2) / m)
         assert abs(np.var(terminal) - 1.0) < 3.0 * se
 
+    @pytest.mark.parametrize("seed", [1.9, "7"])
+    def test_non_integer_seed_rejected(self, seed):
+        # int() would truncate 1.9 to seed 1 and parse "7"
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            FbmSpec(0.75, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(12345), np.uint64(2**64 - 1)])
+    def test_numpy_integer_seed_draws_like_int(self, seed):
+        spec = FbmSpec(0.75, n_steps=64, seed=seed)
+        same = FbmSpec(0.75, n_steps=64, seed=int(seed))
+        assert np.array_equal(sample_fbm_batch(spec, 3), sample_fbm_batch(same, 3))
+
     def test_hurst_below_half_rejected(self):
         with pytest.raises(ValueError):
             FbmSpec(hurst=0.4, n_steps=16)

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from fbmsde import fraccalc
-from fbmsde.fbm import FbmSpec, sample_fbm
+from fbmsde.fbm import FbmSpec, sample_fbm, sample_fbm_batch
 from fbmsde.fraccalc import (
     OrderValidityWarning,
     default_ibp_order,
     frac_deriv_left,
     frac_deriv_right,
-    holder_report,
     holder_seminorm,
     riemann_stieltjes,
     sup_norm,
@@ -26,17 +25,12 @@ def _path(fn, n, horizon=1.0, hint=1.0):
 
 
 def _per_lag_seminorm(x, s, t, beta):
-    """Reference: the seminorm scanned one lag at a time."""
+    """Reference: the seminorm scanned one lag at a time, over all lags."""
     i, j = x.slice_indices(s, t)
     vals = x.values[i : j + 1]
-    m = vals.size
     dt = x.dt
-    if m <= 4096:
-        lags = range(1, m)
-    else:
-        lags = [1 << k for k in range(int(math.log2(m - 1)) + 1) if (1 << k) < m]
     best = 0.0
-    for lag in lags:
+    for lag in range(1, vals.size):
         top = np.max(np.abs(vals[lag:] - vals[:-lag]))
         best = max(best, top / (lag * dt) ** beta)
     return float(best)
@@ -76,14 +70,22 @@ class TestNorms:
         s_coarse = holder_seminorm(coarse, 0.0, 1.0, 0.7)
         assert s_coarse <= s_fine < 2.0 * s_coarse
 
-    def test_seminorm_dyadic_regime_above_scan_limit(self):
-        # above 4096 points only power-of-two index distances are scanned;
-        # a linear path attains its seminorm at the (dyadic) full span
+    def test_seminorm_exact_above_4096_points(self):
+        # every lag is scanned at every grid size, not only power-of-two ones
+        for m in (4097, 8193):
+            rough = sample_fbm(FbmSpec(hurst=0.75, n_steps=m - 1, seed=99))
+            assert holder_seminorm(rough, 0.0, 1.0, 0.65) == _per_lag_seminorm(rough, 0.0, 1.0, 0.65)
         p = _path(lambda t: t, 8192)
         assert holder_seminorm(p, 0.0, 1.0, 0.5) == pytest.approx(1.0)
-        rough = sample_fbm(FbmSpec(hurst=0.75, n_steps=8192, seed=99))
-        val = holder_seminorm(rough, 0.0, 1.0, 0.65)
-        assert np.isfinite(val) and val > 0.0
+
+    def test_seminorm_never_decreases_under_refinement(self):
+        # the full grid holds every pair of the every-other-point grid
+        spec = FbmSpec(0.75, n_steps=4096, seed=11)
+        times = spec.times
+        for row in sample_fbm_batch(spec, 40):
+            fine = holder_seminorm(SamplePath(times, row), 0.0, 1.0, 0.65)
+            coarse = holder_seminorm(SamplePath(times[::2], row[::2]), 0.0, 1.0, 0.65)
+            assert fine >= coarse
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_seminorm_rejects_non_finite_path(self, bad):
@@ -91,10 +93,6 @@ class TestNorms:
         values[4] = bad
         with pytest.raises(ValueError, match="not finite"):
             holder_seminorm(SamplePath(np.linspace(0.0, 1.0, 9), values), 0.0, 1.0, 0.5)
-
-    def test_report(self):
-        rep = holder_report(_path(lambda t: t, 64), 0.0, 1.0, 0.5)
-        assert rep.sup_norm == 1.0 and rep.seminorm == pytest.approx(1.0)
 
 
 class TestSeminormScan:
@@ -107,7 +105,7 @@ class TestSeminormScan:
 
     @pytest.mark.parametrize("beta", [0.3, 0.65, 0.99])
     # 1000 and 4000 points leave a last block shorter than 64 lags
-    @pytest.mark.parametrize("m", [2, 3, 63, 64, 65, 66, 129, 1000, 1025, 4000, 4096, 4097])
+    @pytest.mark.parametrize("m", [2, 3, 63, 64, 65, 66, 129, 1000, 1025, 4000, 4096, 4097, 8193])
     def test_whole_interval(self, m, beta):
         p = self._walk(m, seed=m)
         assert holder_seminorm(p, 0.0, 1.0, beta) == _per_lag_seminorm(p, 0.0, 1.0, beta)

@@ -188,6 +188,19 @@ class TestSolver:
         sol = solve_pathwise(5.0, zero_drift(), driver)
         assert np.allclose(sol.values, 5.0 + driver.values, atol=1e-13)
 
+    def test_zero_drift_brackets_below_minus_one(self):
+        # a whole-line path below -1 that then steps up: the upper bracket
+        # must grow upward from a negative start
+        times = np.linspace(0.0, 1.0, 5)
+        sol = solve_batch(1.0, zero_drift(), [[0.0, -3.0, -2.5, -2.6, -2.0]], times)
+        assert np.allclose(sol[0], [1.0, -2.0, -1.5, -1.6, -1.0], rtol=0.0, atol=1e-12)
+        spec = FbmSpec(hurst=0.75, n_steps=256, seed=2)
+        driver = sample_fbm(spec)
+        assert np.allclose(solve_pathwise(0.0, zero_drift(), driver).values, driver.values, atol=1e-13)
+        drivers = 4.0 * sample_fbm_batch(spec, 200)
+        sol = solve_batch(0.5, zero_drift(), drivers, spec.times)
+        assert np.max(np.abs(sol - (0.5 + drivers))) < 1e-12
+
     def test_reciprocal_zero_driver_closed_form(self):
         # x' = k/x from x0 -> sqrt(x0^2 + 2kt)
         sol = solve_pathwise(1.0, reciprocal_drift(1.0), _flat_driver(10_000))
