@@ -314,53 +314,51 @@ def _implicit_step(
 
     # bracket: F is increasing, F(+inf) > 0; for repulsive drifts F(0+) = -inf
     if drift.positive_domain:
-        lo = np.minimum(np.where(b > 0, b, x_prev), x_prev) * 0.5
-        lo = np.maximum(lo, 1e-300)
+        lo = np.maximum(np.minimum(np.where(b > 0, b, x_prev), x_prev) * 0.5, 1e-300)
         for _ in range(2000):
             bad = residual(lo) >= 0
-            if not np.any(bad):
+            if not bad.any():
                 break
-            lo = np.where(bad, lo * 0.5, lo)
+            lo[bad] *= 0.5
         else:
             raise SolverError("could not bracket the implicit step from below")
-        hi = np.maximum(b, x_prev)
-        x0 = np.maximum(b, 0.5 * x_prev)
+        x = np.maximum(b, 0.5 * x_prev)
     else:
         lo = np.minimum(b, x_prev) - 1.0
         for _ in range(200):
             bad = residual(lo) >= 0
-            if not np.any(bad):
+            if not bad.any():
                 break
-            lo = np.where(bad, lo - 2.0 * np.abs(lo) - 1.0, lo)
+            np.copyto(lo, lo - 2.0 * np.abs(lo) - 1.0, where=bad)
         else:
             raise SolverError("could not bracket the implicit step from below")
-        hi = np.maximum(b, x_prev)
-        x0 = b.copy()
+        x = b.copy()
+    hi = np.maximum(b, x_prev)
     for _ in range(200):
         bad = residual(hi) <= 0
-        if not np.any(bad):
+        if not bad.any():
             break
-        hi = np.where(bad, hi + np.abs(hi) + 1.0, hi)
+        np.copyto(hi, hi + np.abs(hi) + 1.0, where=bad)
     else:
         raise SolverError("could not bracket the implicit step from above")
 
-    x = np.clip(x0, lo, hi)
+    # Rows freeze at their own convergence: a frozen row's lo, hi and candidate
+    # are never read again, and its residual recomputes to the same float.
+    np.maximum(x, lo, out=x)
+    np.minimum(x, hi, out=x)
     res = residual(x)
     done = np.abs(res) <= _NEWTON_TOL
     for _ in range(_MAX_NEWTON_ITERS):
-        if np.all(done):
+        if done.all():
             break
-        lo = np.where(~done & (res < 0), x, lo)
-        hi = np.where(~done & (res > 0), x, hi)
-        deriv = 1.0 - dt * np.asarray(drift.dfdx(t, x), dtype=np.float64)
-        step = np.where(done, 0.0, res / deriv)
-        cand = x - step
-        outside = (cand <= lo) | (cand >= hi)
-        cand = np.where(outside & ~done, 0.5 * (lo + hi), cand)
-        x = np.where(done, x, cand)
-        res = np.where(done, res, residual(x))
-        done = done | (np.abs(res) <= _NEWTON_TOL)
-    if not np.all(done):
+        np.copyto(lo, x, where=res < 0)
+        np.copyto(hi, x, where=res > 0)
+        cand = x - res / (1.0 - dt * np.asarray(drift.dfdx(t, x), dtype=np.float64))
+        np.copyto(cand, 0.5 * (lo + hi), where=(cand <= lo) | (cand >= hi))
+        np.copyto(x, cand, where=~done)
+        res = residual(x)
+        done |= np.abs(res) <= _NEWTON_TOL
+    if not done.all():
         raise SolverError(
             f"implicit step did not converge at t={t}; max residual {np.max(np.abs(res)):.3e}"
         )
@@ -387,12 +385,12 @@ def solve_batch(x0, drift: DriftSpec, driver_values: np.ndarray, times: np.ndarr
     out = np.empty((n_paths, n_pts))
     out[:, 0] = x0_vec
     x = x0_vec
-    for k in range(n_pts - 1):
-        b = x + (drivers[:, k + 1] - drivers[:, k])
-        x = _implicit_step(drift, float(times[k + 1]), b, x, dt)
-        if drift.positive_domain and np.any(x <= 0):
-            raise PositivityError(f"nonpositive value after step {k + 1}")
-        out[:, k + 1] = x
+    for k, t in enumerate(times[1:].tolist(), start=1):
+        b = x + (drivers[:, k] - drivers[:, k - 1])
+        x = _implicit_step(drift, t, b, x, dt)
+        if drift.positive_domain and (x <= 0).any():
+            raise PositivityError(f"nonpositive value after step {k}")
+        out[:, k] = x
     return out
 
 

@@ -13,6 +13,27 @@ def test_uniform_grid_enforced():
         SamplePath(np.array([0.0, 0.2, 0.1]), np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "shift, uniform",
+    [(0.9e-10, True), (-0.9e-10, True), (1.1e-10, False), (-1.1e-10, False)],
+)
+def test_uniformity_tolerance_edge(shift, uniform):
+    # dt = 0.1, so a step may differ from it by 1e-15 + 1e-9 * 0.1 ~ 1.0e-10
+    times = np.linspace(0.0, 1.0, 11)
+    times[5] += shift
+    if uniform:
+        assert SamplePath(times, np.zeros(11)).n_steps == 10
+    else:
+        with pytest.raises(ValueError, match="grid must be uniform"):
+            SamplePath(times, np.zeros(11))
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 0.5, np.nan], [0.0, np.inf]])
+def test_nonfinite_grid_rejected(times):
+    with pytest.raises(ValueError, match="grid must be uniform"):
+        SamplePath(np.array(times), np.zeros(len(times)))
+
+
 def test_index_of_snaps_and_rejects():
     p = SamplePath.from_function(lambda t: t, 1.0, 10)
     assert p.index_of(0.3) == 3

@@ -349,6 +349,140 @@ class TestBytePins:
         assert hashlib.sha256(sols.astype("<f8").tobytes()).hexdigest() == digest
 
 
+def _reference_newton_step(drift, t, b, x_prev, dt, fallbacks):
+    """The Newton branch of the implicit step with every row masked explicitly.
+
+    Kept as the reference the solver must match byte for byte.  ``fallbacks``
+    collects how many rows took the bisection fallback at each iteration.
+    """
+
+    def residual(x):
+        return x - dt * np.asarray(drift.f(t, x), dtype=np.float64) - b
+
+    if drift.positive_domain:
+        lo = np.minimum(np.where(b > 0, b, x_prev), x_prev) * 0.5
+        lo = np.maximum(lo, 1e-300)
+        for _ in range(2000):
+            bad = residual(lo) >= 0
+            if not np.any(bad):
+                break
+            lo = np.where(bad, lo * 0.5, lo)
+        else:
+            raise solver.SolverError("could not bracket the implicit step from below")
+        hi = np.maximum(b, x_prev)
+        x0 = np.maximum(b, 0.5 * x_prev)
+    else:
+        lo = np.minimum(b, x_prev) - 1.0
+        for _ in range(200):
+            bad = residual(lo) >= 0
+            if not np.any(bad):
+                break
+            lo = np.where(bad, lo - 2.0 * np.abs(lo) - 1.0, lo)
+        else:
+            raise solver.SolverError("could not bracket the implicit step from below")
+        hi = np.maximum(b, x_prev)
+        x0 = b.copy()
+    for _ in range(200):
+        bad = residual(hi) <= 0
+        if not np.any(bad):
+            break
+        hi = np.where(bad, hi + np.abs(hi) + 1.0, hi)
+    else:
+        raise solver.SolverError("could not bracket the implicit step from above")
+
+    x = np.clip(x0, lo, hi)
+    res = residual(x)
+    done = np.abs(res) <= solver._NEWTON_TOL
+    for _ in range(solver._MAX_NEWTON_ITERS):
+        if np.all(done):
+            break
+        lo = np.where(~done & (res < 0), x, lo)
+        hi = np.where(~done & (res > 0), x, hi)
+        deriv = 1.0 - dt * np.asarray(drift.dfdx(t, x), dtype=np.float64)
+        step = np.where(done, 0.0, res / deriv)
+        cand = x - step
+        outside = (cand <= lo) | (cand >= hi)
+        fallbacks.append(int(np.count_nonzero(outside & ~done)))
+        cand = np.where(outside & ~done, 0.5 * (lo + hi), cand)
+        x = np.where(done, x, cand)
+        res = np.where(done, res, residual(x))
+        done = done | (np.abs(res) <= solver._NEWTON_TOL)
+    if not np.all(done):
+        raise solver.SolverError(
+            f"implicit step did not converge at t={t}; max residual {np.max(np.abs(res)):.3e}"
+        )
+    return x
+
+
+def _reference_solve(x0, drift, drivers, times, fallbacks):
+    dt = float(times[1] - times[0])
+    x = np.full(drivers.shape[0], float(x0))
+    columns = [x]
+    for k in range(times.size - 1):
+        b = x + (drivers[:, k + 1] - drivers[:, k])
+        x = _reference_newton_step(drift, float(times[k + 1]), b, x, dt, fallbacks)
+        columns.append(x)
+    return np.stack(columns, axis=1)
+
+
+def test_newton_step_matches_masked_reference_through_bisection():
+    # Short, coarse grids with a 5x driver push Newton outside its bracket,
+    # so the bisection fallback fires; no byte pin reaches that branch.
+    whole_line = custom_drift(
+        lambda t, x: -2.0 * x + np.sin(x),
+        lambda t, x: -2.0 + np.cos(x),
+        singularity_exponent=0.0,
+        lower_envelope=lambda t: 0.0,
+        upper_envelope=lambda t: 0.0,
+        positive_domain=False,
+    )
+    fallbacks = []
+    for n in (8, 16, 64):
+        spec = FbmSpec(0.55, n_steps=n, seed=3)
+        drivers = sample_fbm_batch(spec, 64) * 5
+        drifts = [power_drift(1.0, 0.0, q) for q in (0.5, 1.5, 3.0, 6.0)] + [whole_line]
+        for drift in drifts:
+            for x0 in (1e-6, 1e-2, 1.0, 10.0):
+                got = solve_batch(x0, drift, drivers, spec.times)
+                want = _reference_solve(x0, drift, drivers, spec.times, fallbacks)
+                assert got.tobytes() == want.tobytes(), (n, drift.family, x0)
+    assert sum(fallbacks) > 0
+
+
+def _newton_drift(f, positive_domain=True):
+    return custom_drift(
+        f,
+        lambda t, x: np.zeros_like(x),
+        singularity_exponent=1.0,
+        lower_envelope=lambda t: 1.0,
+        upper_envelope=lambda t: 1.0,
+        positive_domain=positive_domain,
+    )
+
+
+class TestImplicitStepErrors:
+    def test_nan_residual_is_not_convergence(self):
+        # the row started at 5 only ever sees NaN; the row at 1 converges
+        drift = _newton_drift(lambda t, x: np.where(x < 2.0, 1.0 / x, np.nan))
+        with pytest.raises(solver.SolverError, match="implicit step did not converge .*max residual nan"):
+            solve_batch(np.array([1.0, 5.0]), drift, np.zeros((2, 17)), np.linspace(0.0, 1.0, 17))
+
+    @pytest.mark.parametrize(
+        "f, positive_domain, driver_step, side",
+        [
+            (lambda t, x: -np.ones_like(x), True, -1.0, "below"),
+            (lambda t, x: -(x**2), False, -1.0, "below"),
+            (lambda t, x: x**2, True, 0.0, "above"),
+        ],
+        ids=["positive-below", "whole-line-below", "above"],
+    )
+    def test_bracket_failure_raises(self, f, positive_domain, driver_step, side):
+        # one step of size dt = 1 from x0 = 1; the residual never changes sign
+        drivers = np.array([[0.0, driver_step]])
+        with pytest.raises(solver.SolverError, match=f"could not bracket the implicit step from {side}"):
+            solve_batch(1.0, _newton_drift(f, positive_domain), drivers, np.array([0.0, 1.0]))
+
+
 class TestComparison:
     def test_ordering_contraction_monotone(self):
         spec = FbmSpec(hurst=0.75, n_steps=512, seed=44)
