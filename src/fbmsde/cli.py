@@ -30,8 +30,9 @@ _POSITIVE_KEYS = (
     "n_paths", "threads", "drift_k", "singularity_exponent", "x0", "y0", "cir_k", "scale_a"
 )
 
-# Base seed for the independent comparison batch of the scaling experiment;
-# XOR keeps its per-path keys disjoint from the primary batch.
+# XORed into the seed of the scaling experiment's comparison batch.  Sampler
+# keys are [pair, seed], so any seed that differs from the primary batch's
+# keeps the two batches' keys disjoint; a nonzero flip always differs.
 _SCALING_SEED_FLIP = 0xA5A5A5A5 << 32
 
 

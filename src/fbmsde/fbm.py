@@ -3,9 +3,13 @@
 Covariance: R(s, t) = (t^{2H} + s^{2H} - |t-s|^{2H}) / 2 with Hurst index
 H > 1/2 (long memory).  Two exact samplers are provided: circulant embedding
 of the stationary increment covariance (fast, O(n log n)) and a Cholesky
-factorization of the full grid covariance (the slow reference).  Both fill
-blocks of paths; path i draws from one Philox generator re-keyed to seed XOR
-i, so its bits do not depend on the batch.  The module also evaluates the
+factorization of the full grid covariance (the slow reference).  Both draw
+paths in pairs: rows 2j and 2j + 1 take their normals from one Philox
+generator re-keyed to ``[j, seed]``, so a row's bits depend only on the seed
+and its index, never on the batch.  The circulant sampler puts complex
+Gaussian weights on every mode of the embedding, so the real and imaginary
+parts of one FFT are two independent exact samples (Wood & Chan 1994;
+Dietrich & Newsam 1997).  The module also evaluates the
 square-root (Volterra) kernel of the covariance, the singular-kernel inner
 product of step functions, and the embedding of step directions into Hölder
 path space.
@@ -42,8 +46,9 @@ __all__ = [
 # Eigenvalues of the circulant embedding this close to zero are roundoff and
 # get clamped; anything more negative means the embedding genuinely failed.
 _EIG_TOL = 1e-10
-# Paths the sampler transforms at once.  At n_steps = 1024 a block's normals
-# and spectra (~1.3 MB) fit a 2 MB L2 share; 32 or 64 rows were not faster.
+# Paths the sampler fills at once, as 8 pairs.  At n_steps = 1024 a block's
+# normals, weights and spectra (~0.8 MB) fit a 2 MB L2 share; 32 to 128 rows
+# were not faster beyond the run-to-run spread.
 _BLOCK_ROWS = 16
 
 
@@ -170,7 +175,7 @@ def _fgn_autocovariance(hurst: float, n_lags: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _circulant_sqrt_eigs(hurst: float, n: int) -> np.ndarray:
-    """sqrt(eig / (2m)) of the size-m = 2n circulant embedding of unit-step noise."""
+    """sqrt(eig / m) of the size-m = 2n circulant embedding of unit-step noise."""
     gamma = _fgn_autocovariance(hurst, n + 1)
     row = np.concatenate([gamma, gamma[-2:0:-1]])
     eigs = fft(row).real
@@ -180,7 +185,7 @@ def _circulant_sqrt_eigs(hurst: float, n: int) -> np.ndarray:
             "fall back to method='cholesky'"
         )
     eigs = np.clip(eigs, 0.0, None)
-    out = np.sqrt(eigs / (4.0 * n))
+    out = np.sqrt(eigs / (2.0 * n))
     out.setflags(write=False)
     return out
 
@@ -203,9 +208,9 @@ def _cholesky_factor(hurst: float, n: int) -> np.ndarray:
     return factor
 
 
-def _philox_state(key: int) -> dict:
-    """The state ``Philox(key=key)`` starts in: counter zero, empty buffer."""
-    ctr = {"counter": [0, 0, 0, 0], "key": [key, 0]}
+def _philox_state(pair: int, seed: int) -> dict:
+    """The state ``Philox(key=[pair, seed])`` starts in: counter zero, empty buffer."""
+    ctr = {"counter": [0, 0, 0, 0], "key": [pair, seed]}
     return dict(bit_generator="Philox", state=ctr, buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0)
 
 
@@ -218,40 +223,40 @@ def sample_fbm(spec: FbmSpec) -> SamplePath:
 
 
 def sample_fbm_batch(spec: FbmSpec, n_paths: int) -> np.ndarray:
-    """Draw ``n_paths`` independent paths; row i uses the per-path key seed XOR i.
+    """Draw ``n_paths`` independent paths; rows 2j and 2j + 1 use the key ``[j, seed]``.
 
     Returns an (n_paths, n_steps + 1) matrix, filled ``_BLOCK_ROWS`` rows at a
-    time with one FFT and one cumulative sum per circulant block.  Each row
-    re-keys one Philox generator by assigning its state, so it draws what a
-    fresh ``Philox(key=seed ^ i)`` draws, whatever the batch size, without a
-    ``SeedSequence`` built from OS entropy per path.
+    time.  Each pair of rows re-keys one Philox generator by assigning its
+    state, so it draws what a fresh ``Philox(key=[j, seed])`` draws, whatever
+    the batch size, without a ``SeedSequence`` built from OS entropy per pair.
+    Circulant pairs draw 4n normals, read as 2n complex weights on the modes,
+    and take one FFT: its real part is row 2j and its imaginary part row
+    2j + 1 (dropped for the last row of an odd batch).  Cholesky pairs draw 2n
+    normals, the first n for row 2j and the rest for row 2j + 1.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     n = spec.n_steps
     circulant = spec.method == "circulant_embedding"
+    seed = int(spec.seed)
     rng = Generator(Philox(key=0))
-    normals = np.empty((min(_BLOCK_ROWS, n_paths), 2 * n if circulant else n))
+    n_pairs = (n_paths + 1) // 2
+    normals = np.empty((min(_BLOCK_ROWS // 2, n_pairs), 4 * n if circulant else 2 * n))
     out = np.zeros((n_paths, n + 1))
-    for lo in range(0, n_paths, len(normals)):
-        z, block = normals[: n_paths - lo], out[lo : lo + len(normals), 1:]
-        for i, row in enumerate(z):
-            rng.bit_generator.state = _philox_state(int(spec.seed) ^ (lo + i))
+    for lo in range(0, n_pairs, len(normals)):
+        z, block = normals[: n_pairs - lo], out[2 * lo : 2 * (lo + len(normals)), 1:]
+        for j, row in enumerate(z, start=lo):
+            rng.bit_generator.state = _philox_state(j, seed)
             rng.standard_normal(out=row)
         if not circulant:
             factor = _cholesky_factor(spec.hurst, n)
-            for values, row in zip(block, z):
+            for values, row in zip(block, z.reshape(-1, n)):
                 values[:] = spec.horizon**spec.hurst * (factor @ row)
             continue
-        # z[:, :2] scale the real modes 0 and n; the pairs in z[:, 2:] are the
-        # parts a + bj of modes 1..n-1, conjugated into modes n+1..2n-1.
-        coeff = _circulant_sqrt_eigs(spec.hurst, n)
-        w = np.empty(z.shape, dtype=np.complex128)
-        w[:, [0, n]] = coeff[[0, n]] * np.sqrt(2.0) * z[:, :2]
-        np.multiply(coeff[1:n], z[:, 2:].view(np.complex128), out=w[:, 1:n])
-        np.conj(w[:, n - 1 : 0 : -1], out=w[:, n + 1 :])
-        w = fft(w, axis=1)
-        np.multiply((spec.horizon / n) ** spec.hurst, w.real[:, :n], out=block)
+        w = fft(_circulant_sqrt_eigs(spec.hurst, n) * z.view(np.complex128), axis=1)
+        scale = (spec.horizon / n) ** spec.hurst
+        np.multiply(scale, w.real[:, :n], out=block[0::2])
+        np.multiply(scale, w.imag[: len(block) // 2, :n], out=block[1::2])
         np.cumsum(block, axis=1, out=block)
     return out
 

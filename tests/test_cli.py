@@ -126,12 +126,15 @@ class TestCliProcess:
         assert len(csv) == 66  # header + 65 grid points
 
     def test_claim_failure_exit_1_report_still_written(self, tmp_path):
-        # too-coarse grid: the FD-vs-analytic tolerance deterministically fails
+        # a drift of 100/x swamps the unit-scale noise, so the paths are nearly
+        # deterministic, and on 4 steps the scheme's finite differences miss the
+        # continuous kernel by about 8-11x the FD-vs-analytic tolerance on every path
         code = main(
             [
                 "malliavin",
                 "--n-paths", "20",
-                "--n-steps", "64",
+                "--n-steps", "4",
+                "--drift-k", "100",
                 "--output-dir", str(tmp_path),
             ]
         )
