@@ -58,7 +58,6 @@ from .verify import (
     scaling_spec,
     scaling_transform,
     simulate_paths,
-    supnorm_bound,
     window_length,
 )
 from .malliavin import (

@@ -4,7 +4,7 @@ One subcommand per verification suite; every run echoes its full configuration
 into a structured text report, writes plot-ready CSV paths, and exits 0 only
 when every claim passes (not-applicable claims do not fail a run).  Identical
 configuration and seed produce byte-identical artifacts, independent of the
-worker thread count.
+worker thread count and of the path blocks Monte Carlo experiments stream in.
 """
 
 from __future__ import annotations
@@ -308,12 +308,20 @@ def _exp_fbm_sample(cfg: ExperimentConfig, out_dir: Path):
 def _exp_simulate(cfg: ExperimentConfig, out_dir: Path):
     """solve the singular equation over a Monte Carlo batch; positivity audit"""
     drift = cfg.drift_spec()
-    times, drivers, solutions = verify.simulate_paths(
-        cfg.fbm_spec(), drift, cfg.x0, cfg.n_paths, threads=cfg.threads
+    spec = cfg.fbm_spec()
+    times = spec.times
+    n_defect = min(cfg.n_paths, 16)
+    # The wide CSV is time-major, so every solution is kept; of the drivers,
+    # only the rows the defect check reads.
+    blocks = verify.simulate_paths(
+        spec, drift, cfg.x0, cfg.n_paths, lambda d, s: (d[:n_defect].copy(), s), threads=cfg.threads
     )
+    drivers = np.concatenate([d for d, _ in blocks])
+    solutions = np.concatenate([s for _, s in blocks])
+    del blocks
     min_val = float(np.min(solutions))
     worst_defect = 0.0
-    for i in range(min(cfg.n_paths, 16)):
+    for i in range(n_defect):
         worst_defect = max(
             worst_defect,
             solver.residual_defect(
@@ -345,10 +353,18 @@ def _exp_verify_bound(cfg: ExperimentConfig, out_dir: Path):
             f"need gamma > beta/(2 beta - 1) = {cfg.beta / (2 * cfg.beta - 1):.4g}"
         )
     drift = cfg.drift_spec()
-    times, drivers, solutions = verify.simulate_paths(
-        cfg.fbm_spec(), drift, cfg.x0, cfg.n_paths, threads=cfg.threads
+    spec = cfg.fbm_spec()
+    audits = verify.simulate_paths(
+        spec, drift, cfg.x0, cfg.n_paths,
+        lambda d, s: verify.check_path_bound(drift, s, d, spec.times, cfg.beta, cfg.gamma),
+        threads=cfg.threads,
     )
-    report = verify.check_path_bound(drift, solutions, drivers, times, cfg.beta, cfg.gamma)
+    report = replace(
+        audits[0],
+        n_paths=sum(a.n_paths for a in audits),
+        n_passed=sum(a.n_passed for a in audits),
+        worst_margin=min(a.worst_margin for a in audits),
+    )
     claims = [
         Claim(
             "supnorm_bound_pass_fraction",
@@ -377,14 +393,18 @@ def _exp_neg_moments(cfg: ExperimentConfig, out_dir: Path):
     if any(_snap_down(t, dt) == 0.0 for t in cfg.t_eval):
         raise ConfigError(f"every t_eval must be at least one grid step dt={_fmt(dt)}")
     drift = cfg.drift_spec()
-    _, _, solutions = verify.simulate_paths(spec, drift, cfg.x0, cfg.n_paths, threads=cfg.threads)
+    t_snapped = [_snap_down(t, dt) for t in cfg.t_eval]
+    idx = [int(round(t / dt)) for t in t_snapped]
+    # Only the t_eval columns are read, so the solve stops at the last of them.
+    blocks = verify.simulate_paths(
+        spec, drift, cfg.x0, cfg.n_paths, lambda d, s: s[:, idx], threads=cfg.threads, n_points=max(idx) + 1
+    )
+    columns = np.concatenate(blocks)
     claims = []
     for p in cfg.p_orders:
-        for t_req in cfg.t_eval:
-            t = _snap_down(t_req, dt)
-            idx = int(round(t / dt))
+        for j, t in enumerate(t_snapped):
             rep = verify.check_negative_moments(
-                solutions[:, idx], p=p, t=t, x0=cfg.x0, k=cfg.drift_k, hurst=cfg.hurst
+                columns[:, j], p=p, t=t, x0=cfg.x0, k=cfg.drift_k, hurst=cfg.hurst
             )
             bound = rep.claim_bound
             claims.append(
@@ -401,6 +421,10 @@ def _exp_neg_moments(cfg: ExperimentConfig, out_dir: Path):
     return claims, []
 
 
+def _last_column(drivers: np.ndarray, solutions: np.ndarray) -> np.ndarray:
+    return solutions[:, -1].copy()  # a copy, so the block it came from is freed
+
+
 def _exp_scaling(cfg: ExperimentConfig, out_dir: Path):
     """distributional self-similarity under time-space rescaling"""
     if cfg.n_paths < 1000:
@@ -415,14 +439,16 @@ def _exp_scaling(cfg: ExperimentConfig, out_dir: Path):
         raise ConfigError("scale_t / scale_a must land on the grid: choose n_steps divisible by scale_a")
     x0_b, drift_b, spec = verify.scaling_transform(drift, a, cfg.hurst, cfg.x0)
     spec_a = cfg.fbm_spec(horizon=cfg.scale_t / a, n_steps=int(round(n_inner)))
-    _, _, sols_a = verify.simulate_paths(spec_a, drift, cfg.x0, cfg.n_paths, threads=cfg.threads)
-    side_a = a**cfg.hurst * sols_a[:, -1]
+    side_a = a**cfg.hurst * np.concatenate(
+        verify.simulate_paths(spec_a, drift, cfg.x0, cfg.n_paths, _last_column, threads=cfg.threads)
+    )
     spec_b = replace(
         cfg.fbm_spec(horizon=cfg.scale_t, n_steps=cfg.n_steps),
         seed=cfg.seed ^ _SCALING_SEED_FLIP,
     )
-    _, _, sols_b = verify.simulate_paths(spec_b, drift_b, x0_b, cfg.n_paths, threads=cfg.threads)
-    side_b = sols_b[:, -1]
+    side_b = np.concatenate(
+        verify.simulate_paths(spec_b, drift_b, x0_b, cfg.n_paths, _last_column, threads=cfg.threads)
+    )
     stat = verify.ks_statistic(side_a, side_b)
     crit = verify.ks_critical_value(cfg.n_paths, cfg.n_paths, alpha=0.01)
     claims = [
@@ -528,10 +554,11 @@ def _exp_cir(cfg: ExperimentConfig, out_dir: Path):
         worst_resid = max(worst_resid, resid)
     # stochastic positivity run
     drift1 = solver.cir_drift_transform(cir, horizon=cfg.horizon)
-    times, _, x_sols = verify.simulate_paths(
-        cfg.fbm_spec(), drift1, solver.cir_transform(cfg.y0, "forward"), cfg.n_paths, threads=cfg.threads
+    x0 = solver.cir_transform(cfg.y0, "forward")
+    y_mins = verify.simulate_paths(
+        cfg.fbm_spec(), drift1, x0, cfg.n_paths, lambda d, x: float(np.min(x**2 / 4.0)), threads=cfg.threads
     )
-    y_min = float(np.min(x_sols**2 / 4.0))
+    y_min = min(y_mins)
     claims = [
         Claim(
             "young_residual_smooth_driver",
@@ -551,10 +578,10 @@ def _exp_moments(cfg: ExperimentConfig, out_dir: Path):
     if cfg.n_paths < 4:
         raise ConfigError("moments needs n_paths >= 4 for its two half-batch estimates")
     drift = cfg.drift_spec()
-    _, _, solutions = verify.simulate_paths(
-        cfg.fbm_spec(), drift, cfg.x0, cfg.n_paths, threads=cfg.threads
+    blocks = verify.simulate_paths(
+        cfg.fbm_spec(), drift, cfg.x0, cfg.n_paths, lambda d, s: np.abs(s).max(axis=1), threads=cfg.threads
     )
-    sups = np.max(np.abs(solutions), axis=1)
+    sups = np.concatenate(blocks)
     report = verify.empirical_moment_stability(sups, cfg.p_orders)
     claims = [
         Claim(

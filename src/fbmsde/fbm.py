@@ -222,8 +222,14 @@ def sample_fbm(spec: FbmSpec) -> SamplePath:
     return SamplePath(spec.times, sample_fbm_batch(spec, 1)[0], holder_hint=spec.hurst)
 
 
-def sample_fbm_batch(spec: FbmSpec, n_paths: int) -> np.ndarray:
-    """Draw ``n_paths`` independent paths; rows 2j and 2j + 1 use the key ``[j, seed]``.
+def sample_fbm_batch(spec: FbmSpec, n_paths: int, first_row: int = 0) -> np.ndarray:
+    """Draw rows ``first_row`` .. ``first_row + n_paths - 1`` of the seed's path sequence.
+
+    Rows 2j and 2j + 1 use the key ``[j, seed]``, so a row's bits depend only
+    on the seed and its index: a batch starting at ``first_row`` equals those
+    rows of one batch started at 0, which lets callers draw a long batch in
+    consecutive blocks.  ``first_row`` must be even, since rows are keyed in
+    pairs; an odd value raises ``ValueError``.
 
     Returns an (n_paths, n_steps + 1) matrix, filled ``_BLOCK_ROWS`` rows at a
     time.  Each pair of rows re-keys one Philox generator by assigning its
@@ -236,6 +242,8 @@ def sample_fbm_batch(spec: FbmSpec, n_paths: int) -> np.ndarray:
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
+    if first_row < 0 or first_row % 2:
+        raise ValueError(f"first_row must be even and nonnegative, got {first_row}")
     n = spec.n_steps
     circulant = spec.method == "circulant_embedding"
     seed = int(spec.seed)
@@ -245,7 +253,7 @@ def sample_fbm_batch(spec: FbmSpec, n_paths: int) -> np.ndarray:
     out = np.zeros((n_paths, n + 1))
     for lo in range(0, n_pairs, len(normals)):
         z, block = normals[: n_pairs - lo], out[2 * lo : 2 * (lo + len(normals)), 1:]
-        for j, row in enumerate(z, start=lo):
+        for j, row in enumerate(z, start=first_row // 2 + lo):
             rng.bit_generator.state = _philox_state(j, seed)
             rng.standard_normal(out=row)
         if not circulant:

@@ -50,6 +50,12 @@ from fbmsde.verify import (
 )
 
 
+def _whole_batch(spec, drift, x0, n_paths, threads=1):
+    """(times, drivers, solutions) of a whole batch, gathered from the blocks of ``simulate_paths``."""
+    blocks = simulate_paths(spec, drift, x0, n_paths, lambda d, s: (d, s), threads=threads)
+    return spec.times, np.concatenate([d for d, _ in blocks]), np.concatenate([s for _, s in blocks])
+
+
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"criterion {num} ({name}) failed: {detail}"
@@ -231,7 +237,7 @@ def test_criterion_5_supnorm_bound():
     for hurst, beta, gamma in cases:
         for drift in (reciprocal_drift(1.0), bessel_drift(2, hurst)):
             spec = FbmSpec(hurst=hurst, n_steps=512, seed=4001)
-            times, drivers, sols = simulate_paths(spec, drift, 1.0, 200)
+            times, drivers, sols = _whole_batch(spec, drift, 1.0, 200)
             rep = check_path_bound(drift, sols, drivers, times, beta=beta, gamma=gamma)
             ok = ok and rep.pass_fraction == 1.0
             details.append(f"H={hurst}/{drift.family}: {rep.pass_fraction:.2f}")
@@ -262,7 +268,7 @@ def test_criterion_6_negative_moments():
     # dt = 1/2048 exactly; horizon 0.5 covers every requested time
     spec = FbmSpec(hurst=hurst, horizon=0.5, n_steps=1024, seed=5001)
     dt = 0.5 / 1024
-    _, _, sols = simulate_paths(spec, reciprocal_drift(k), x0, m)
+    _, _, sols = _whole_batch(spec, reciprocal_drift(k), x0, m)
     ok = True
     details = []
     # the requested times sit off the 1/2048 grid; snap down, staying below
@@ -287,11 +293,11 @@ def test_criterion_7_scaling():
     drift = power_drift(1.0, 1.0, 1.0)
     # common grid step 1/2048 on both sides
     spec_a = FbmSpec(hurst=hurst, horizon=t / a, n_steps=512, seed=6001)
-    _, _, sols_a = simulate_paths(spec_a, drift, 1.0, m)
+    _, _, sols_a = _whole_batch(spec_a, drift, 1.0, m)
     side_a = a**hurst * sols_a[:, -1]
     x0_b, drift_b, _ = scaling_transform(drift, a, hurst, 1.0)
     spec_b = FbmSpec(hurst=hurst, horizon=t, n_steps=1024, seed=6001 ^ (1 << 40))
-    _, _, sols_b = simulate_paths(spec_b, drift_b, x0_b, m)
+    _, _, sols_b = _whole_batch(spec_b, drift_b, x0_b, m)
     stat = ks_statistic(side_a, sols_b[:, -1])
     crit = ks_critical_value(m, m, alpha=0.01)
     ok = stat < crit

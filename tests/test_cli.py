@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fbmsde
+from fbmsde import verify
 from fbmsde.cli import (
     Claim,
     ConfigError,
@@ -231,6 +232,46 @@ class TestCliProcess:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("experiment = simulate\n")
         assert main(["fbm-sample", "--config", str(cfg_file)]) == 2
+
+
+@pytest.mark.parametrize(
+    "args, rows_at_64_steps",
+    [
+        (["simulate", "--n-paths", "13", "--n-steps", "64", "--wide"], 4),
+        (["simulate", "--n-paths", "7", "--n-steps", "64"], 2),
+        (["verify-bound", "--n-paths", "9", "--n-steps", "64"], 2),
+        (["neg-moments", "--n-paths", "101", "--n-steps", "128"], 32),
+        # 64 steps on the rescaled side, 128 (half the rows per block) on the other
+        (["scaling", "--n-paths", "1001", "--n-steps", "128"], 300),
+        (["cir", "--n-paths", "21", "--n-steps", "64"], 6),
+        (["moments", "--n-paths", "41", "--n-steps", "64"], 10),
+    ],
+)
+def test_path_blocks_do_not_change_artifacts(args, rows_at_64_steps, tmp_path, monkeypatch):
+    # odd n_paths over at least 3 blocks per batch against one block: the
+    # same report and CSV bytes; both runs write to the relative path "out",
+    # which report.txt echoes
+    sample = verify.sample_fbm_batch
+
+    def run(name: str, first_rows: list) -> tuple:
+        def counted(spec, n_paths, first_row=0):
+            first_rows.append(first_row)
+            return sample(spec, n_paths, first_row=first_row)
+
+        monkeypatch.setattr(verify, "sample_fbm_batch", counted)
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        code = main([*args, "--output-dir", "out"])
+        return code, {p.name: p.read_bytes() for p in sorted(Path("out").iterdir())}
+
+    one_rows, many_rows = [], []
+    one = run("one", one_rows)
+    monkeypatch.setattr(verify, "_BLOCK_BYTES", 8 * 64 * rows_at_64_steps)
+    many = run("many", many_rows)
+    assert set(one_rows) == {0}
+    blocks_per_batch = np.diff(np.flatnonzero(np.array(many_rows + [0]) == 0))
+    assert len(blocks_per_batch) == len(one_rows) and blocks_per_batch.min() >= 3
+    assert one[0] == 0 and one == many
 
 
 def test_run_experiment_returns_report(tmp_path):

@@ -128,6 +128,28 @@ class TestSampler:
                 for i, row in enumerate(batch):
                     assert np.array_equal(row, ref[i]), (n_paths, i)
 
+    @pytest.mark.parametrize("method", ["circulant_embedding", "cholesky"])
+    def test_offset_batch_equals_rows_of_whole_batch(self, method):
+        # offsets on and off the sampler's block boundaries, with odd counts
+        # that end a batch on the first row of a pair
+        spec = FbmSpec(hurst=0.75, n_steps=64, method=method, seed=17)
+        total = 3 * _BLOCK_ROWS + 1
+        whole = sample_fbm_batch(spec, total)
+        for first_row in (0, 2, _BLOCK_ROWS - 2, _BLOCK_ROWS, _BLOCK_ROWS + 2, 2 * _BLOCK_ROWS):
+            for n_paths in (1, 2, 3, _BLOCK_ROWS + 1, total - first_row):
+                if first_row + n_paths > total:
+                    continue
+                part = sample_fbm_batch(spec, n_paths, first_row=first_row)
+                assert part.tobytes() == whole[first_row : first_row + n_paths].tobytes(), (
+                    first_row,
+                    n_paths,
+                )
+
+    @pytest.mark.parametrize("first_row", [1, 17, -2])
+    def test_odd_or_negative_first_row_rejected(self, first_row):
+        with pytest.raises(ValueError, match="first_row must be even"):
+            sample_fbm_batch(FbmSpec(hurst=0.75, n_steps=16), 4, first_row=first_row)
+
     def test_nearby_seeds_share_no_row(self):
         # keys must hold the whole seed: keyed by seed XOR row index, these 8
         # seeds would draw the same 8 rows, permuted

@@ -1,11 +1,13 @@
 """Bound assembly, inequality audits, scaling law, KS machinery, moment stability."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
+from fbmsde import verify
 from fbmsde.fbm import FbmSpec
 from fbmsde.fraccalc import holder_seminorm, sup_norm, young_integral
 from fbmsde.paths import SamplePath
@@ -24,9 +26,14 @@ from fbmsde.verify import (
     scaling_spec,
     scaling_transform,
     simulate_paths,
-    supnorm_bound,
     window_length,
 )
+
+
+def _whole_batch(spec, drift, x0, n_paths, threads=1):
+    """(times, drivers, solutions) of a whole batch, gathered from the blocks of ``simulate_paths``."""
+    blocks = simulate_paths(spec, drift, x0, n_paths, lambda d, s: (d, s), threads=threads)
+    return spec.times, np.concatenate([d for d, _ in blocks]), np.concatenate([s for _, s in blocks])
 
 
 class TestWindowLength:
@@ -101,8 +108,8 @@ class TestSupnormBound:
         assert b2 >= b1 and b3 >= b1
 
     def test_zero_driver_floor(self):
-        val = supnorm_bound(1.0, 3.0, 0.75, 1.0, 1.0, 0.0)
-        assert val >= 1.0  # never below the initial value
+        val = log_supnorm_bound(1.0, 3.0, 0.75, 1.0, 1.0, 0.0)
+        assert val >= 0.0  # never below the initial value, log 1
 
     def test_log_growth_slope(self):
         # log bound ~ phi_norm^{gamma/(beta(gamma-1))} for large norms
@@ -127,7 +134,7 @@ class TestPathBoundAudit:
 
     def test_fbm_batch_all_pass(self):
         drift = reciprocal_drift(1.0)
-        times, drivers, sols = simulate_paths(
+        times, drivers, sols = _whole_batch(
             FbmSpec(hurst=0.75, n_steps=256, seed=3), drift, 1.0, 50
         )
         rep = check_path_bound(drift, sols, drivers, times, beta=0.65, gamma=3.0)
@@ -145,7 +152,7 @@ class TestPathBoundAudit:
     )
     def test_malformed_inputs_rejected(self, case, message):
         drift = reciprocal_drift(1.0)
-        times, drivers, sols = simulate_paths(
+        times, drivers, sols = _whole_batch(
             FbmSpec(hurst=0.75, n_steps=64, seed=5), drift, 1.0, 3
         )
         if case == "missing_driver":
@@ -168,7 +175,7 @@ class TestPairingBound:
         c = ibp_constant(beta, gamma)
         lo, hi = admissible_order_window(beta, gamma)
         order = 0.5 * (lo + hi)
-        times, drivers, sols = simulate_paths(
+        times, drivers, sols = _whole_batch(
             FbmSpec(hurst=hurst, n_steps=512, seed=23), reciprocal_drift(1.0), 1.0, 5
         )
         windows = [(0.0, 1.0), (0.25, 0.75), (0.5, 1.0)]
@@ -212,7 +219,7 @@ class TestNegativeMoments:
 
     def test_monte_carlo_inequality_small_batch(self):
         drift = reciprocal_drift(1.0)
-        times, _, sols = simulate_paths(
+        times, _, sols = _whole_batch(
             FbmSpec(hurst=0.75, n_steps=512, seed=31), drift, 1.0, 2000
         )
         idx = int(round(0.375 / (times[1] - times[0])))
@@ -295,7 +302,7 @@ class TestMomentStability:
             assert e.std_error == 0.0 and e.passed
 
     def test_solution_sup_norm_moments_stable(self):
-        _, _, sols = simulate_paths(
+        _, _, sols = _whole_batch(
             FbmSpec(hurst=0.75, n_steps=256, seed=9), reciprocal_drift(1.0), 1.0, 4000
         )
         sups = np.max(np.abs(sols), axis=1)
@@ -303,10 +310,44 @@ class TestMomentStability:
         assert rep.all_pass
 
 
+@pytest.mark.parametrize("drift", [reciprocal_drift(1.0), power_drift(1.0, 1.0, 1.5)])
+def test_solve_horizon_keeps_leading_columns(drift):
+    # the scheme is causal: stopping the solve early leaves the solved columns' bits
+    spec = FbmSpec(hurst=0.75, n_steps=128, seed=4)
+    _, drivers, sols = _whole_batch(spec, drift, 1.0, 9)
+    ((d, s),) = simulate_paths(spec, drift, 1.0, 9, lambda d, s: (d, s), n_points=40)
+    assert d.tobytes() == drivers[:, :40].tobytes()
+    assert s.tobytes() == sols[:, :40].tobytes()
+
+
+@pytest.mark.parametrize("n_points", [1, 130])
+def test_solve_horizon_outside_grid_rejected(n_points):
+    with pytest.raises(ValueError, match="n_points must lie in"):
+        simulate_paths(FbmSpec(0.75, n_steps=128), reciprocal_drift(1.0), 1.0, 2, np.min, n_points=n_points)
+
+
+def test_streamed_reduction_memory_is_flat_in_n_paths(monkeypatch):
+    # a neg-moments-style reduction keeps two columns per block, so its
+    # traced peak is set by one block, not by n_paths
+    spec, drift, rows = FbmSpec(hurst=0.75, n_steps=256, seed=8), reciprocal_drift(1.0), 64
+    monkeypatch.setattr(verify, "_BLOCK_BYTES", 8 * spec.n_steps * rows)
+
+    def peak(n_blocks: int) -> int:
+        tracemalloc.start()
+        try:
+            simulate_paths(spec, drift, 1.0, n_blocks * rows, lambda d, s: s[:, [51, 102]], n_points=103)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # fill the eigenvalue cache first
+    assert peak(8) <= 1.3 * peak(2)
+
+
 def test_simulate_paths_thread_invariance():
     spec = FbmSpec(hurst=0.75, n_steps=128, seed=2)
     drift = reciprocal_drift(1.0)
-    t1, d1, s1 = simulate_paths(spec, drift, 1.0, 60, threads=1)
-    t4, d4, s4 = simulate_paths(spec, drift, 1.0, 60, threads=4)
+    t1, d1, s1 = _whole_batch(spec, drift, 1.0, 60, threads=1)
+    t4, d4, s4 = _whole_batch(spec, drift, 1.0, 60, threads=4)
     assert np.array_equal(d1, d4)
     assert np.array_equal(s1, s4)
