@@ -12,7 +12,7 @@ import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TypeVar
 
 import numpy as np
@@ -418,6 +418,22 @@ _R = TypeVar("_R")
 _BLOCK_BYTES = 8 << 20
 
 
+def _prefix_spec(spec: FbmSpec, n_points: int) -> FbmSpec:
+    """The spec whose grid starts like ``spec.times`` and covers its first ``n_points`` times.
+
+    Its step count is the power of two at or above ``n_points - 1`` (at least
+    2, at most ``spec.n_steps``), on the horizon that keeps the step
+    ``spec.horizon / spec.n_steps``.  A power of two keeps the circulant FFT
+    off the slow path a prime length takes (Wood & Chan 1994 size the
+    embedding the same way).  When that count reaches ``spec.n_steps``,
+    ``spec`` itself is returned, so full-grid drivers keep their bits.
+    """
+    n_pre = min(spec.n_steps, max(2, 1 << (n_points - 2).bit_length()))
+    if n_pre == spec.n_steps:
+        return spec
+    return replace(spec, n_steps=n_pre, horizon=spec.horizon * n_pre / spec.n_steps)
+
+
 def simulate_paths(
     spec: FbmSpec,
     drift: DriftSpec,
@@ -431,13 +447,17 @@ def simulate_paths(
 
     Returns ``reduce(drivers, solutions)`` of each block, in row order.  Both
     arrays hold the block's rows on the first ``n_points`` grid times
-    (default: all of ``spec.times``); the solve stops there, and the scheme is
-    causal, so those columns are bit-identical to a full-horizon solve.  A
-    block holds about ``_BLOCK_BYTES`` of increments and an even number of
-    rows, so memory stays flat in ``n_paths``.  Rows keep their keys whatever
-    the blocks, and ``threads`` only splits each block's solve into chunks, so
-    no result depends on either.  ``reduce`` must not keep a view of its
-    arguments, or the blocks it views stay alive.
+    (default: all of ``spec.times``), and the solve stops there.  The scheme
+    is causal, so on given drivers those columns are bit-identical to a
+    full-horizon solve.  The drivers themselves are not the leading columns
+    of full-grid drivers: fBm restricted to [0, t] is fBm on the shorter
+    grid, so they are rows of ``_prefix_spec(spec, n_points)``, cut to
+    ``n_points`` columns.  A block holds about ``_BLOCK_BYTES`` of the full
+    grid's increments and an even number of rows, so memory stays flat in
+    ``n_paths``.  Rows keep their keys whatever the blocks, and ``threads``
+    only splits each block's solve into chunks, so no result depends on
+    either.  ``reduce`` must not keep a view of its arguments, or the blocks
+    it views stay alive.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -447,10 +467,11 @@ def simulate_paths(
         raise ValueError(f"n_points must lie in [2, {times.size}], got {n_points}")
     times = times[:n_points]
     rows = 2 * max(1, _BLOCK_BYTES // (8 * spec.n_steps) // 2)  # even: rows are keyed in pairs
+    sampled = _prefix_spec(spec, n_points)
 
     def block(first_row: int, pool: ThreadPoolExecutor | None) -> _R:
         count = min(rows, n_paths - first_row)
-        drivers = sample_fbm_batch(spec, count, first_row=first_row)[:, :n_points]
+        drivers = sample_fbm_batch(sampled, count, first_row=first_row)[:, :n_points]
         if pool is None:
             return reduce(drivers, solve_batch(x0, drift, drivers, times))
         solutions = np.empty_like(drivers)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fbmsde
-from fbmsde import verify
+from fbmsde import cli, verify
 from fbmsde.cli import (
     Claim,
     ConfigError,
@@ -286,7 +286,8 @@ def test_run_experiment_returns_report(tmp_path):
 
 # One out-of-range value for each check in ``ExperimentConfig.validate``, then
 # non-finite values, which the float parsers reject first; every one must be
-# rejected before any work with exit code 2.
+# rejected before any work with exit code 2.  Keys that one experiment reads
+# are checked there (``_READER``); every other key under ``fbm-sample``.
 _REJECTED = [
     ("--hurst", "0.4"),
     ("--hurst", "0.5"),
@@ -329,18 +330,52 @@ _REJECTED = [
 ]
 
 
+_READER = {
+    "--beta": "verify-bound",
+    "--gamma": "verify-bound",
+    "--tau": "malliavin",
+    "--t-check": "malliavin",
+    "--eps-list": "malliavin",
+    "--scale-a": "scaling",
+    "--scale-t": "scaling",
+    "--t-eval": "neg-moments",
+}
+
+
 @pytest.mark.parametrize("flag,value", _REJECTED, ids=[f"{f}={v}" for f, v in _REJECTED])
 def test_out_of_range_value_exits_2(tmp_path, capsys, flag, value):
-    args = ["fbm-sample", "--n-paths", "8", "--n-steps", "16", flag, value]
+    args = [_READER.get(flag, "fbm-sample"), "--n-paths", "8", "--n-steps", "16", flag, value]
     assert main([*args, "--output-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "report.txt").exists()
 
 
+_UNREAD = [(f, v) for f, v in _REJECTED if f in _READER and v not in ("inf", "nan", "0.1,nan")]
+
+
+@pytest.mark.parametrize("flag,value", _UNREAD, ids=[f"{f}={v}" for f, v in _UNREAD])
+def test_experiment_specific_value_ignored_elsewhere(tmp_path, flag, value):
+    # fbm-sample reads none of these keys, so their ranges do not bind it
+    args = ["fbm-sample", "--n-paths", "8", "--n-steps", "16", flag, value]
+    assert main([*args, "--output-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["fbm-sample", "--hurst", "0.6"], 0),  # default beta 0.65 is not below hurst
+        (["simulate", "--horizon", "0.4"], 0),  # default tau, t_check, scale_t exceed it
+        (["verify-bound", "--hurst", "0.6"], 2),
+        (["malliavin", "--horizon", "0.4"], 2),
+    ],
+)
+def test_defaults_bind_only_the_experiments_that_read_them(tmp_path, capsys, args, code):
+    assert main([*args, "--n-paths", "8", "--n-steps", "16", "--output-dir", str(tmp_path)]) == code
+    assert capsys.readouterr().err.startswith("error: ") == (code == 2)
+
+
 def test_every_subcommand_accepts_every_config_flag():
     from dataclasses import fields
-
-    from fbmsde import cli
 
     assert cli.EXPERIMENTS == (
         "fbm-sample", "simulate", "verify-bound", "neg-moments",
@@ -420,6 +455,23 @@ def test_bulk_csv_matches_per_value_writer(tmp_path, wide):
     assert names == _per_value_csv(tmp_path / "ref", times, values, wide)
     for name in names:
         assert (tmp_path / "bulk" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+@pytest.mark.parametrize("wide", [True, False], ids=["wide", "long"])
+@pytest.mark.parametrize("offset", [-1, 0, 1, cli._CSV_SLICE + 1])
+def test_sliced_csv_matches_unsliced_writer(tmp_path, wide, offset):
+    # grid sizes on both sides of the first slice boundary, and past the
+    # second, against the writer that formats every value on its own
+    n_times = cli._CSV_SLICE + offset
+    times = np.linspace(0.0, 1.0, n_times)
+    values = np.random.default_rng(n_times).standard_normal((3, n_times)) * 10.0 ** np.arange(-150, 150, 100)[:, None]
+    values[0, -1] = -0.0
+    (tmp_path / "sliced").mkdir()
+    (tmp_path / "ref").mkdir()
+    names = _write_paths_csv(tmp_path / "sliced", times, values, wide, stem="x")
+    assert names == _per_value_csv(tmp_path / "ref", times, values, wide, stem="x")
+    for name in names:
+        assert (tmp_path / "sliced" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
 def test_tally_counts_numpy_booleans():

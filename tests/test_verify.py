@@ -8,10 +8,10 @@ import pytest
 from scipy.special import beta as beta_fn
 
 from fbmsde import verify
-from fbmsde.fbm import FbmSpec
+from fbmsde.fbm import FbmSpec, sample_fbm_batch
 from fbmsde.fraccalc import holder_seminorm, sup_norm, young_integral
 from fbmsde.paths import SamplePath
-from fbmsde.solver import bessel_drift, custom_drift, power_drift, reciprocal_drift
+from fbmsde.solver import bessel_drift, custom_drift, power_drift, reciprocal_drift, solve_batch
 from fbmsde.verify import (
     HomogeneityError,
     admissible_order_window,
@@ -312,12 +312,56 @@ class TestMomentStability:
 
 @pytest.mark.parametrize("drift", [reciprocal_drift(1.0), power_drift(1.0, 1.0, 1.5)])
 def test_solve_horizon_keeps_leading_columns(drift):
-    # the scheme is causal: stopping the solve early leaves the solved columns' bits
+    # 40 of 129 points are drawn as the 64-step prefix grid on [0, 0.5]; the
+    # scheme is causal, so stopping the solve early leaves the bits a
+    # full-grid solve on the same drivers gives in those columns
     spec = FbmSpec(hurst=0.75, n_steps=128, seed=4)
-    _, drivers, sols = _whole_batch(spec, drift, 1.0, 9)
     ((d, s),) = simulate_paths(spec, drift, 1.0, 9, lambda d, s: (d, s), n_points=40)
-    assert d.tobytes() == drivers[:, :40].tobytes()
+    prefix = FbmSpec(hurst=0.75, horizon=0.5, n_steps=64, seed=4)
+    assert np.array_equal(d, sample_fbm_batch(prefix, 9)[:, :40])
+    drivers = sample_fbm_batch(spec, 9)
+    drivers[:, :40] = d
+    sols = solve_batch(1.0, drift, drivers, spec.times)
     assert s.tobytes() == sols[:, :40].tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_steps, n_points, n_pre, horizon",
+    [
+        (128, 2, 2, 2 / 128),  # the shortest prefix FbmSpec admits
+        (128, 33, 32, 0.25),  # n_points - 1 is already a power of two
+        (128, 34, 64, 0.5),  # one step past it
+        (1000, 301, 512, 0.512),  # a grid that is not a power of two
+        (1000, 600, 1000, 1.0),  # the next power of two overshoots: the full grid
+        (128, 129, 128, 1.0),  # every point
+    ],
+)
+def test_drivers_are_rows_of_the_power_of_two_prefix(n_steps, n_points, n_pre, horizon):
+    spec = FbmSpec(hurst=0.7, n_steps=n_steps, seed=31)
+    ((d, s),) = simulate_paths(spec, reciprocal_drift(1.0), 1.0, 5, lambda d, s: (d, s), n_points=n_points)
+    prefix = FbmSpec(hurst=0.7, horizon=horizon, n_steps=n_pre, seed=31)
+    assert d.tobytes() == sample_fbm_batch(prefix, 5)[:, :n_points].tobytes()
+    assert s.shape == (5, n_points)
+    if n_pre == n_steps:  # full-grid bytes, as without n_points
+        assert d.tobytes() == sample_fbm_batch(spec, 5)[:, :n_points].tobytes()
+
+
+def test_prefix_drivers_have_the_fbm_law():
+    # 20,000 rows on 80 of 257 points (drawn as 128 steps on [0, 0.5]): the
+    # variance of phi_t and the lag-1 covariance of the last two increments
+    # match fBm on the full grid, each within 4 standard errors
+    hurst, n_points, n_rows = 0.75, 80, 20_000
+    spec = FbmSpec(hurst=hurst, n_steps=256, seed=77)
+    tails = np.concatenate(
+        simulate_paths(spec, reciprocal_drift(1.0), 1.0, n_rows, lambda d, s: d[:, -3:].copy(), n_points=n_points)
+    )
+    t, dt = spec.times[n_points - 1], spec.horizon / spec.n_steps
+    sq = tails[:, -1] ** 2
+    assert abs(sq.mean() - t ** (2 * hurst)) <= 4.0 * sq.std(ddof=1) / math.sqrt(n_rows)
+    steps = np.diff(tails, axis=1)
+    prod = steps[:, 0] * steps[:, 1]
+    lag1 = 0.5 * dt ** (2 * hurst) * (2.0 ** (2 * hurst) - 2.0)
+    assert abs(prod.mean() - lag1) <= 4.0 * prod.std(ddof=1) / math.sqrt(n_rows)
 
 
 @pytest.mark.parametrize("n_points", [1, 130])
