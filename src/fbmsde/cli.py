@@ -26,7 +26,6 @@ from .paths import GridError, SamplePath, StepFunction
 __all__ = ["ExperimentConfig", "Claim", "RunReport", "ConfigError", "parse_config", "run_experiment", "main"]
 
 _DRIFT_FAMILIES = ("reciprocal", "power", "bessel")
-_POSITIVE_KEYS = ("n_paths", "threads", "drift_k", "singularity_exponent", "x0", "y0", "cir_k")
 
 # XORed into the seed of the scaling experiment's comparison batch.  Sampler
 # keys are [pair, seed], so any seed that differs from the primary batch's
@@ -84,18 +83,21 @@ class ExperimentConfig:
             self.fbm_spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for key in _POSITIVE_KEYS:
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be positive")
-        if self.drift not in _DRIFT_FAMILIES:
-            raise ConfigError(f"drift must be one of {_DRIFT_FAMILIES}, got {self.drift!r}")
-        if self.time_exponent < 0:
-            raise ConfigError("time_exponent must be nonnegative")
-        if self.bessel_dimension < 2:
-            raise ConfigError("bessel_dimension must be at least 2")
-        if not self.p_orders or any(p < 0 for p in self.p_orders):
-            raise ConfigError("p_orders must contain nonnegative values")
-        # The keys below belong to one experiment each; no other reads them.
+        self._check_positive("n_paths", "threads")
+        # The keys below are checked only for the experiments that read them.
+        if self.experiment not in ("fbm-sample", "cir"):  # every caller of drift_spec()
+            if self.drift not in _DRIFT_FAMILIES:
+                raise ConfigError(f"drift must be one of {_DRIFT_FAMILIES}, got {self.drift!r}")
+            self._check_positive("drift_k", "singularity_exponent", "x0")
+            if self.time_exponent < 0:
+                raise ConfigError("time_exponent must be nonnegative")
+            if self.bessel_dimension < 2:
+                raise ConfigError("bessel_dimension must be at least 2")
+        if self.experiment == "cir":
+            self._check_positive("y0", "cir_k")
+        if self.experiment in ("neg-moments", "moments"):
+            if not self.p_orders or any(p < 0 for p in self.p_orders):
+                raise ConfigError("p_orders must contain nonnegative values")
         if self.experiment == "verify-bound":
             try:
                 verify.admissible_order_window(self.beta, self.gamma)
@@ -110,13 +112,17 @@ class ExperimentConfig:
             if not self.eps_list or any(e <= 0 for e in self.eps_list):
                 raise ConfigError("eps_list must contain positive values")
         if self.experiment == "scaling":
-            if self.scale_a <= 0:
-                raise ConfigError("scale_a must be positive")
+            self._check_positive("scale_a")
             if not 0 < self.scale_t <= self.horizon:
                 raise ConfigError("scale_t must lie in (0, horizon]")
         if self.experiment == "neg-moments":
             if not self.t_eval or any(t <= 0 or t > self.horizon for t in self.t_eval):
                 raise ConfigError("t_eval must contain times in (0, horizon]")
+
+    def _check_positive(self, *keys: str) -> None:
+        for key in keys:
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be positive")
 
     def drift_spec(self) -> solver.DriftSpec:
         if self.drift == "reciprocal":

@@ -5,7 +5,12 @@ making the drift implicit: combined with a nonincreasing-in-x drift the step
 equation is strictly monotone, has a unique positive root whenever the drift
 blows up at 0, and the scheme inherits the repulsion that keeps the continuum
 solution positive.  Drifts of the form c(t)/x get a closed-form quadratic
-step; everything else goes through safeguarded Newton with bisection.
+step; everything else goes through safeguarded Newton with bisection.  Newton
+starts each step from b plus the previous step's drift increment dt f and
+brackets the root with one residual: a nonincreasing drift (the paper's first
+assumption, audited by ``check_drift_assumptions``) gives the step function
+F(x) = x - dt f(t, x) - b a slope F' >= 1, so the root lies within |F(x)| of
+any x.  A drift that breaks it may leave the root outside: ``SolverError``.
 
 Also houses the drift assumption checker, the square-root-diffusion change of
 variables, and an a-posteriori residual for the integral equation.
@@ -83,6 +88,8 @@ class DriftSpec:
 
 _MAX_NEWTON_ITERS = 200
 _NEWTON_TOL = 1e-10  # |x - dt f(t, x) - b| at which a Newton step stops
+# |F| cannot fall much below eps (|x| + |b|): past |x| + |b| ~ 1e5 that sets the stop
+_ROUNDING = 4.0 * np.finfo(np.float64).eps
 
 
 def reciprocal_drift(k: float) -> DriftSpec:
@@ -301,8 +308,17 @@ def _implicit_step(
     b: np.ndarray,
     x_prev: np.ndarray,
     dt: float,
+    increment,
 ) -> np.ndarray:
-    """Solve x - dt f(t, x) = b elementwise; unique root by monotonicity."""
+    """Solve F(x) = x - dt f(t, x) - b = 0 elementwise; unique root by monotonicity.
+
+    Newton starts from ``b + increment`` (the previous step's dt f, 0 on the
+    first step), at least x_prev / 2 on the positive domain.  F' >= 1 gives
+    F(y) - F(x) >= y - x, so [x - |F(x)|, x + |F(x)|] brackets the root.
+    Each row takes at least one Newton step, stops once |F| is within
+    tolerance, then takes one last step -F/F' with the slope it holds, which
+    moves it by at most that tolerance.
+    """
     if drift.inverse_coeff is not None:
         c = drift.inverse_coeff(t)
         if c < 0:
@@ -312,52 +328,31 @@ def _implicit_step(
     def residual(x):
         return x - dt * np.asarray(drift.f(t, x), dtype=np.float64) - b
 
-    # bracket: F is increasing, F(+inf) > 0; for repulsive drifts F(0+) = -inf
+    x = b + increment
     if drift.positive_domain:
-        lo = np.maximum(np.minimum(np.where(b > 0, b, x_prev), x_prev) * 0.5, 1e-300)
-        for _ in range(2000):
-            bad = residual(lo) >= 0
-            if not bad.any():
-                break
-            lo[bad] *= 0.5
-        else:
-            raise SolverError("could not bracket the implicit step from below")
-        x = np.maximum(b, 0.5 * x_prev)
-    else:
-        lo = np.minimum(b, x_prev) - 1.0
-        for _ in range(200):
-            bad = residual(lo) >= 0
-            if not bad.any():
-                break
-            np.copyto(lo, lo - 2.0 * np.abs(lo) - 1.0, where=bad)
-        else:
-            raise SolverError("could not bracket the implicit step from below")
-        x = b.copy()
-    hi = np.maximum(b, x_prev)
-    for _ in range(200):
-        bad = residual(hi) <= 0
-        if not bad.any():
-            break
-        np.copyto(hi, hi + np.abs(hi) + 1.0, where=bad)
-    else:
-        raise SolverError("could not bracket the implicit step from above")
-
-    # Rows freeze at their own convergence: a frozen row's lo, hi and candidate
-    # are never read again, and its residual recomputes to the same float.
-    np.maximum(x, lo, out=x)
-    np.minimum(x, hi, out=x)
+        np.maximum(x, 0.5 * x_prev, out=x)
     res = residual(x)
-    done = np.abs(res) <= _NEWTON_TOL
+    lo, hi = x - np.abs(res), x + np.abs(res)
+    if drift.positive_domain:
+        np.maximum(lo, 0.0, out=lo)
+    tol = np.maximum(_NEWTON_TOL, _ROUNDING * (np.abs(x) + np.abs(b)))
+    # Every row takes at least one Newton step, then freezes at its own
+    # convergence: a frozen row's lo, hi and candidate are never read again.
+    done = np.zeros(x.shape, dtype=bool)
     for _ in range(_MAX_NEWTON_ITERS):
         if done.all():
             break
         np.copyto(lo, x, where=res < 0)
         np.copyto(hi, x, where=res > 0)
-        cand = x - res / (1.0 - dt * np.asarray(drift.dfdx(t, x), dtype=np.float64))
+        slope = 1.0 - dt * np.asarray(drift.dfdx(t, x), dtype=np.float64)
+        cand = x - res / slope
         np.copyto(cand, 0.5 * (lo + hi), where=(cand <= lo) | (cand >= hi))
         np.copyto(x, cand, where=~done)
         res = residual(x)
-        done |= np.abs(res) <= _NEWTON_TOL
+        new = (np.abs(res) <= tol) & ~done
+        # with slope >= 1 the correction moves x by at most tol
+        np.copyto(x, x - res / slope, where=new & (slope >= 1.0))
+        done |= new
     if not done.all():
         raise SolverError(
             f"implicit step did not converge at t={t}; max residual {np.max(np.abs(res)):.3e}"
@@ -385,9 +380,13 @@ def solve_batch(x0, drift: DriftSpec, driver_values: np.ndarray, times: np.ndarr
     out = np.empty((n_paths, n_pts))
     out[:, 0] = x0_vec
     x = x0_vec
+    newton = drift.inverse_coeff is None
+    increment = 0.0  # Newton's predictor: the last step's dt f(t, x)
     for k, t in enumerate(times[1:].tolist(), start=1):
         b = x + (drivers[:, k] - drivers[:, k - 1])
-        x = _implicit_step(drift, t, b, x, dt)
+        x = _implicit_step(drift, t, b, x, dt, increment)
+        if newton:
+            increment = x - b
         if drift.positive_domain and (x <= 0).any():
             raise PositivityError(f"nonpositive value after step {k}")
         out[:, k] = x

@@ -286,8 +286,9 @@ def test_run_experiment_returns_report(tmp_path):
 
 # One out-of-range value for each check in ``ExperimentConfig.validate``, then
 # non-finite values, which the float parsers reject first; every one must be
-# rejected before any work with exit code 2.  Keys that one experiment reads
-# are checked there (``_READER``); every other key under ``fbm-sample``.
+# rejected before any work with exit code 2.  A key that only some experiments
+# read is checked under one of them (``_READER``); every other key under
+# ``fbm-sample``.
 _REJECTED = [
     ("--hurst", "0.4"),
     ("--hurst", "0.5"),
@@ -331,6 +332,15 @@ _REJECTED = [
 
 
 _READER = {
+    "--drift": "simulate",
+    "--drift-k": "simulate",
+    "--time-exponent": "simulate",
+    "--singularity-exponent": "simulate",
+    "--bessel-dimension": "simulate",
+    "--x0": "simulate",
+    "--y0": "cir",
+    "--cir-k": "cir",
+    "--p-orders": "moments",
     "--beta": "verify-bound",
     "--gamma": "verify-bound",
     "--tau": "malliavin",
@@ -353,11 +363,25 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, flag, value):
 _UNREAD = [(f, v) for f, v in _REJECTED if f in _READER and v not in ("inf", "nan", "0.1,nan")]
 
 
+# a second experiment that never reads the key, besides fbm-sample
+_ALSO_UNREAD_BY = {
+    **dict.fromkeys(
+        ["--drift", "--drift-k", "--time-exponent", "--singularity-exponent", "--bessel-dimension", "--x0"],
+        "cir",
+    ),
+    "--y0": "simulate",
+    "--cir-k": "simulate",
+    "--p-orders": "cir",
+}
+
+
 @pytest.mark.parametrize("flag,value", _UNREAD, ids=[f"{f}={v}" for f, v in _UNREAD])
 def test_experiment_specific_value_ignored_elsewhere(tmp_path, flag, value):
-    # fbm-sample reads none of these keys, so their ranges do not bind it
-    args = ["fbm-sample", "--n-paths", "8", "--n-steps", "16", flag, value]
-    assert main([*args, "--output-dir", str(tmp_path)]) == 0
+    # these experiments read none of these keys, so their ranges do not bind them
+    experiments = ["fbm-sample"] + ([_ALSO_UNREAD_BY[flag]] if flag in _ALSO_UNREAD_BY else [])
+    for experiment in experiments:
+        args = [experiment, "--n-paths", "8", "--n-steps", "16", flag, value]
+        assert main([*args, "--output-dir", str(tmp_path / experiment)]) == 0
 
 
 @pytest.mark.parametrize(

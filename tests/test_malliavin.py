@@ -216,7 +216,7 @@ class TestBatchedReport:
             ),
             (
                 power_drift(1.0, 0.0, 1.5),
-                "48ee5f87ce2ce95aca57b020f0b194f99d0f912c17f1e0f2e96caeb1f32db8c8",
+                "8f26926a081426f7aa908968949a400cd28df1464e4bd6cba30ad780cf39ac6c",
             ),
         ],
         ids=["closed-form", "newton"],

@@ -1,6 +1,7 @@
 """Assumption checker, implicit stepper closed forms, positivity, change of variables."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,7 +339,7 @@ class TestBytePins:
             ),
             (
                 power_drift(1.0, 0.0, 1.5),
-                "06de66f02fb630083935e6d3697b87afcff053409b73b227918ba19ec36b4301",
+                "2d57fc49fc9f4371984d288c823e54291f037b085bb8660362c11087bba01f6f",
             ),
         ],
         ids=["closed-form", "newton"],
@@ -350,104 +351,120 @@ class TestBytePins:
         assert hashlib.sha256(sols.astype("<f8").tobytes()).hexdigest() == digest
 
 
-def _reference_newton_step(drift, t, b, x_prev, dt, fallbacks):
-    """The Newton branch of the implicit step with every row masked explicitly.
+def _bisection_roots(drift, t, b, dt, guess):
+    """The root of x - dt f(t, x) = b in each row, bisected down to adjacent floats.
 
-    Kept as the reference the solver must match byte for byte.  ``fallbacks``
-    collects how many rows took the bisection fallback at each iteration.
+    The bracket grows from ``guess`` until F changes sign.  F is increasing for
+    every drift used here, so the root is unique and does not depend on the
+    guess.  Rows are bisected side by side, each on its own scalar equation.
     """
 
-    def residual(x):
-        return x - dt * np.asarray(drift.f(t, x), dtype=np.float64) - b
+    def F(x):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return x - dt * np.asarray(drift.f(t, x), dtype=np.float64) - b
 
-    if drift.positive_domain:
-        lo = np.minimum(np.where(b > 0, b, x_prev), x_prev) * 0.5
-        lo = np.maximum(lo, 1e-300)
-        for _ in range(2000):
-            bad = residual(lo) >= 0
-            if not np.any(bad):
-                break
-            lo = np.where(bad, lo * 0.5, lo)
-        else:
-            raise solver.SolverError("could not bracket the implicit step from below")
-        hi = np.maximum(b, x_prev)
-        x0 = np.maximum(b, 0.5 * x_prev)
-    else:
-        lo = np.minimum(b, x_prev) - 1.0
-        for _ in range(200):
-            bad = residual(lo) >= 0
-            if not np.any(bad):
-                break
-            lo = np.where(bad, lo - 2.0 * np.abs(lo) - 1.0, lo)
-        else:
-            raise solver.SolverError("could not bracket the implicit step from below")
-        hi = np.maximum(b, x_prev)
-        x0 = b.copy()
+    width = 1e-3 * (1.0 + np.abs(guess))
+    lo = 0.5 * guess if drift.positive_domain else guess - width
+    hi = guess + width
     for _ in range(200):
-        bad = residual(hi) <= 0
-        if not np.any(bad):
+        low, high = F(lo) >= 0, F(hi) <= 0
+        if not (low.any() or high.any()):
             break
-        hi = np.where(bad, hi + np.abs(hi) + 1.0, hi)
+        lo = np.where(low, lo * 2.0**-8 if drift.positive_domain else lo - 16.0 * width, lo)
+        hi = np.where(high, hi + 16.0 * width, hi)
+        width = 16.0 * width
     else:
-        raise solver.SolverError("could not bracket the implicit step from above")
-
-    x = np.clip(x0, lo, hi)
-    res = residual(x)
-    done = np.abs(res) <= solver._NEWTON_TOL
-    for _ in range(solver._MAX_NEWTON_ITERS):
-        if np.all(done):
-            break
-        lo = np.where(~done & (res < 0), x, lo)
-        hi = np.where(~done & (res > 0), x, hi)
-        deriv = 1.0 - dt * np.asarray(drift.dfdx(t, x), dtype=np.float64)
-        step = np.where(done, 0.0, res / deriv)
-        cand = x - step
-        outside = (cand <= lo) | (cand >= hi)
-        fallbacks.append(int(np.count_nonzero(outside & ~done)))
-        cand = np.where(outside & ~done, 0.5 * (lo + hi), cand)
-        x = np.where(done, x, cand)
-        res = np.where(done, res, residual(x))
-        done = done | (np.abs(res) <= solver._NEWTON_TOL)
-    if not np.all(done):
-        raise solver.SolverError(
-            f"implicit step did not converge at t={t}; max residual {np.max(np.abs(res)):.3e}"
-        )
-    return x
+        raise AssertionError("oracle could not bracket the root")
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_rows = (mid > lo) & (mid < hi)
+        if not open_rows.any():
+            return mid
+        below = F(mid) < 0
+        lo = np.where(open_rows & below, mid, lo)
+        hi = np.where(open_rows & ~below, mid, hi)
 
 
-def _reference_solve(x0, drift, drivers, times, fallbacks):
+def _recording(drift, calls):
+    """The drift with every ``f`` and ``dfdx`` call logged as (t, x, value)."""
+
+    def logged(fn, log):
+        def wrapped(t, x):
+            value = np.asarray(fn(t, x), dtype=np.float64)
+            log.append((t, np.array(x, dtype=np.float64), value))
+            return value
+
+        return wrapped
+
+    calls["f"], calls["dfdx"] = [], []
+    return replace(drift, f=logged(drift.f, calls["f"]), dfdx=logged(drift.dfdx, calls["dfdx"]))
+
+
+def _midpoint_fallbacks(calls, times, b_by_step):
+    """Rows whose next iterate is not the Newton candidate: the midpoint fallback."""
     dt = float(times[1] - times[0])
-    x = np.full(drivers.shape[0], float(x0))
-    columns = [x]
-    for k in range(times.size - 1):
-        b = x + (drivers[:, k + 1] - drivers[:, k])
-        x = _reference_newton_step(drift, float(times[k + 1]), b, x, dt, fallbacks)
-        columns.append(x)
-    return np.stack(columns, axis=1)
+    count = 0
+    for k in range(1, times.size):
+        t, b = float(times[k]), b_by_step[k]
+        fs = [c for c in calls["f"] if c[0] == t]
+        ds = [c for c in calls["dfdx"] if c[0] == t]
+        # one f call at the start, then one dfdx and one f call per iteration
+        assert len(fs) == len(ds) + 1
+        for (_, x, fx), (_, xd, d), (_, nxt, _) in zip(fs, ds, fs[1:]):
+            res = xd - dt * fx - b  # rows still iterating were evaluated at x == xd
+            cand = xd - res / (1.0 - dt * d)
+            moved = (nxt != xd) & (x == xd)
+            count += int(np.count_nonzero(moved & ~np.isclose(nxt, cand, rtol=1e-12, atol=0.0)))
+    return count
 
 
-def test_newton_step_matches_masked_reference_through_bisection():
+_WHOLE_LINE = custom_drift(
+    lambda t, x: -2.0 * x + np.sin(x),
+    lambda t, x: -2.0 + np.cos(x),
+    singularity_exponent=0.0,
+    lower_envelope=lambda t: 0.0,
+    upper_envelope=lambda t: 0.0,
+    positive_domain=False,
+)
+
+
+def test_newton_step_matches_bisection_oracle():
     # Short, coarse grids with a 5x driver push Newton outside its bracket,
     # so the bisection fallback fires; no byte pin reaches that branch.
-    whole_line = custom_drift(
-        lambda t, x: -2.0 * x + np.sin(x),
-        lambda t, x: -2.0 + np.cos(x),
-        singularity_exponent=0.0,
-        lower_envelope=lambda t: 0.0,
-        upper_envelope=lambda t: 0.0,
-        positive_domain=False,
-    )
-    fallbacks = []
+    fallbacks = 0
     for n in (8, 16, 64):
         spec = FbmSpec(0.55, n_steps=n, seed=3)
         drivers = sample_fbm_batch(spec, 64) * 5
-        drifts = [power_drift(1.0, 0.0, q) for q in (0.5, 1.5, 3.0, 6.0)] + [whole_line]
+        dt = float(spec.times[1] - spec.times[0])
+        drifts = [power_drift(1.0, 0.0, q) for q in (0.5, 1.5, 3.0, 6.0)] + [_WHOLE_LINE]
         for drift in drifts:
             for x0 in (1e-6, 1e-2, 1.0, 10.0):
-                got = solve_batch(x0, drift, drivers, spec.times)
-                want = _reference_solve(x0, drift, drivers, spec.times, fallbacks)
-                assert got.tobytes() == want.tobytes(), (n, drift.family, x0)
-    assert sum(fallbacks) > 0
+                calls = {}
+                got = solve_batch(x0, _recording(drift, calls), drivers, spec.times)
+                b = {k: got[:, k - 1] + (drivers[:, k] - drivers[:, k - 1]) for k in range(1, n + 1)}
+                for k in range(1, n + 1):
+                    root = _bisection_roots(drift, float(spec.times[k]), b[k], dt, got[:, k])
+                    err = np.max(np.abs(got[:, k] - root))
+                    assert err <= 1e-10, (n, drift.family, x0, k, err)
+                fallbacks += _midpoint_fallbacks(calls, spec.times, b)
+    assert fallbacks > 0
+
+
+@pytest.mark.parametrize("x0", [1e3, 1e5, 1e7])
+def test_newton_converges_far_from_the_singularity(x0):
+    # Near x = 1e7 an exact root's residual rounds to about one ulp, 1.9e-9,
+    # above the 1e-10 stop; every step must still converge, to within the
+    # stop or a few ulps of the bisected root.
+    spec = FbmSpec(0.75, n_steps=256, seed=1)
+    drivers = 5 * sample_fbm_batch(spec, 64)
+    drift = power_drift(1.0, 0.0, 0.5)
+    dt = float(spec.times[1] - spec.times[0])
+    got = solve_batch(x0, drift, drivers, spec.times)
+    for k in range(1, spec.times.size):
+        b = got[:, k - 1] + (drivers[:, k] - drivers[:, k - 1])
+        root = _bisection_roots(drift, float(spec.times[k]), b, dt, got[:, k])
+        bound = np.maximum(solver._NEWTON_TOL, 2e-15 * np.abs(root))
+        assert np.all(np.abs(got[:, k] - root) <= bound), (k, np.max(np.abs(got[:, k] - root)))
 
 
 def _newton_drift(f, positive_domain=True):
@@ -469,19 +486,27 @@ class TestImplicitStepErrors:
             solve_batch(np.array([1.0, 5.0]), drift, np.zeros((2, 17)), np.linspace(0.0, 1.0, 17))
 
     @pytest.mark.parametrize(
-        "f, positive_domain, driver_step, side",
+        "f, positive_domain, driver_step",
         [
-            (lambda t, x: -np.ones_like(x), True, -1.0, "below"),
-            (lambda t, x: -(x**2), False, -1.0, "below"),
-            (lambda t, x: x**2, True, 0.0, "above"),
+            (lambda t, x: -np.ones_like(x), True, -1.0),
+            (lambda t, x: -(x**2) - 1.0, False, -1.0),
+            (lambda t, x: x**2, True, 0.0),
         ],
         ids=["positive-below", "whole-line-below", "above"],
     )
-    def test_bracket_failure_raises(self, f, positive_domain, driver_step, side):
-        # one step of size dt = 1 from x0 = 1; the residual never changes sign
+    def test_bracket_failure_raises(self, f, positive_domain, driver_step):
+        # one step of size dt = 1 from x0 = 1 whose equation has no root: these
+        # drifts break the nonincreasing assumption, so the residual bracket
+        # holds no root and the iteration runs out
         drivers = np.array([[0.0, driver_step]])
-        with pytest.raises(solver.SolverError, match=f"could not bracket the implicit step from {side}"):
+        with pytest.raises(solver.SolverError, match="implicit step did not converge"):
             solve_batch(1.0, _newton_drift(f, positive_domain), drivers, np.array([0.0, 1.0]))
+
+    def test_root_at_the_start_is_taken(self):
+        # x - (-x^2) - 0 has the roots 0 and -1; the step starts at b = 0
+        drift = _newton_drift(lambda t, x: -(x**2), positive_domain=False)
+        sol = solve_batch(1.0, drift, np.array([[0.0, -1.0]]), np.array([0.0, 1.0]))
+        assert sol[0, 1] == 0.0
 
 
 class TestComparison:
