@@ -18,7 +18,6 @@ from .fraccalc import (
     frac_deriv_left,
     frac_deriv_right,
     holder_seminorm,
-    riemann_stieltjes,
     sup_norm,
     young_integral,
 )

@@ -3,8 +3,8 @@
 Supplies the sup norm and Hölder seminorm on grid paths, the left and right
 compensated Riemann-Liouville derivatives, and the pathwise product integral
 of y against a rough driver phi evaluated through fractional integration by
-parts, with a plain left-point Riemann-Stieltjes sum as the independent
-cross-check.
+parts.  The tests check that integral against a plain left-point
+Riemann-Stieltjes sum.
 
 The singular tail integrals are computed by product integration: each grid
 cell contributes the exact integral of its local quadratic reconstruction
@@ -24,7 +24,6 @@ import math
 import warnings
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .paths import GridError, SamplePath
 
@@ -34,7 +33,6 @@ __all__ = [
     "frac_deriv_left",
     "frac_deriv_right",
     "young_integral",
-    "riemann_stieltjes",
     "default_ibp_order",
     "OrderValidityWarning",
 ]
@@ -59,15 +57,52 @@ def sup_norm(x: SamplePath, s: float, t: float) -> float:
 
 
 @functools.lru_cache(maxsize=32)
-def _lag_divisors(n_lags: int, dt: float, beta: float) -> tuple[np.ndarray, bool]:
-    """Read-only divisors ``(lag * dt) ** beta`` for lags 1..n_lags; True if none decreases.
+def _lag_divisors(
+    n_lags: int, dt: float, beta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only divisors ``(lag * dt) ** beta`` for lags 1..n_lags, then the
+    smallest and the largest divisor of each block of 64 lags.
 
     numpy's vectorised power differs from Python's in the last bit on some
     divisors, which would change the seminorm.
     """
     divisors = np.array([(lag * dt) ** beta for lag in range(1, n_lags + 1)])
-    divisors.setflags(write=False)
-    return divisors, bool(np.all(divisors[1:] >= divisors[:-1]))
+    starts = np.arange(0, n_lags, _LAG_BLOCK)
+    tables = (
+        divisors,
+        np.minimum.reduceat(divisors, starts),
+        np.maximum.reduceat(divisors, starts),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _view(base: np.ndarray, offset: int, shape: tuple, strides: tuple) -> np.ndarray:
+    """Strided view of the contiguous float array ``base``, offset and strides in elements.
+
+    The view ``as_strided`` would give, at a tenth of its cost, and the
+    ndarray constructor checks that the view stays inside ``base``.
+    """
+    return np.ndarray(shape, np.float64, base, 8 * offset, tuple(8 * k for k in strides))
+
+
+def _block_max(
+    pad: np.ndarray, buf: np.ndarray, divisors: np.ndarray, m: int, lag: int, u0: int, u1: int
+) -> float:
+    """Largest ratio of the block of lags starting at ``lag``, over start points u0 <= u < u1.
+
+    ``pad`` is the m-point path with a NaN tail of at least 64 points.  Row k
+    of the view is the path shifted by lag + k; its NaN entries are the pairs
+    past the end, which the NaN-skipping reductions pass over.  Rows stop
+    where one would hold only NaN.
+    """
+    b = min(_LAG_BLOCK, m - lag - u0)
+    diffs = buf[:b, : u1 - u0]
+    np.subtract(_view(pad, lag + u0, diffs.shape, (1, 1)), pad[u0:u1], out=diffs)
+    # |d| = max(d, -d): each lag's largest rise and largest fall
+    tops = np.fmax(np.fmax.reduce(diffs, axis=1), -np.fmin.reduce(diffs, axis=1))
+    return float((tops / divisors[lag - 1 : lag - 1 + b]).max())
 
 
 def holder_seminorm(x: SamplePath, s: float, t: float, beta: float) -> float:
@@ -75,25 +110,29 @@ def holder_seminorm(x: SamplePath, s: float, t: float, beta: float) -> float:
 
     Exact over all grid pairs at every grid size, so the value is a lower
     bound of the continuum seminorm and never decreases under grid
-    refinement.  The cost is O(m^2) in the m grid points on [s, t] unless the
-    early stop below prunes the scan.
+    refinement.  Each ratio is the rounded ``|x(v) - x(u)|`` over the divisor
+    ``(lag * dt) ** beta`` by Python's power, so the value is bit-identical to
+    a scan of one lag at a time.  A path that is not finite on [s, t] raises
+    ``ValueError``; a ratio that overflows gives ``inf``.
 
-    The scan takes the lags 64 at a time: one strided view holds the path
-    shifted by each lag of the block, padded with NaN past its end, and a
-    NaN-skipping max gives the largest increment per lag.  Each divisor
-    ``(lag * dt) ** beta`` is Python's power, so the value is bit-identical
-    to a scan of one lag at a time.  A path that is not finite on [s, t]
-    raises ``ValueError``.
+    The lags come in blocks of 64, and every block is bounded before any is
+    scanned.  ``hi[v]`` and ``lo[v]``, the max and min of the path over
+    ``[v, v + 64)``, take six doubling passes.  For the block starting at lag
+    L, ``inc(u) = max(hi[u + L] - x(u), x(u) - lo[u + L])`` is exactly the
+    largest rounded increment from u at the block's lags, since rounded
+    subtraction is monotone in each operand; ``top`` is its max over u.
+    Rounded division is monotone too, so no ratio in the block exceeds
+    ``top / (smallest divisor of the block)``, while the pair that reaches
+    ``top`` has a ratio of at least ``top / (largest divisor of the block)``.
+    Both hold whatever the order of the divisors inside a block.
 
-    The scan stops before the block starting at lag L once
-    ``osc / divisor(L) <= best``, where ``osc = max - min`` of the path on
-    [s, t] and ``best`` is the largest ratio so far.  The stop is exact:
-    every increment |x(v) - x(u)| is at most max - min, so its rounded value
-    is at most ``osc``; correctly rounded division is monotone in both
-    operands, so no ratio at a lag >= L exceeds ``osc / divisor(L)`` as long
-    as the divisors never decrease from L on.  Python's power is not
-    guaranteed monotone, so the divisors are checked once per grid, and the
-    full scan runs when they do decrease somewhere.
+    The largest lower bound starts ``best``.  The blocks are visited in
+    decreasing upper bound until one cannot beat ``best``.  A visited block
+    scans only the start points from the first to the last u with
+    ``inc(u) / smallest divisor > best``, all its lags at once through a
+    strided view of the path.  The bounds cost O(m^2 / 64) in the m grid
+    points and are computed 32 blocks at a time in the scan's own
+    ``(64, m - 1)`` buffer.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
@@ -102,25 +141,47 @@ def holder_seminorm(x: SamplePath, s: float, t: float, beta: float) -> float:
     m = vals.size
     if m < 2:
         raise GridError(f"need at least two grid points in [{s}, {t}]")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError(f"path is not finite on [{s}, {t}]")
-    dt = x.dt
-    best = 0.0
-    divisors, monotone = _lag_divisors(m - 1, dt, beta)
-    osc = vals.max() - vals.min()
-    pad = np.concatenate((vals, np.full(_LAG_BLOCK, np.nan)))
-    buf = np.empty((_LAG_BLOCK, m - 1))
-    for lag in range(1, m, _LAG_BLOCK):
-        if monotone and osc / divisors[lag - 1] <= best:
-            break
-        b = min(_LAG_BLOCK, m - lag)
-        # row k: the path shifted by lag + k; its NaN tail is the pairs past the end
-        rows = sliding_window_view(pad[lag:], m - lag)[:b]
-        diffs = buf[:b, : m - lag]
-        np.subtract(rows, vals[: m - lag], out=diffs)
-        np.abs(diffs, out=diffs)
-        tops = np.fmax.reduce(diffs, axis=1)
-        best = max(best, float(np.max(tops / divisors[lag - 1 : lag - 1 + b])))
+    n = m - 1  # start points of a pair
+    divisors, block_min, block_max = _lag_divisors(n, x.dt, beta)
+    n_blocks = block_min.size
+    # the path, then its negation, each padded with NaN: their windowed
+    # maxima are hi and -lo, and both increments of a pair are one subtraction
+    row = m + _LAG_BLOCK * n_blocks
+    signed = np.full(2 * row, np.nan)
+    signed[:m] = vals
+    np.negative(vals, out=signed[row : row + m])
+    windows = signed
+    shift = 1
+    while shift < _LAG_BLOCK:
+        windows = np.fmax(windows[:-shift], windows[shift:])
+        shift *= 2
+    buf = np.empty((_LAG_BLOCK, n))
+    tops = np.empty(n_blocks)
+    chunk = _LAG_BLOCK // 2
+    with np.errstate(over="ignore"):
+        for first in range(0, n_blocks, chunk):
+            c = min(chunk, n_blocks - first)
+            # [r, k, u]: row r's window at u + 1 + 64 (first + k)
+            ahead = _view(windows, 1 + _LAG_BLOCK * first, (2, c, n), (row, _LAG_BLOCK, 1))
+            incs = buf[: 2 * c].reshape(2, c, n)
+            np.subtract(ahead, signed.reshape(2, row)[:, None, :n], out=incs)
+            np.fmax.reduce(incs, axis=(0, 2), out=tops[first : first + c])
+        upper = tops / block_min
+        best = float((tops / block_max).max())
+        for k in upper.argsort()[::-1]:
+            if upper[k] <= best:
+                break
+            lag = 1 + _LAG_BLOCK * int(k)
+            # hi - x, and -lo + x, which rounds as x - lo
+            inc = np.fmax(
+                windows[lag:m] - vals[: m - lag],
+                windows[row + lag : row + m] + vals[: m - lag],
+            )
+            live = np.nonzero(inc / block_min[k] > best)[0]
+            span = int(live[0]), int(live[-1]) + 1
+            best = max(best, _block_max(signed, buf, divisors, m, lag, *span))
     return best
 
 
@@ -364,18 +425,3 @@ def young_integral(y: SamplePath, phi: SamplePath, s: float, t: float, order: fl
     seg = a_coef * (v2 ** (1.0 - a) - v1 ** (1.0 - a)) / (1.0 - a)
     seg += slope * (v2 ** (2.0 - a) - v1 ** (2.0 - a)) / (2.0 - a)
     return float(np.sum(seg))
-
-
-def riemann_stieltjes(y: SamplePath, phi: SamplePath, s: float, t: float) -> float:
-    """Left-point Riemann-Stieltjes sum of y against dphi on the grid.
-
-    First-order reference used as the independent cross-check of
-    ``young_integral``; converges whenever the Hölder orders of y and phi sum
-    above one.
-    """
-    if y.times.size != phi.times.size or not np.array_equal(y.times, phi.times):
-        raise GridError("integrand and driver must share one grid")
-    i, j = y.index_of(s), y.index_of(t)
-    if j <= i:
-        raise ValueError("need s < t on the grid")
-    return float(np.dot(y.values[i:j], np.diff(phi.values[i : j + 1])))

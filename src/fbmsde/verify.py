@@ -117,7 +117,7 @@ class BoundConstants:
     k_sup: float
     c_ibp: float
     window: float
-    n_intervals: int
+    n_intervals: int | float  # inf once the window underflows
     growth_const: float  # 8 k_sup gamma T + 4 T^beta
 
 
@@ -132,7 +132,10 @@ def bound_constants(
     if c_ibp is None:
         c_ibp = ibp_constant(beta, gamma)
     window = window_length(gamma, beta, k_sup, phi_norm, c_ibp)
-    n_intervals = int(horizon / window) + 1
+    # a huge driver norm underflows the window, and no finite count of
+    # subintervals covers the horizon: the bound is vacuous
+    intervals = horizon / window if window > 0.0 else math.inf
+    n_intervals = int(intervals) + 1 if math.isfinite(intervals) else math.inf
     growth = 8.0 * k_sup * gamma * horizon + 4.0 * horizon**beta
     return BoundConstants(gamma, beta, k_sup, c_ibp, window, n_intervals, growth)
 
@@ -146,7 +149,11 @@ def log_supnorm_bound(
     phi_norm: float,
     c_ibp: float | None = None,
 ) -> float:
-    """Natural log of the explicit sup-norm bound (safe for huge driver norms)."""
+    """Natural log of the explicit sup-norm bound.
+
+    Safe for huge driver norms: once ``horizon / window`` is not finite the
+    bound is vacuous and the value is ``inf``.
+    """
     if x0 <= 0:
         raise ValueError("x0 must be positive")
     consts = bound_constants(gamma, beta, k_sup, phi_norm, horizon, c_ibp)

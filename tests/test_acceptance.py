@@ -16,7 +16,6 @@ from fbmsde.fbm import FbmSpec, hurst_covariance, sample_fbm_batch
 from fbmsde.fraccalc import (
     frac_deriv_left,
     frac_deriv_right,
-    riemann_stieltjes,
     young_integral,
 )
 from fbmsde.malliavin import (
@@ -48,6 +47,8 @@ from fbmsde.verify import (
     scaling_transform,
     simulate_paths,
 )
+# the Riemann-Stieltjes oracle of young_integral lives with the fraccalc tests
+from test_fraccalc import riemann_stieltjes
 
 
 def _whole_batch(spec, drift, x0, n_paths, threads=1):

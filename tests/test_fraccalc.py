@@ -1,6 +1,7 @@
 """Norms, compensated derivative closed forms, pairing vs Riemann-Stieltjes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from fbmsde.fraccalc import (
     frac_deriv_left,
     frac_deriv_right,
     holder_seminorm,
-    riemann_stieltjes,
     sup_norm,
     young_integral,
 )
@@ -24,16 +24,35 @@ def _path(fn, n, horizon=1.0, hint=1.0):
     return SamplePath.from_function(fn, horizon, n, holder_hint=hint)
 
 
-def _per_lag_seminorm(x, s, t, beta):
-    """Reference: the seminorm scanned one lag at a time, over all lags."""
+def _per_lag_seminorm(x, s, t, beta, divisors=None):
+    """Reference: the seminorm scanned one lag at a time, over all lags.
+
+    ``divisors[lag - 1]`` replaces ``(lag * dt) ** beta`` when given.
+    """
     i, j = x.slice_indices(s, t)
     vals = x.values[i : j + 1]
     dt = x.dt
     best = 0.0
     for lag in range(1, vals.size):
         top = np.max(np.abs(vals[lag:] - vals[:-lag]))
-        best = max(best, top / (lag * dt) ** beta)
+        div = (lag * dt) ** beta if divisors is None else divisors[lag - 1]
+        best = max(best, top / div)
     return float(best)
+
+
+def riemann_stieltjes(y, phi, s, t):
+    """Left-point Riemann-Stieltjes sum of y against dphi on the grid.
+
+    First-order reference used as the independent cross-check of
+    ``young_integral``; converges whenever the Hölder orders of y and phi sum
+    above one.
+    """
+    if y.times.size != phi.times.size or not np.array_equal(y.times, phi.times):
+        raise GridError("integrand and driver must share one grid")
+    i, j = y.index_of(s), y.index_of(t)
+    if j <= i:
+        raise ValueError("need s < t on the grid")
+    return float(np.dot(y.values[i:j], np.diff(phi.values[i : j + 1])))
 
 
 class TestNorms:
@@ -96,7 +115,7 @@ class TestNorms:
 
 
 class TestSeminormScan:
-    """The blocked lag scan, with its early stop, equals the per-lag scan bit for bit."""
+    """The block-bounded scan equals the per-lag scan bit for bit."""
 
     @staticmethod
     def _walk(m, seed):
@@ -125,37 +144,31 @@ class TestSeminormScan:
         p = self._walk(1025, seed=7)
         assert holder_seminorm(p, s, t, beta) == _per_lag_seminorm(p, s, t, beta)
 
-    # The early stop: the scan ends once max - min over the next lag's
-    # divisor cannot beat the best ratio so far.
+    @pytest.mark.parametrize("hurst", [0.51, 0.99])
+    @pytest.mark.parametrize("m", [2, 3, 65, 66, 257, 1000, 4097])
+    def test_edge_sweep(self, m, hurst):
+        # fBm near both ends of the Hurst range, on the whole grid and on
+        # sub-intervals that start and end at odd offsets
+        n = max(m - 1, 2)
+        p = sample_fbm(FbmSpec(hurst=hurst, n_steps=n, seed=m))
+        times = p.times
+        spans = [(0.0, times[m - 1])]
+        if n >= 4:
+            spans += [(times[1], times[-2]), (times[3], times[n // 2 + 1])]
+        for beta in (0.3, 0.65, 0.99):
+            for s, t in spans:
+                assert holder_seminorm(p, s, t, beta) == _per_lag_seminorm(p, s, t, beta)
 
-    @pytest.fixture
-    def blocks(self, monkeypatch):
-        """Count the lag blocks the exact scan reads."""
-        seen = []
-        view = fraccalc.sliding_window_view
-
-        def counting_view(*args, **kwargs):
-            seen.append(1)
-            return view(*args, **kwargs)
-
-        monkeypatch.setattr(fraccalc, "sliding_window_view", counting_view)
-        return seen
-
-    def test_constant_path_stops_before_the_first_block(self, blocks):
-        p = SamplePath(np.linspace(0.0, 1.0, 1025), np.full(1025, 4.2))
-        assert holder_seminorm(p, 0.0, 1.0, 0.5) == _per_lag_seminorm(p, 0.0, 1.0, 0.5) == 0.0
-        assert blocks == []
-
-    def test_linear_path_scans_every_block(self, blocks):
-        # the ratio (lag dt)^0.7 grows with the lag, so the last lag wins
-        p = _path(lambda t: t, 1024)
-        assert holder_seminorm(p, 0.0, 1.0, 0.3) == _per_lag_seminorm(p, 0.0, 1.0, 0.3)
-        assert len(blocks) == 16
-
-    def test_walk_stops_early(self, blocks):
-        p = self._walk(1025, seed=3)
-        assert holder_seminorm(p, 0.0, 1.0, 0.65) == _per_lag_seminorm(p, 0.0, 1.0, 0.65)
-        assert 0 < len(blocks) < 16
+    @pytest.mark.parametrize("m", [3, 65, 66, 257, 1000])
+    def test_exact_ties(self, m):
+        # a unit step: every block reaches the same increment 1, so the block
+        # bounds tie; a square wave ties every odd lag's increment
+        times = np.linspace(0.0, 1.0, m)
+        step = SamplePath(times, (np.arange(m) >= m // 2).astype(float))
+        wave = SamplePath(times, (np.arange(m) % 2).astype(float))
+        for p in (step, wave):
+            for beta in (0.3, 0.65, 0.99):
+                assert holder_seminorm(p, 0.0, 1.0, beta) == _per_lag_seminorm(p, 0.0, 1.0, beta)
 
     @pytest.mark.parametrize("beta", [0.3, 0.65, 0.99])
     def test_spike_in_final_block(self, beta):
@@ -168,41 +181,95 @@ class TestSeminormScan:
     @pytest.mark.parametrize("peak", [65, 129, 577])
     def test_best_ratio_at_first_lag_of_a_block(self, peak):
         # a ramp that levels off at index `peak`: the ratio rises with the lag
-        # up to `peak` and falls after it, so the stop test at block `peak`
-        # must use that block's first divisor
+        # up to `peak` and falls after it, so the winning pair sits at the
+        # first lag of a block, where that block's smallest divisor is
         times = np.linspace(0.0, 1.0, 1025)
         p = SamplePath(times, np.minimum(times, times[peak]))
         assert holder_seminorm(p, 0.0, 1.0, 0.3) == _per_lag_seminorm(p, 0.0, 1.0, 0.3)
 
-    def test_divisors_cached_read_only(self):
-        divisors, monotone = fraccalc._lag_divisors(1024, 1.0 / 1024, 0.65)
-        assert monotone and divisors.shape == (1024,)
-        assert not divisors.flags.writeable
-        with pytest.raises(ValueError):
-            divisors[0] = 1.0
-        assert fraccalc._lag_divisors(1024, 1.0 / 1024, 0.65)[0] is divisors
+    def test_overflowing_ratios_give_inf_quietly(self):
+        # increments of 1e307 over divisors below 1 overflow every ratio
+        times = np.linspace(0.0, 1.0, 1025)
+        p = SamplePath(times, np.where(np.arange(1025) % 2 == 1, 1e307, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert holder_seminorm(p, 0.0, 1.0, 0.65) == math.inf
 
-    def test_non_monotone_divisors_scan_every_block(self, monkeypatch, blocks):
+    # The scan reads a block only while its upper bound beats the best ratio
+    # so far, and in it only the start points that can still win.
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Record (first lag, u0, u1) of each lag block the scan reads."""
+        seen = []
+        scan = fraccalc._block_max
+
+        def counting_scan(pad, buf, divisors, m, lag, u0, u1):
+            seen.append((lag, u0, u1))
+            return scan(pad, buf, divisors, m, lag, u0, u1)
+
+        monkeypatch.setattr(fraccalc, "_block_max", counting_scan)
+        return seen
+
+    @staticmethod
+    def _tables(divisors):
+        """Divisors with the min and max of each 64-lag block, as ``_lag_divisors`` returns them."""
+        blocks = [divisors[k : k + 64] for k in range(0, divisors.size, 64)]
+        return divisors, np.array([b.min() for b in blocks]), np.array([b.max() for b in blocks])
+
+    def test_constant_path_stops_before_the_first_block(self, blocks):
+        p = SamplePath(np.linspace(0.0, 1.0, 1025), np.full(1025, 4.2))
+        assert holder_seminorm(p, 0.0, 1.0, 0.5) == _per_lag_seminorm(p, 0.0, 1.0, 0.5) == 0.0
+        assert blocks == []
+
+    def test_linear_path_reads_at_most_two_blocks(self, blocks):
+        # the ratio (lag dt)^0.7 grows with the lag, so the last lag wins: the
+        # last block's lower bound is the answer, and every earlier block's
+        # upper bound falls below it
+        p = _path(lambda t: t, 1024)
+        assert holder_seminorm(p, 0.0, 1.0, 0.3) == _per_lag_seminorm(p, 0.0, 1.0, 0.3)
+        assert 1 <= len(blocks) <= 2
+        # only start points near 0 reach lags long enough to win
+        lag, u0, u1 = blocks[0]
+        assert (lag, u0) == (961, 0) and u1 < 64
+
+    def test_walk_stops_early(self, blocks):
         p = self._walk(1025, seed=3)
-        real = fraccalc._lag_divisors
-        monkeypatch.setattr(fraccalc, "_lag_divisors", lambda *key: (real(*key)[0], False))
         assert holder_seminorm(p, 0.0, 1.0, 0.65) == _per_lag_seminorm(p, 0.0, 1.0, 0.65)
-        assert len(blocks) == 16
+        assert 0 < len(blocks) < 16
 
-    def test_divisor_dip_is_not_pruned_away(self, monkeypatch):
+    def test_divisors_cached_read_only(self):
+        divisors, block_min, block_max = fraccalc._lag_divisors(1000, 1.0 / 1000, 0.65)
+        assert divisors.shape == (1000,) and block_min.shape == block_max.shape == (16,)
+        # the last block holds lags 961..1000 only
+        for got, want in zip((divisors, block_min, block_max), self._tables(divisors)):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+        assert fraccalc._lag_divisors(1000, 1.0 / 1000, 0.65)[0] is divisors
+
+    def test_non_monotone_divisors_stay_exact(self, monkeypatch, blocks):
+        # divisors reversed inside every block: the bounds take each block's
+        # min and max divisor, so the pruned scan still finds the winner
+        p = self._walk(1025, seed=3)
+        divisors = fraccalc._lag_divisors(1024, p.dt, 0.65)[0].reshape(16, 64)[:, ::-1].ravel()
+        monkeypatch.setattr(fraccalc, "_lag_divisors", lambda *key: self._tables(divisors))
+        expected = _per_lag_seminorm(p, 0.0, 1.0, 0.65, divisors)
+        assert holder_seminorm(p, 0.0, 1.0, 0.65) == expected
+        assert 0 < len(blocks) < 16
+
+    def test_divisor_dip_is_not_pruned_away(self, monkeypatch, blocks):
         # a divisor that drops at the last lag lifts that lag's ratio above
-        # every earlier one; only the full scan finds it
+        # every earlier one; the last block's smallest divisor carries the dip
         p = self._walk(1025, seed=3)
         divisors = fraccalc._lag_divisors(1024, p.dt, 0.65)[0].copy()
         divisors[-1] = divisors[0]
-        monkeypatch.setattr(fraccalc, "_lag_divisors", lambda *key: (divisors, False))
-        vals = p.values
-        expected = max(
-            float(np.max(np.abs(vals[lag:] - vals[:-lag]))) / divisors[lag - 1]
-            for lag in range(1, 1025)
-        )
-        assert expected == abs(vals[-1] - vals[0]) / divisors[0]
+        monkeypatch.setattr(fraccalc, "_lag_divisors", lambda *key: self._tables(divisors))
+        expected = _per_lag_seminorm(p, 0.0, 1.0, 0.65, divisors)
+        assert expected == abs(p.values[-1] - p.values[0]) / divisors[0]
         assert holder_seminorm(p, 0.0, 1.0, 0.65) == expected
+        assert 961 in [lag for lag, _, _ in blocks]
 
 
 class TestLeftDerivative:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,16 @@ class TestSupnormBound:
         slope = np.polyfit(np.log(norms), logs, 1)[0]
         assert abs(slope - target) <= 0.1 * target
 
+    @pytest.mark.parametrize("phi_norm", [1e131, 1e138, 1e300, math.inf])
+    def test_huge_driver_norm_gives_a_vacuous_bound(self, phi_norm):
+        # the window underflows, so horizon / window is not finite: at 1e131
+        # it overflowed int(), from 1e138 on it divided by zero
+        assert log_supnorm_bound(1.0, 3.0, 0.65, 1.0, 1.0, phi_norm) == math.inf
+        assert verify.bound_constants(3.0, 0.65, 1.0, phi_norm, 1.0).n_intervals == math.inf
+
+    def test_bound_is_finite_below_the_underflow(self):
+        assert math.isfinite(log_supnorm_bound(1.0, 3.0, 0.65, 1.0, 1.0, 1e130))
+
 
 class TestPathBoundAudit:
     def test_zero_driver_closed_form_below_bound(self):
@@ -140,6 +151,24 @@ class TestPathBoundAudit:
         rep = check_path_bound(drift, sols, drivers, times, beta=0.65, gamma=3.0)
         assert rep.pass_fraction == 1.0
         assert rep.worst_margin >= 0.0
+
+    @pytest.mark.parametrize("driver", ["fbm_times_1e300", "sawtooth_of_1e307"])
+    def test_huge_driver_passes_with_infinite_margin(self, driver):
+        # an fBm driver scaled by 1e300 underflows the bound's window; the
+        # sawtooth's ratios overflow inside the seminorm
+        drift = reciprocal_drift(1.0)
+        times, drivers, sols = _whole_batch(
+            FbmSpec(hurst=0.75, n_steps=256, seed=3), drift, 1.0, 2
+        )
+        if driver == "fbm_times_1e300":
+            drivers = 1e300 * drivers
+        else:
+            drivers = np.broadcast_to(1e307 * (np.arange(times.size) % 2), drivers.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_path_bound(drift, sols, drivers, times, beta=0.65, gamma=3.0)
+        assert rep.pass_fraction == 1.0
+        assert rep.worst_margin == math.inf
 
     @pytest.mark.parametrize(
         "case, message",
