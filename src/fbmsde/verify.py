@@ -85,13 +85,22 @@ def ibp_constant(beta: float, gamma: float, order: float | None = None) -> float
     return c_left * c_right * b_factor
 
 
+def _power_or_inf(base: float, exponent: float) -> float:
+    """``base ** exponent``, or inf where the float power overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def window_length(
     gamma: float, beta: float, k_sup: float, phi_norm: float, c_ibp: float
 ) -> float:
     """Subinterval length for the doubling argument behind the sup-norm bound.
 
-    Minimum of three terms; terms with zero denominator count as infinite, and
-    a fully degenerate configuration (all three infinite) is a domain error.
+    Minimum of three terms; terms with zero denominator or an overflowing
+    power (a tiny driver norm) count as infinite, and a fully degenerate
+    configuration (zero driver norm and zero drift cap) is a domain error.
     """
     if gamma <= 2.0 or not 0.0 < beta < 1.0:
         raise ValueError("need gamma > 2 and beta in (0, 1)")
@@ -99,8 +108,9 @@ def window_length(
         raise ValueError("k_sup and phi_norm must be nonnegative, c_ibp positive")
     terms = []
     if phi_norm > 0:
-        terms.append((1.0 / (2.0 * c_ibp * gamma * phi_norm)) ** (gamma / (beta * (gamma - 1.0))))
-        terms.append((1.0 / (8.0 * c_ibp * gamma * phi_norm)) ** (1.0 / beta))
+        exponent = gamma / (beta * (gamma - 1.0))
+        terms.append(_power_or_inf(1.0 / (2.0 * c_ibp * gamma * phi_norm), exponent))
+        terms.append(_power_or_inf(1.0 / (8.0 * c_ibp * gamma * phi_norm), 1.0 / beta))
     if k_sup > 0:
         terms.append(1.0 / (16.0 * k_sup * gamma))
     if not terms:

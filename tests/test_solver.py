@@ -25,6 +25,7 @@ from fbmsde.solver import (
     power_drift,
     reciprocal_drift,
     residual_defect,
+    scaled_drift,
     solve_batch,
     solve_cir,
     solve_pathwise,
@@ -84,6 +85,13 @@ class TestAssumptionChecker:
         rep = check_drift_assumptions(drift, 0.75, beta=0.7)
         assert not rep.singular_repulsion
 
+    @pytest.mark.parametrize("q", [0.2, 1.0, 1.5, 6.0, 20.0])
+    def test_power_family_convexity_passes(self, q):
+        drift = power_drift(2.0, 1.5, q)
+        assert drift.convex and scaled_drift(drift, 3.0).convex
+        rep = check_drift_assumptions(drift, 0.75, horizon=3.0)
+        assert rep.nonnegative_decreasing, rep.details
+
 
 def _arr(x):
     return np.asarray(x, dtype=np.float64)
@@ -140,6 +148,16 @@ _DRIFT_CASES = {
     "zero": (
         zero_drift(), {}, (True, False, True),
         ("singularity exponent 0.0 <= 1/beta - 1 = 0.6 (beta=0.625)",),
+    ),
+    # nonincreasing, but concave near x = 1.5 although it declares convexity
+    "concave_declared_convex": (
+        replace(
+            _drift(lambda t, x: 1.0 / _arr(x) + 5.0 * (1.0 - np.tanh(_arr(x) - 2.0)),
+                   lambda t, x: -1.0 / _arr(x) ** 2 - 5.0 / np.cosh(_arr(x) - 2.0) ** 2,
+                   h=lambda t: 10.0),
+            convex=True,
+        ),
+        {}, (False, True, True), (f"df/dx decreasing in x although convex is declared {_T0}",),
     ),
 }
 
@@ -448,6 +466,57 @@ def test_newton_step_matches_bisection_oracle():
                     assert err <= 1e-10, (n, drift.family, x0, k, err)
                 fallbacks += _midpoint_fallbacks(calls, spec.times, b)
     assert fallbacks > 0
+
+
+_POWERS = (0.5, 1.5, 3.0, 6.0)
+
+
+def _oracle_grid_fallbacks(drift):
+    """Check ``drift`` on the oracle grid above; return its count of steps that
+    did not move to the Newton candidate."""
+    fallbacks = 0
+    for n in (8, 16, 64):
+        spec = FbmSpec(0.55, n_steps=n, seed=3)
+        drivers = sample_fbm_batch(spec, 64) * 5
+        dt = float(spec.times[1] - spec.times[0])
+        for x0 in (1e-6, 1e-2, 1.0, 10.0):
+            calls = {}
+            got = solve_batch(x0, _recording(drift, calls), drivers, spec.times)
+            b = {k: got[:, k - 1] + (drivers[:, k] - drivers[:, k - 1]) for k in range(1, n + 1)}
+            for k in range(1, n + 1):
+                root = _bisection_roots(drift, float(spec.times[k]), b[k], dt, got[:, k])
+                err = np.max(np.abs(got[:, k] - root))
+                assert err <= 1e-10, (n, drift.family, x0, k, err)
+            fallbacks += _midpoint_fallbacks(calls, spec.times, b)
+    return fallbacks
+
+
+@pytest.mark.parametrize("convex", [True, False], ids=["clamp", "midpoint"])
+@pytest.mark.parametrize("q", _POWERS)
+def test_each_newton_guard_fires_on_the_oracle_grid(q, convex):
+    # Either route matches the oracle, and its guard fires for every q: the
+    # clamp at x / 2 on the convex route, the bracket midpoint on the other.
+    # The midpoint is reached by no other test.
+    assert _oracle_grid_fallbacks(replace(power_drift(1.0, 0.0, q), convex=convex)) > 0
+
+
+@pytest.mark.parametrize(
+    "spec, n_paths",
+    [
+        (FbmSpec(0.75, n_steps=256, seed=2024), 8),
+        (FbmSpec(0.75, n_steps=1024, seed=12345), 60),
+        (FbmSpec(0.75, n_steps=1024, seed=301), 60),
+    ],
+    ids=["byte-pin", "60x1024-12345", "60x1024-301"],
+)
+def test_convex_route_gives_the_bracketed_bits(spec, n_paths):
+    drivers = sample_fbm_batch(spec, n_paths)
+    drift = power_drift(1.0, 0.0, 1.5)
+    convex = solve_batch(1.0, drift, drivers, spec.times)
+    bracketed = solve_batch(1.0, replace(drift, convex=False), drivers, spec.times)
+    assert np.array_equal(convex, bracketed)
+    # rows stay independent of the batch
+    assert np.array_equal(solve_batch(1.0, drift, drivers[:7], spec.times), convex[:7])
 
 
 @pytest.mark.parametrize("x0", [1e3, 1e5, 1e7])

@@ -133,6 +133,14 @@ class TestSupnormBound:
     def test_bound_is_finite_below_the_underflow(self):
         assert math.isfinite(log_supnorm_bound(1.0, 3.0, 0.65, 1.0, 1.0, 1e130))
 
+    def test_tiny_driver_norm_drops_the_overflowing_term(self):
+        # at 1e-140 the first window term overflows a float; it counts as
+        # infinite, so the drift term sets the window
+        tiny = log_supnorm_bound(1.0, 3.0, 0.65, 1.0, 1.0, 1e-140)
+        assert math.isfinite(tiny)
+        assert tiny <= log_supnorm_bound(1.0, 3.0, 0.65, 1.0, 1.0, 1e-100)
+        assert window_length(3.0, 0.65, 1.0, 1e-140, 5.0) == pytest.approx(1.0 / 48.0)
+
 
 class TestPathBoundAudit:
     def test_zero_driver_closed_form_below_bound(self):
