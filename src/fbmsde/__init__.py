@@ -8,10 +8,8 @@ from .fbm import (
     grid_inner_product,
     hurst_covariance,
     inner_product,
-    kernel_coeff,
     sample_fbm,
     sample_fbm_batch,
-    volterra_kernel,
 )
 from .fraccalc import (
     default_ibp_order,
@@ -31,7 +29,6 @@ from .solver import (
     check_drift_assumptions,
     cir_drift_transform,
     cir_transform,
-    custom_drift,
     power_drift,
     reciprocal_drift,
     residual_defect,
@@ -39,7 +36,6 @@ from .solver import (
     solve_batch,
     solve_cir,
     solve_pathwise,
-    zero_drift,
 )
 from .verify import (
     BoundConstants,
@@ -61,12 +57,8 @@ from .verify import (
 )
 from .malliavin import (
     DerivativeReport,
-    derivative_norm_sq,
     derivative_report,
-    directional_derivative_analytic,
-    directional_derivative_fd,
     kernel_profile,
-    malliavin_kernel,
 )
 
 __version__ = "0.1.0"

@@ -577,7 +577,7 @@ def _exp_cir(cfg: ExperimentConfig, out_dir: Path):
         worst_resid = max(worst_resid, resid)
     # stochastic positivity run
     drift1 = solver.cir_drift_transform(cir, horizon=cfg.horizon)
-    x0 = solver.cir_transform(cfg.y0, "forward")
+    x0 = solver.cir_transform(cfg.y0)
     y_mins = verify.simulate_paths(
         cfg.fbm_spec(), drift1, x0, cfg.n_paths, lambda d, x: float(np.min(x**2 / 4.0)), threads=cfg.threads
     )

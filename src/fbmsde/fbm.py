@@ -9,16 +9,14 @@ generator re-keyed to ``[j, seed]``, so a row's bits depend only on the seed
 and its index, never on the batch.  The circulant sampler puts complex
 Gaussian weights on every mode of the embedding, so the real and imaginary
 parts of one FFT are two independent exact samples (Wood & Chan 1994;
-Dietrich & Newsam 1997).  The module also evaluates the
-square-root (Volterra) kernel of the covariance, the singular-kernel inner
-product of step functions, and the embedding of step directions into Hölder
-path space.
+Dietrich & Newsam 1997).  The module also evaluates the singular-kernel
+inner product of step functions and the embedding of step directions into
+Hölder path space.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -34,8 +32,6 @@ __all__ = [
     "FbmSpec",
     "FbmSamplingError",
     "hurst_covariance",
-    "kernel_coeff",
-    "volterra_kernel",
     "sample_fbm",
     "sample_fbm_batch",
     "inner_product",
@@ -100,70 +96,6 @@ def hurst_covariance(s: float, t: float, hurst: float) -> float:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
     h2 = 2.0 * hurst
     return 0.5 * (t**h2 + s**h2 - abs(t - s) ** h2)
-
-
-def kernel_coeff(hurst: float) -> float:
-    """Coefficient H(2H-1) of the |r-u|^{2H-2} kernel in the covariance double integral."""
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
-    return hurst * (2.0 * hurst - 1.0)
-
-
-def _sqrt_kernel_const(hurst: float) -> float:
-    # c_H = sqrt(H(2H-1) / B(2-2H, H-1/2)); log-gamma form stays finite as H -> 1.
-    log_beta = (
-        math.lgamma(2.0 - 2.0 * hurst)
-        + math.lgamma(hurst - 0.5)
-        - math.lgamma(1.5 - hurst)
-    )
-    return float(np.sqrt(kernel_coeff(hurst) * np.exp(-log_beta)))
-
-
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
-
-
-def _gauss_panel(f, a: float, b: float) -> float:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(_GAUSS_W, f(mid + half * _GAUSS_X)))
-
-
-_KERNEL_RTOL = 1e-8  # relative tolerance of the adaptive rule in volterra_kernel
-
-
-def _adaptive_gauss(f, a: float, b: float, scale: float, depth: int = 0) -> float:
-    whole = _gauss_panel(f, a, b)
-    mid = 0.5 * (a + b)
-    split = _gauss_panel(f, a, mid) + _gauss_panel(f, mid, b)
-    if abs(split - whole) <= _KERNEL_RTOL * max(abs(split), scale) or depth >= 40:
-        return split
-    return _adaptive_gauss(f, a, mid, scale, depth + 1) + _adaptive_gauss(
-        f, mid, b, scale, depth + 1
-    )
-
-
-def volterra_kernel(t: float, s: float, hurst: float) -> float:
-    """Square-root kernel K(t, s) of the covariance factorization.
-
-    K(t, s) = c_H s^{1/2-H} * integral_s^t (u-s)^{H-3/2} u^{H-1/2} du for
-    s < t, zero otherwise.  The substitution w = (u-s)^{H-1/2} removes the
-    endpoint singularity completely, so an adaptive Gauss rule on the smooth
-    integrand reaches a relative tolerance of 1e-8.
-    """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if not 0.5 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
-    if s >= t:
-        return 0.0
-    q = hurst - 0.5
-    w_max = (t - s) ** q
-    inv_q = 1.0 / q
-
-    def integrand(w: np.ndarray) -> np.ndarray:
-        return (s + w**inv_q) ** q
-
-    val = _adaptive_gauss(integrand, 0.0, w_max, scale=w_max * s**q) * inv_q
-    return _sqrt_kernel_const(hurst) * s ** (0.5 - hurst) * val
 
 
 def _fgn_autocovariance(hurst: float, n_lags: int) -> np.ndarray:

@@ -30,11 +30,7 @@ from .solver import DriftSpec, cumulative_along_path, solve_batch
 __all__ = [
     "DerivativeReport",
     "ExtrapolationWarning",
-    "malliavin_kernel",
     "kernel_profile",
-    "derivative_norm_sq",
-    "directional_derivative_analytic",
-    "directional_derivative_fd",
     "derivative_report",
 ]
 
@@ -60,17 +56,8 @@ class DerivativeReport:
     passed: bool
 
 
-def malliavin_kernel(solution: SamplePath, drift: DriftSpec, s: float, t: float) -> float:
-    """exp(integral_s^t df/dx(r, X_r) dr); lies in (0, 1] since df/dx <= 0."""
-    i, j = solution.index_of(s), solution.index_of(t)
-    if i > j:
-        raise ValueError("need s <= t")
-    cum = cumulative_along_path(drift.dfdx, solution)
-    return float(np.exp(cum[j] - cum[i]))
-
-
 def kernel_profile(solution: SamplePath, drift: DriftSpec, t: float) -> np.ndarray:
-    """malliavin_kernel(solution, drift, s_i, t) for every grid point s_i <= t."""
+    """exp(integral_{s_i}^t df/dx(r, X_r) dr) for every grid point s_i <= t; each lies in (0, 1]."""
     j = solution.index_of(t)
     cum = cumulative_along_path(drift.dfdx, solution)
     return np.exp(cum[j] - cum[: j + 1])
@@ -81,23 +68,6 @@ def _kernel_step(solution: SamplePath, drift: DriftSpec, t: float) -> StepFuncti
     # rectangle weights integrate exactly
     prof = kernel_profile(solution, drift, t)
     return StepFunction(solution.times[: prof.size], 0.5 * (prof[1:] + prof[:-1]))
-
-
-def derivative_norm_sq(solution: SamplePath, drift: DriftSpec, t: float, hurst: float) -> float:
-    """Squared norm of the derivative kernel on [0, t] under the singular inner product.
-
-    Bounded above by t^{2H} (the kernel never exceeds 1) and strictly positive
-    on every path.
-    """
-    levels = _kernel_step(solution, drift, t).levels
-    return grid_inner_product(levels, levels, solution.dt, hurst)
-
-
-def directional_derivative_analytic(
-    solution: SamplePath, drift: DriftSpec, t: float, phi: StepFunction, hurst: float
-) -> float:
-    """<phi, kernel(., t) restricted to [0, t]> under the singular inner product."""
-    return inner_product(phi, _kernel_step(solution, drift, t), hurst)
 
 
 def _perturbed_solve(
@@ -166,29 +136,6 @@ def _extrapolate(
     q1, q2 = quotients[-2], quotients[-1]
     extrapolated = q2 + e2 * (q2 - q1) / (e1 - e2)
     return fd_values, float(extrapolated)
-
-
-def directional_derivative_fd(
-    x0: float,
-    drift: DriftSpec,
-    driver: SamplePath,
-    t: float,
-    phi: StepFunction,
-    hurst: float,
-    eps_list=(0.1, 0.05, 0.025),
-) -> tuple[tuple[tuple[float, float], ...], float]:
-    """Difference quotients (X^eps_t - X_t)/eps and their limit at eps -> 0.
-
-    Each perturbed equation adds eps times the embedded direction to the
-    driver and is re-solved on the same grid.  Richardson extrapolation
-    assumes a first-order expansion in eps; when the quotients do not shrink
-    consistently with that, the smallest-eps quotient is returned with an
-    ``ExtrapolationWarning``.
-    """
-    eps_arr, _, quotients = _perturbed_solve(
-        x0, drift, driver.values[None, :], driver.times, t, phi, hurst, eps_list
-    )
-    return _extrapolate(eps_arr, quotients[0])
 
 
 def derivative_report(

@@ -39,8 +39,6 @@ __all__ = [
     "reciprocal_drift",
     "power_drift",
     "bessel_drift",
-    "custom_drift",
-    "zero_drift",
     "scaled_drift",
     "check_drift_assumptions",
     "check_cir_conditions",
@@ -155,48 +153,6 @@ def bessel_drift(dimension: int, hurst: float) -> DriftSpec:
         inverse_coeff=lambda t: c * t**e,
         # time degree 2H-1 recorded as (p, q) = (-1, 2) so p + q H is exact
         homogeneity=(-1.0, 2.0, -1.0),
-    )
-
-
-def custom_drift(
-    f: Callable,
-    dfdx: Callable,
-    *,
-    singularity_exponent: float,
-    lower_envelope: Callable,
-    upper_envelope: Callable,
-    x1: float = 1.0,
-    family: str = "custom",
-    inverse_coeff: Callable | None = None,
-    homogeneity: tuple[float, float, float] | None = None,
-    positive_domain: bool = True,
-) -> DriftSpec:
-    """Wrap user callables; ``dfdx`` must be the analytic derivative."""
-    return DriftSpec(
-        family=family,
-        f=f,
-        dfdx=dfdx,
-        singularity_exponent=singularity_exponent,
-        lower_envelope=lower_envelope,
-        upper_envelope=upper_envelope,
-        x1=x1,
-        inverse_coeff=inverse_coeff,
-        homogeneity=homogeneity,
-        positive_domain=positive_domain,
-    )
-
-
-def zero_drift() -> DriftSpec:
-    """f = 0: the pure-translation reference case (not repulsive, whole-line domain)."""
-    zero = lambda t, x: np.zeros_like(np.asarray(x, dtype=np.float64))
-    return DriftSpec(
-        family="zero",
-        f=zero,
-        dfdx=zero,
-        singularity_exponent=0.0,
-        lower_envelope=lambda t: 0.0,
-        upper_envelope=lambda t: 0.0,
-        positive_domain=False,
     )
 
 
@@ -525,15 +481,11 @@ def check_cir_conditions(cir: CirDriftSpec, *, horizon: float = 1.0) -> CirCondi
     return CirConditionReport(*_report_args(small_value_floor, dominates, growth))
 
 
-def cir_transform(value: float, direction: str) -> float:
-    """Square-root change of variables: forward y -> 2 sqrt(y), inverse x -> x^2/4."""
-    if value < 0:
-        raise ValueError("value must be nonnegative")
-    if direction == "forward":
-        return 2.0 * np.sqrt(value)
-    if direction == "inverse":
-        return value * value / 4.0
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+def cir_transform(y: float) -> float:
+    """Square-root change of variables y -> 2 sqrt(y); its inverse is x -> x^2/4."""
+    if y < 0:
+        raise ValueError("y must be nonnegative")
+    return 2.0 * np.sqrt(y)
 
 
 class CirConditionError(ValueError):
@@ -589,5 +541,5 @@ def solve_cir(y0: float, cir: CirDriftSpec, driver: SamplePath) -> SamplePath:
     if y0 <= 0:
         raise ValueError("y0 must be strictly positive")
     drift = cir_drift_transform(cir, horizon=driver.horizon, validate=False)
-    x_path = solve_pathwise(cir_transform(y0, "forward"), drift, driver)
+    x_path = solve_pathwise(cir_transform(y0), drift, driver)
     return SamplePath(driver.times, x_path.values**2 / 4.0, holder_hint=driver.holder_hint)

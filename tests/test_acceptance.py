@@ -18,11 +18,7 @@ from fbmsde.fraccalc import (
     frac_deriv_right,
     young_integral,
 )
-from fbmsde.malliavin import (
-    derivative_norm_sq,
-    derivative_report,
-    directional_derivative_analytic,
-)
+from fbmsde.malliavin import derivative_report
 from fbmsde.paths import SamplePath, StepFunction
 from fbmsde.solver import (
     CirDriftSpec,
@@ -34,7 +30,6 @@ from fbmsde.solver import (
     solve_batch,
     solve_cir,
     solve_pathwise,
-    zero_drift,
 )
 from fbmsde.verify import (
     check_negative_moments,
@@ -47,6 +42,8 @@ from fbmsde.verify import (
     scaling_transform,
     simulate_paths,
 )
+
+from drifts import zero_drift
 # the Riemann-Stieltjes oracle of young_integral lives with the fraccalc tests
 from test_fraccalc import riemann_stieltjes
 
@@ -342,17 +339,14 @@ def test_criterion_8_malliavin():
         worst_rel = max(worst_rel, err / abs(rep.analytic_value))
         ok = ok and 0.0 < rep.norm_sq <= 1.0 + 1e-12
 
-    # zero-drift indicator case reduces to the covariance
-    driver0 = SamplePath(spec.times, drivers[0], holder_hint=hurst)
-    sol0 = solve_pathwise(1.0, zero_drift(), driver0)
+    # zero-drift indicator case reduces to the covariance, on the first driver
     cov_err = 0.0
     for tau in (0.25, 0.5, 1.0):
-        got = directional_derivative_analytic(
-            sol0, zero_drift(), 1.0, StepFunction.indicator(0.0, tau), hurst
+        [rep0] = derivative_report(
+            1.0, zero_drift(), drivers[:1], spec.times, 1.0, StepFunction.indicator(0.0, tau), hurst
         )
-        cov_err = max(cov_err, abs(got - hurst_covariance(1.0, tau, hurst)))
-    norm0 = derivative_norm_sq(sol0, zero_drift(), 1.0, hurst)
-    cov_err = max(cov_err, abs(norm0 - 1.0))
+        cov_err = max(cov_err, abs(rep0.analytic_value - hurst_covariance(1.0, tau, hurst)))
+    cov_err = max(cov_err, abs(rep0.norm_sq - 1.0))
     ok = ok and cov_err <= 1e-4
     _report(
         8,
@@ -393,7 +387,7 @@ def test_criterion_9_cir():
     spec = FbmSpec(hurst=0.75, n_steps=512, seed=8001)
     drivers = sample_fbm_batch(spec, 1000)
     drift1 = cir_drift_transform(cir)
-    x = solve_batch(cir_transform(1.0, "forward"), drift1, drivers, spec.times)
+    x = solve_batch(cir_transform(1.0), drift1, drivers, spec.times)
     y_min = float(np.min(x**2 / 4.0))
     ok = ok and y_min > 0.0
     _report(

@@ -12,15 +12,12 @@ from fbmsde.fbm import (
     _circulant_sqrt_eigs,
     _cholesky_factor,
     _philox_state,
-    _sqrt_kernel_const,
     embed_direction,
     grid_inner_product,
     hurst_covariance,
     inner_product,
-    kernel_coeff,
     sample_fbm,
     sample_fbm_batch,
-    volterra_kernel,
 )
 from fbmsde.fraccalc import holder_seminorm
 from fbmsde.paths import StepFunction
@@ -46,59 +43,6 @@ class TestCovariance:
             hurst_covariance(-1.0, 1.0, 0.75)
         with pytest.raises(ValueError):
             hurst_covariance(1.0, 1.0, 1.0)
-
-
-def test_kernel_coeff_values():
-    assert kernel_coeff(0.75) == pytest.approx(0.375, abs=1e-15)
-    assert kernel_coeff(0.5) == 0.0
-    assert kernel_coeff(0.9) == pytest.approx(0.72, abs=1e-12)
-    with pytest.raises(ValueError):
-        kernel_coeff(1.2)
-
-
-@pytest.mark.parametrize("hurst", [0.501, 0.6, 0.75, 0.9, 0.99, 0.999])
-def test_sqrt_kernel_const_matches_beta_function(hurst):
-    # c_H = sqrt(H(2H-1) / B(2-2H, H-1/2)), with scipy's Beta as the oracle
-    beta_fn = pytest.importorskip("scipy.special").beta
-    expected = math.sqrt(hurst * (2 * hurst - 1) / beta_fn(2 - 2 * hurst, hurst - 0.5))
-    assert _sqrt_kernel_const(hurst) == pytest.approx(expected, rel=1e-13)
-
-
-class TestVolterraKernel:
-    def test_vanishes_when_s_above_t(self):
-        assert volterra_kernel(0.5, 1.0, 0.75) == 0.0
-
-    def test_monotone_in_t(self):
-        s = 0.3
-        vals = [volterra_kernel(t, s, 0.75) for t in (0.4, 0.6, 0.9)]
-        assert vals[0] <= vals[1] <= vals[2]
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            volterra_kernel(1.0, 0.0, 0.75)
-
-    @pytest.mark.parametrize("hurst", [0.6, 0.75, 0.9])
-    def test_squared_integral_reproduces_variance(self, hurst):
-        quad = pytest.importorskip("scipy.integrate").quad
-        val, _ = quad(lambda r: volterra_kernel(1.0, r, hurst) ** 2, 0.0, 1.0, points=[0.0], limit=200)
-        assert val == pytest.approx(1.0, abs=1e-4)
-
-    @pytest.mark.parametrize("hurst", [0.6, 0.75, 0.9])
-    def test_factorization_on_grid(self, hurst):
-        # integral_0^{s^t} K(t,r) K(s,r) dr = R(s,t) on a 5x5 grid in (0, 1]
-        quad = pytest.importorskip("scipy.integrate").quad
-        pts = np.linspace(0.2, 1.0, 5)
-        for s in pts:
-            for t in pts:
-                lo = min(s, t)
-                val, _ = quad(
-                    lambda r: volterra_kernel(t, r, hurst) * volterra_kernel(s, r, hurst),
-                    0.0,
-                    lo,
-                    points=[0.0, lo],
-                    limit=200,
-                )
-                assert val == pytest.approx(hurst_covariance(s, t, hurst), abs=1e-4)
 
 
 class TestSampler:

@@ -8,37 +8,42 @@ import numpy as np
 import pytest
 
 from fbmsde.fbm import FbmSpec, hurst_covariance, sample_fbm, sample_fbm_batch
-from fbmsde.malliavin import (
-    derivative_norm_sq,
-    derivative_report,
-    directional_derivative_analytic,
-    directional_derivative_fd,
-    kernel_profile,
-    malliavin_kernel,
-)
+from fbmsde.malliavin import ExtrapolationWarning, derivative_report, kernel_profile
 from fbmsde.paths import SamplePath, StepFunction
-from fbmsde.solver import power_drift, reciprocal_drift, solve_pathwise, zero_drift
+from fbmsde.solver import power_drift, reciprocal_drift, solve_pathwise
+
+from drifts import zero_drift
 
 
 def _flat_driver(n, horizon=1.0):
     return SamplePath(np.linspace(0.0, horizon, n + 1), np.zeros(n + 1))
 
 
-def _fbm_solution(seed, n=512, hurst=0.75, k=1.0, x0=1.0):
-    driver = sample_fbm(FbmSpec(hurst=hurst, n_steps=n, seed=seed))
-    return solve_pathwise(x0, reciprocal_drift(k), driver), driver
+def _fbm_driver(seed, n=512, hurst=0.75):
+    return sample_fbm(FbmSpec(hurst=hurst, n_steps=n, seed=seed))
+
+
+def _kernel(path, drift, s, t):
+    """exp(int_s^t df/dx(r, X_r) dr): the entry of ``kernel_profile`` at s."""
+    return kernel_profile(path, drift, t)[path.index_of(s)]
+
+
+def _report(drift, driver, phi=StepFunction.indicator(0.0, 0.5), t=1.0, **kwargs):
+    """``derivative_report`` for the one driver, from x0 = 1 at H = 0.75."""
+    [rep] = derivative_report(1.0, drift, driver.values[None, :], driver.times, t, phi, 0.75, **kwargs)
+    return rep
 
 
 class TestKernel:
     def test_equal_times_give_one(self):
-        sol, _ = _fbm_solution(1)
+        sol = solve_pathwise(1.0, reciprocal_drift(1.0), _fbm_driver(1))
         for t in (0.0, 0.5, 1.0):
-            assert malliavin_kernel(sol, reciprocal_drift(1.0), t, t) == 1.0
+            assert _kernel(sol, reciprocal_drift(1.0), t, t) == 1.0
 
     def test_zero_drift_gives_one(self):
         driver = sample_fbm(FbmSpec(hurst=0.75, n_steps=128, seed=2))
         sol = solve_pathwise(1.0, zero_drift(), driver)
-        assert malliavin_kernel(sol, zero_drift(), 0.25, 0.75) == 1.0
+        assert _kernel(sol, zero_drift(), 0.25, 0.75) == 1.0
 
     def test_closed_form_along_analytic_path(self):
         # f = k/x along x(s) = sqrt(x0^2 + 2ks):
@@ -46,111 +51,99 @@ class TestKernel:
         drift = reciprocal_drift(1.0)
         path = SamplePath.from_function(lambda s: np.sqrt(1.0 + 2.0 * s), 1.0, 10_000)
         for s, t in [(0.0, 1.0), (0.3, 0.9), (0.25, 0.5)]:
-            got = malliavin_kernel(path, drift, s, t)
+            got = _kernel(path, drift, s, t)
             want = math.sqrt((1.0 + 2.0 * s) / (1.0 + 2.0 * t))
             assert got == pytest.approx(want, abs=1e-6)
 
     def test_solved_path_tracks_closed_form(self):
         drift = reciprocal_drift(1.0)
         sol = solve_pathwise(1.0, drift, _flat_driver(10_000))
-        got = malliavin_kernel(sol, drift, 0.0, 1.0)
+        got = _kernel(sol, drift, 0.0, 1.0)
         assert got == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-4)
 
     def test_bounds_and_monotonicity(self):
-        sol, _ = _fbm_solution(7)
         drift = reciprocal_drift(1.0)
+        sol = solve_pathwise(1.0, drift, _fbm_driver(7))
         prof = kernel_profile(sol, drift, 1.0)
         assert np.all(prof > 0.0) and np.all(prof <= 1.0)
         # for fixed s, longer windows shrink the kernel
-        k_half = malliavin_kernel(sol, drift, 0.25, 0.5)
-        k_full = malliavin_kernel(sol, drift, 0.25, 1.0)
+        k_half = _kernel(sol, drift, 0.25, 0.5)
+        k_full = _kernel(sol, drift, 0.25, 1.0)
         assert k_full <= k_half
 
 
 class TestNormSquared:
     def test_zero_drift_reproduces_time_power(self):
         driver = sample_fbm(FbmSpec(hurst=0.75, n_steps=256, seed=3))
-        sol = solve_pathwise(1.0, zero_drift(), driver)
         for t in (0.25, 0.5, 1.0):
-            got = derivative_norm_sq(sol, zero_drift(), t, 0.75)
+            got = _report(zero_drift(), driver, t=t).norm_sq
             assert got == pytest.approx(t**1.5, abs=1e-4)
 
     def test_bounded_by_time_power_and_positive(self):
-        drift = reciprocal_drift(1.0)
-        for seed in range(100):
-            sol, _ = _fbm_solution(seed + 100, n=256)
-            got = derivative_norm_sq(sol, drift, 1.0, 0.75)
-            assert 0.0 < got <= 1.0 + 1e-12
+        # row i is the first path of seed 100 + i; rows do not depend on their batch
+        drivers = np.array([_fbm_driver(seed, n=256).values for seed in range(100, 200)])
+        times = FbmSpec(hurst=0.75, n_steps=256).times
+        phi = StepFunction.indicator(0.0, 0.5)
+        for rep in derivative_report(1.0, reciprocal_drift(1.0), drivers, times, 1.0, phi, 0.75):
+            assert 0.0 < rep.norm_sq <= 1.0 + 1e-12
 
 
 class TestDirectionalDerivative:
     def test_zero_drift_indicator_reduces_to_covariance(self):
         driver = sample_fbm(FbmSpec(hurst=0.75, n_steps=512, seed=4))
-        sol = solve_pathwise(1.0, zero_drift(), driver)
         for tau in (0.25, 0.5, 1.0):
-            got = directional_derivative_analytic(
-                sol, zero_drift(), 1.0, StepFunction.indicator(0.0, tau), 0.75
-            )
+            got = _report(zero_drift(), driver, StepFunction.indicator(0.0, tau)).analytic_value
             assert got == pytest.approx(hurst_covariance(1.0, tau, 0.75), abs=1e-4)
 
     def test_zero_direction(self):
-        sol, _ = _fbm_solution(5)
         phi = StepFunction(np.array([0.0, 1.0]), np.array([0.0]))
-        assert directional_derivative_analytic(sol, reciprocal_drift(1.0), 1.0, phi, 0.75) == 0.0
+        assert _report(reciprocal_drift(1.0), _fbm_driver(5), phi).analytic_value == 0.0
 
     def test_contracting_kernel_shrinks_nonnegative_directions(self):
         # against phi >= 0 the damped kernel gives less than the undamped one
-        drift = reciprocal_drift(1.0)
-        sol, driver = _fbm_solution(6, n=512)
-        free = solve_pathwise(1.0, zero_drift(), driver)
-        phi = StepFunction.indicator(0.0, 0.5)
-        damped = directional_derivative_analytic(sol, drift, 1.0, phi, 0.75)
-        undamped = directional_derivative_analytic(free, zero_drift(), 1.0, phi, 0.75)
+        driver = _fbm_driver(6)
+        damped = _report(reciprocal_drift(1.0), driver).analytic_value
+        undamped = _report(zero_drift(), driver).analytic_value
         assert damped <= undamped
 
     def test_fd_linear_case_exact(self):
         driver = sample_fbm(FbmSpec(hurst=0.75, n_steps=256, seed=8))
-        phi = StepFunction.indicator(0.0, 0.5)
-        fd_values, extrapolated = directional_derivative_fd(
-            1.0, zero_drift(), driver, 1.0, phi, 0.75
-        )
+        rep = _report(zero_drift(), driver)
         target = hurst_covariance(1.0, 0.5, 0.75)
-        for _, q in fd_values:
+        for _, q in rep.fd_values:
             assert q == pytest.approx(target, abs=1e-4)
-        assert extrapolated == pytest.approx(target, abs=1e-4)
+        assert rep.extrapolated_fd == pytest.approx(target, abs=1e-4)
 
     def test_fd_quotients_shrink_monotonically(self):
         driver = sample_fbm(FbmSpec(hurst=0.75, n_steps=1024, seed=9))
-        fd_values, _ = directional_derivative_fd(
-            1.0,
-            reciprocal_drift(1.0),
-            driver,
-            1.0,
-            StepFunction.indicator(0.0, 0.5),
-            0.75,
-            eps_list=(0.2, 0.1, 0.05, 0.025),
-        )
-        quotients = [q for _, q in fd_values]
+        rep = _report(reciprocal_drift(1.0), driver, eps_list=(0.2, 0.1, 0.05, 0.025))
+        quotients = [q for _, q in rep.fd_values]
         diffs = np.abs(np.diff(quotients))
         assert np.all(np.diff(diffs) < 0.0)
 
     @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15])
     def test_fd_matches_analytic(self, seed):
         driver = sample_fbm(FbmSpec(hurst=0.75, n_steps=2048, seed=seed))
-        [rep] = derivative_report(
-            1.0,
-            reciprocal_drift(1.0),
-            driver.values[None, :],
-            driver.times,
-            1.0,
-            StepFunction.indicator(0.0, 0.5),
-            0.75,
-            eps_list=(0.05, 0.025, 0.0125),
-        )
+        rep = _report(reciprocal_drift(1.0), driver, eps_list=(0.05, 0.025, 0.0125))
         assert rep.passed
         assert abs(rep.analytic_value - rep.extrapolated_fd) <= max(
             1e-3, 1e-2 * abs(rep.analytic_value)
         )
+
+    def test_extrapolation_warning_names_the_caller(self):
+        # steps near 1e-9 leave quotients of pure roundoff, not first order in eps
+        spec = FbmSpec(0.75, n_steps=256, seed=5)
+        drivers = sample_fbm_batch(spec, 4)
+        phi = StepFunction.indicator(0.0, 0.5)
+        with pytest.warns(ExtrapolationWarning) as record:
+            reports = derivative_report(
+                1.0, reciprocal_drift(1.0), drivers, spec.times, 1.0, phi, 0.75,
+                eps_list=(1e-9, 5e-10, 2.5e-10),
+            )
+        assert [w.category for w in record] == [ExtrapolationWarning] * len(reports)
+        assert {w.filename for w in record} == {__file__}
+        for rep in reports:
+            assert rep.extrapolated_fd == rep.fd_values[-1][1]
 
 
 class TestBatchedReport:
@@ -190,22 +183,6 @@ class TestBatchedReport:
         assert [repr(r) for r in reports] == [
             repr(r) for r in derivative_report(1.0, base, drivers, *args)
         ]
-
-    @pytest.mark.parametrize("t", [0.5, 1.0])
-    @pytest.mark.parametrize(
-        "drift", [reciprocal_drift(1.0), power_drift(1.0, 0.0, 1.5)], ids=["closed-form", "newton"]
-    )
-    def test_report_matches_public_functions(self, drift, t):
-        from fbmsde.solver import solve_batch
-
-        spec = FbmSpec(hurst=0.75, n_steps=256, seed=24)
-        drivers = sample_fbm_batch(spec, 4)
-        phi = StepFunction.indicator(0.0, 0.3)
-        reports = derivative_report(1.0, drift, drivers, spec.times, t, phi, 0.75)
-        for rep, values in zip(reports, solve_batch(1.0, drift, drivers, spec.times)):
-            sol = SamplePath(spec.times, values)
-            assert rep.analytic_value == directional_derivative_analytic(sol, drift, t, phi, 0.75)
-            assert rep.norm_sq == derivative_norm_sq(sol, drift, t, 0.75)
 
     @pytest.mark.parametrize(
         "drift, digest",

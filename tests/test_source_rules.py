@@ -1,4 +1,5 @@
-"""Source rules for the library: errors are never swallowed, and validation never uses assert."""
+"""Source rules for the library: errors are never swallowed, validation never uses assert,
+and every exported name exists."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,20 @@ def _violations(tree: ast.AST) -> list[str]:
     return found
 
 
+def _missing_exports(tree: ast.Module) -> list[str]:
+    """Names in the module's ``__all__`` that no top-level def, class or assignment defines."""
+    defined, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names = {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in defined]
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"solver.py", "fbm.py", "verify.py", "cli.py"}
 
@@ -31,6 +46,16 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_swallowed_errors_or_asserts(path):
     assert _violations(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_export_is_defined(path):
+    assert _missing_exports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_export_rule_catches_a_deleted_definition():
+    source = "Z = 1\n__all__ = ['f', 'C', 'Z', 'gone']\ndef f(): pass\nclass C: pass\n"
+    assert _missing_exports(ast.parse(source)) == ["gone"]
 
 
 @pytest.mark.parametrize(

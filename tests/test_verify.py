@@ -12,7 +12,7 @@ from fbmsde import verify
 from fbmsde.fbm import FbmSpec, sample_fbm_batch
 from fbmsde.fraccalc import holder_seminorm, sup_norm, young_integral
 from fbmsde.paths import SamplePath
-from fbmsde.solver import bessel_drift, custom_drift, power_drift, reciprocal_drift, solve_batch
+from fbmsde.solver import DriftSpec, bessel_drift, power_drift, reciprocal_drift, solve_batch
 from fbmsde.verify import (
     HomogeneityError,
     admissible_order_window,
@@ -285,7 +285,8 @@ class TestScaling:
         assert spec.exponent == pytest.approx(0.75 + 0.75 - 1.0 - 1.0)
 
     def test_homogeneity_violation_detected(self):
-        drift = custom_drift(
+        drift = DriftSpec(
+            "custom",
             lambda t, x: 1.0 / (1.0 + np.asarray(x, dtype=np.float64)),
             lambda t, x: -1.0 / (1.0 + np.asarray(x, dtype=np.float64)) ** 2,
             singularity_exponent=1.0,
@@ -297,7 +298,8 @@ class TestScaling:
             scaling_spec(drift, 2.0, 0.75)
 
     def test_undeclared_homogeneity_rejected(self):
-        drift = custom_drift(
+        drift = DriftSpec(
+            "custom",
             lambda t, x: 1.0 / np.asarray(x, dtype=np.float64),
             lambda t, x: -1.0 / np.asarray(x, dtype=np.float64) ** 2,
             singularity_exponent=1.0,
