@@ -20,21 +20,17 @@ from .fraccalc import (
     young_integral,
 )
 from .solver import (
-    CirDriftSpec,
     DriftSpec,
     PositivityError,
     SolverError,
     bessel_drift,
-    check_cir_conditions,
     check_drift_assumptions,
-    cir_drift_transform,
     cir_transform,
     power_drift,
     reciprocal_drift,
     residual_defect,
     scaled_drift,
     solve_batch,
-    solve_cir,
     solve_pathwise,
 )
 from .verify import (

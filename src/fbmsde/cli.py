@@ -554,19 +554,17 @@ def _exp_malliavin(cfg: ExperimentConfig, out_dir: Path):
 
 def _exp_cir(cfg: ExperimentConfig, out_dir: Path):
     """square-root-diffusion change of variables: residual and positivity"""
+    # x = 2 sqrt(y) turns y' = k + sqrt(y) phi' into x' = 2k/x + phi'; y = x^2/4
     k = cfg.cir_k
-    cir = solver.CirDriftSpec(
-        f=lambda t, y: k * np.ones_like(np.asarray(y, dtype=np.float64)),
-        dfdy=lambda t, y: np.zeros_like(np.asarray(y, dtype=np.float64)),
-        lower_envelope=lambda t: k,
-        upper_envelope=lambda t: k,
-    )
+    drift = solver.reciprocal_drift(2.0 * k)
+    x0 = solver.cir_transform(cfg.y0)
     # deterministic smooth-driver residual check of the change of variables
     n_smooth = max(cfg.n_steps, 1000)
     smooth = SamplePath.from_function(
         lambda t: 0.3 * np.sin(2.0 * np.pi * t / cfg.horizon), cfg.horizon, n_smooth, holder_hint=1.0
     )
-    y_path = solver.solve_cir(cfg.y0, cir, smooth)
+    x_path = solver.solve_pathwise(x0, drift, smooth)
+    y_path = SamplePath(x_path.times, x_path.values**2 / 4.0, holder_hint=1.0)
     sqrt_y = SamplePath(y_path.times, np.sqrt(y_path.values), holder_hint=1.0)
     worst_resid = 0.0
     for frac in (0.25, 0.5, 0.75, 1.0):
@@ -576,10 +574,8 @@ def _exp_cir(cfg: ExperimentConfig, out_dir: Path):
         resid = abs(y_path.values[idx] - cfg.y0 - k * t - stieltjes)
         worst_resid = max(worst_resid, resid)
     # stochastic positivity run
-    drift1 = solver.cir_drift_transform(cir, horizon=cfg.horizon)
-    x0 = solver.cir_transform(cfg.y0)
     y_mins = verify.simulate_paths(
-        cfg.fbm_spec(), drift1, x0, cfg.n_paths, lambda d, x: float(np.min(x**2 / 4.0)), threads=cfg.threads
+        cfg.fbm_spec(), drift, x0, cfg.n_paths, lambda d, x: float(np.min(x**2 / 4.0)), threads=cfg.threads
     )
     y_min = min(y_mins)
     claims = [

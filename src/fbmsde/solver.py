@@ -17,7 +17,10 @@ and a step that leaves the bracket is replaced by bisection.  A drift that
 breaks the assumption may leave the root outside: ``SolverError``.
 
 Also houses the drift assumption checker, the square-root-diffusion change of
-variables, and an a-posteriori residual for the integral equation.
+variables, and an a-posteriori residual for the integral equation.  The
+square-root equation y' = k + sqrt(y) phi' needs no drift type of its own:
+x = ``cir_transform(y)`` = 2 sqrt(y) solves x' = 2k/x + phi', which is
+``reciprocal_drift(2k)`` with its closed-form step, and y = x^2/4.
 """
 
 from __future__ import annotations
@@ -31,9 +34,7 @@ from .paths import SamplePath
 
 __all__ = [
     "DriftSpec",
-    "CirDriftSpec",
     "AssumptionReport",
-    "CirConditionReport",
     "SolverError",
     "PositivityError",
     "reciprocal_drift",
@@ -41,15 +42,12 @@ __all__ = [
     "bessel_drift",
     "scaled_drift",
     "check_drift_assumptions",
-    "check_cir_conditions",
     "solve_pathwise",
     "solve_batch",
     "eval_along_path",
     "cumulative_along_path",
     "residual_defect",
     "cir_transform",
-    "cir_drift_transform",
-    "solve_cir",
 ]
 
 
@@ -191,11 +189,6 @@ class AssumptionReport:
 _TOL = 1e-12
 
 
-def _lattice(horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """The audit lattice: 24 times in (0, horizon] and 48 values in [1e-4, 10]."""
-    return np.linspace(horizon / 24, horizon, 24), np.geomspace(1e-4, 10.0, 48)
-
-
 def _below(values: np.ndarray, floor) -> bool:
     """Some value lies below ``floor`` by more than the relative and absolute slack."""
     return bool(np.any(values < floor * (1.0 - 1e-9) - _TOL))
@@ -222,11 +215,6 @@ def _first_violation(ts: np.ndarray, tests: list) -> str | None:
     return None
 
 
-def _report_args(*found: str | None) -> tuple:
-    """Report fields from scan results: one pass flag per scan, then the details."""
-    return (*(v is None for v in found), tuple(v for v in found if v is not None))
-
-
 def check_drift_assumptions(
     drift: DriftSpec,
     hurst: float,
@@ -244,7 +232,8 @@ def check_drift_assumptions(
     """
     if beta is None:
         beta = 0.5 * (0.5 + hurst)
-    ts, xs = _lattice(horizon)
+    # 24 times in (0, horizon] and 48 values in [1e-4, 10]
+    ts, xs = np.linspace(horizon / 24, horizon, 24), np.geomspace(1e-4, 10.0, 48)
     xs_small = xs[xs < drift.x1]
     alpha = drift.singularity_exponent
     g, h = drift.lower_envelope, drift.upper_envelope
@@ -275,7 +264,8 @@ def check_drift_assumptions(
     growth = _first_violation(
         ts, [(lambda t: _above(f(t), h(t) * (1.0 + 1.0 / xs)), "f above h(t)(1 + 1/x)")]
     )
-    return AssumptionReport(*_report_args(sign, repulsion, growth))
+    found = (sign, repulsion, growth)
+    return AssumptionReport(*(v is None for v in found), tuple(v for v in found if v is not None))
 
 
 def _implicit_step(
@@ -424,63 +414,6 @@ def residual_defect(solution: SamplePath, drift: DriftSpec, driver: SamplePath) 
     return float(np.max(np.abs(defect)))
 
 
-@dataclass(frozen=True)
-class CirDriftSpec:
-    """Drift of the square-root-diffusion equation, with condition envelopes.
-
-    Conditions: (a) f(t, y) >= g(t) > 0 for small y, (b) f >= y df/dy,
-    (c) f <= h(t)(y + 1), plus nonnegativity.
-    """
-
-    f: Callable
-    dfdy: Callable
-    lower_envelope: Callable
-    upper_envelope: Callable
-    x1: float = 1.0
-
-
-@dataclass(frozen=True)
-class CirConditionReport:
-    small_value_floor: bool  # (a)
-    dominates_derivative: bool  # (b)
-    affine_growth: bool  # (c)
-    details: tuple[str, ...] = ()
-
-    @property
-    def all_pass(self) -> bool:
-        return self.small_value_floor and self.dominates_derivative and self.affine_growth
-
-
-def check_cir_conditions(cir: CirDriftSpec, *, horizon: float = 1.0) -> CirConditionReport:
-    """Evaluate conditions (a)-(c) on a (t, y) lattice; reports, never raises."""
-    ts, ys = _lattice(horizon)
-    ys_small = ys[ys < cir.x1]
-    g, h = cir.lower_envelope, cir.upper_envelope
-    f = lambda t, y=ys: np.asarray(cir.f(t, y), dtype=np.float64)
-    y_dfdy = lambda t: ys * np.asarray(cir.dfdy(t, ys), dtype=np.float64)
-
-    floor = lambda t: ys_small.size > 0 and _below(f(t, ys_small), g(t))
-    small_value_floor = _first_violation(
-        ts,
-        [
-            (lambda t: g(t) <= 0, "(a) lower envelope not positive"),
-            (floor, "(a) f below its small-value floor"),
-        ],
-    )
-
-    def dominated(t):
-        fv = f(t)
-        return bool(np.any(fv < y_dfdy(t) - _TOL - 1e-9 * np.abs(fv)))
-
-    dominates = _first_violation(
-        ts, [(lambda t: _below(f(t), 0.0), "f(t, y) < 0"), (dominated, "(b) f < y df/dy")]
-    )
-    growth = _first_violation(
-        ts, [(lambda t: _above(f(t), h(t) * (ys + 1.0)), "(c) f above h(t)(y + 1)")]
-    )
-    return CirConditionReport(*_report_args(small_value_floor, dominates, growth))
-
-
 def cir_transform(y: float) -> float:
     """Square-root change of variables y -> 2 sqrt(y); its inverse is x -> x^2/4."""
     if y < 0:
@@ -488,58 +421,10 @@ def cir_transform(y: float) -> float:
     return 2.0 * np.sqrt(y)
 
 
-class CirConditionError(ValueError):
-    def __init__(self, report: CirConditionReport):
-        self.report = report
-        failed = [
-            name
-            for name, ok in (
-                ("(a)", report.small_value_floor),
-                ("(b)", report.dominates_derivative),
-                ("(c)", report.affine_growth),
-            )
-            if not ok
-        ]
-        super().__init__(
-            f"square-root-diffusion drift violates condition(s) {', '.join(failed)}: "
-            + "; ".join(report.details)
-        )
+def cir_drift_transform(k: float) -> DriftSpec:
+    """Drift 2k/x of x = 2 sqrt(y) when y' = k + sqrt(y) phi': ``reciprocal_drift(2k)``.
 
-
-def cir_drift_transform(cir: CirDriftSpec, *, horizon: float = 1.0, validate: bool = True) -> DriftSpec:
-    """Drift of the transformed equation: f1(t, x) = 2 f(t, x) / x.
-
-    Conditions (a)-(c) on f translate exactly into the three structural
-    assumptions on f1 (with unit singularity exponent and doubled envelopes);
-    they are validated on a lattice before the transform is built.
+    No experiment calls it; the tracer in ``perfbench/child.py`` looks it up
+    by name and wraps it, so the name stays until that list drops it.
     """
-    if validate:
-        report = check_cir_conditions(cir, horizon=horizon)
-        if not report.all_pass:
-            raise CirConditionError(report)
-    base_f, base_d = cir.f, cir.dfdy
-    return DriftSpec(
-        family="cir_transform",
-        f=lambda t, x: 2.0 * base_f(t, x) / x,
-        dfdx=lambda t, x: 2.0 * (x * base_d(t, x) - base_f(t, x)) / x**2,
-        singularity_exponent=1.0,
-        lower_envelope=lambda t: 2.0 * cir.lower_envelope(t),
-        upper_envelope=lambda t: 2.0 * cir.upper_envelope(t),
-        x1=cir.x1,
-    )
-
-
-def solve_cir(y0: float, cir: CirDriftSpec, driver: SamplePath) -> SamplePath:
-    """Solve the square-root-diffusion equation through the 2 sqrt(y) transform.
-
-    Integrates the transformed equation from x0 = 2 sqrt(y0) and maps back;
-    positivity of the transformed path makes the returned values strictly
-    positive.  Condition checking is the caller's business (see
-    ``check_cir_conditions``): a drift without the small-value floor may drive
-    the transformed path to zero, which surfaces as a solver error.
-    """
-    if y0 <= 0:
-        raise ValueError("y0 must be strictly positive")
-    drift = cir_drift_transform(cir, horizon=driver.horizon, validate=False)
-    x_path = solve_pathwise(cir_transform(y0), drift, driver)
-    return SamplePath(driver.times, x_path.values**2 / 4.0, holder_hint=driver.holder_hint)
+    return reciprocal_drift(2.0 * k)

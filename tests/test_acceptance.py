@@ -21,14 +21,11 @@ from fbmsde.fraccalc import (
 from fbmsde.malliavin import derivative_report
 from fbmsde.paths import SamplePath, StepFunction
 from fbmsde.solver import (
-    CirDriftSpec,
     bessel_drift,
-    cir_drift_transform,
     cir_transform,
     power_drift,
     reciprocal_drift,
     solve_batch,
-    solve_cir,
     solve_pathwise,
 )
 from fbmsde.verify import (
@@ -363,18 +360,15 @@ def test_criterion_8_malliavin():
 
 
 def test_criterion_9_cir():
+    # x = 2 sqrt(y) turns y' = k + sqrt(y) phi' into x' = 2k/x + phi'; y = x^2/4
     k = 0.5
-    cir = CirDriftSpec(
-        f=lambda t, y: k * np.ones_like(np.asarray(y, dtype=np.float64)),
-        dfdy=lambda t, y: np.zeros_like(np.asarray(y, dtype=np.float64)),
-        lower_envelope=lambda t: k,
-        upper_envelope=lambda t: k,
-    )
+    drift = reciprocal_drift(2.0 * k)
     # smooth-driver residual of the original integral equation at dt = 1e-3
     driver = SamplePath.from_function(
         lambda t: 0.3 * np.sin(2.0 * np.pi * t), 1.0, 1000, holder_hint=1.0
     )
-    y = solve_cir(1.0, cir, driver)
+    x_smooth = solve_pathwise(cir_transform(1.0), drift, driver)
+    y = SamplePath(driver.times, x_smooth.values**2 / 4.0, holder_hint=1.0)
     sq = SamplePath(y.times, np.sqrt(y.values), holder_hint=1.0)
     worst = 0.0
     for t in (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0):
@@ -386,8 +380,7 @@ def test_criterion_9_cir():
     # positivity over 1000 driven paths
     spec = FbmSpec(hurst=0.75, n_steps=512, seed=8001)
     drivers = sample_fbm_batch(spec, 1000)
-    drift1 = cir_drift_transform(cir)
-    x = solve_batch(cir_transform(1.0), drift1, drivers, spec.times)
+    x = solve_batch(cir_transform(1.0), drift, drivers, spec.times)
     y_min = float(np.min(x**2 / 4.0))
     ok = ok and y_min > 0.0
     _report(

@@ -513,6 +513,16 @@ def test_report_summary_matches_stdout(tmp_path, capsys):
     assert summary == "summary: 2 pass, 0 fail, 0 not-applicable"
 
 
+@pytest.mark.parametrize("y0, cir_k", [(0.25, 2.0), (4.0, 0.1), (0.01, 0.05)])
+def test_cir_claims_pass_away_from_the_default_start(y0, cir_k, tmp_path):
+    # start far below and above y0 = 1, with a strong and a weak pull away from 0
+    args = ["cir", "--y0", str(y0), "--cir-k", str(cir_k), "--output-dir", str(tmp_path)]
+    assert main(args) == 0
+    report = (tmp_path / "report.txt").read_text()
+    assert report.count("outcome: pass") == 2
+    assert report.splitlines()[-1] == "summary: 2 pass, 0 fail, 0 not-applicable"
+
+
 def test_import_loads_numpy_only():
     # numpy is the one runtime dependency, and numpy 2's lazily loaded fft and
     # random submodules must load at import, not inside the first sample.
@@ -527,3 +537,16 @@ def test_import_loads_numpy_only():
     loaded = set(json.loads(out.stdout))
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
     assert {"numpy.fft", "numpy.random"} <= loaded
+
+
+def test_benchmark_tracer_finds_every_binding():
+    # perfbench/child.py wraps package functions by name when it traces a run;
+    # a renamed or deleted one fails every traced benchmark run
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import child; child.Tracer().install()"
+    subprocess.run(
+        [sys.executable, "-c", code, str(root / "perfbench")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        check=True,
+    )

@@ -12,14 +12,9 @@ from fbmsde import solver
 from fbmsde.paths import SamplePath
 from fbmsde.solver import (
     AssumptionReport,
-    CirConditionError,
-    CirConditionReport,
-    CirDriftSpec,
     DriftSpec,
     bessel_drift,
-    check_cir_conditions,
     check_drift_assumptions,
-    cir_drift_transform,
     cir_transform,
     eval_along_path,
     power_drift,
@@ -27,7 +22,6 @@ from fbmsde.solver import (
     residual_defect,
     scaled_drift,
     solve_batch,
-    solve_cir,
     solve_pathwise,
 )
 
@@ -38,13 +32,10 @@ def _flat_driver(n, horizon=1.0):
     return SamplePath(np.linspace(0.0, horizon, n + 1), np.zeros(n + 1))
 
 
-def _constant_cir(k):
-    return CirDriftSpec(
-        f=lambda t, y: k * np.ones_like(np.asarray(y, dtype=np.float64)),
-        dfdy=lambda t, y: np.zeros_like(np.asarray(y, dtype=np.float64)),
-        lower_envelope=lambda t: k,
-        upper_envelope=lambda t: k,
-    )
+def _solve_cir(y0, k, driver):
+    """Y of y' = k + sqrt(y) phi' as x^2/4, where x' = 2k/x + phi' starts at 2 sqrt(y0)."""
+    x = solve_pathwise(cir_transform(y0), reciprocal_drift(2.0 * k), driver)
+    return SamplePath(x.times, x.values**2 / 4.0, holder_hint=x.holder_hint)
 
 
 class TestAssumptionChecker:
@@ -171,39 +162,6 @@ def test_drift_checker_report_is_pinned(name):
     assert check_drift_assumptions(drift, 0.75, **kwargs) == AssumptionReport(*flags, details)
 
 
-def _cir(f, dfdy, g=lambda t: 1.0, h=lambda t: 1.0, x1=1.0):
-    return CirDriftSpec(f=f, dfdy=dfdy, lower_envelope=g, upper_envelope=h, x1=x1)
-
-
-_ZERO = lambda t, y: np.zeros_like(_arr(y))
-_ONE = lambda t, y: np.ones_like(_arr(y))
-
-# Every detail message of the square-root-diffusion checker, pinned the same way.
-_CIR_CASES = {
-    "constant": (_cir(lambda t, y: 0.5 * _ONE(t, y), _ZERO, g=lambda t: 0.5, h=lambda t: 0.5),
-                 {}, (True, True, True), ()),
-    "affine": (_cir(lambda t, y: 1.0 + _arr(y), _ONE), {"horizon": 3.0}, (True, True, True), ()),
-    "linear": (_cir(lambda t, y: _arr(y), _ONE, g=lambda t: 0.1), {}, (False, True, True),
-               (f"(a) f below its small-value floor {_T0}",)),
-    "zero": (_cir(_ZERO, _ZERO, g=lambda t: 0.0, h=lambda t: 0.0), {}, (False, True, True),
-             (f"(a) lower envelope not positive {_T0}",)),
-    "negative": (_cir(lambda t, y: -1.0 - _arr(y), lambda t, y: -_ONE(t, y)), {}, (False, False, True),
-                 (f"(a) f below its small-value floor {_T0}", f"f(t, y) < 0 {_T0}")),
-    "convex": (_cir(lambda t, y: 1.0 + _arr(y) ** 2, lambda t, y: 2.0 * _arr(y)), {},
-               (True, False, False), (f"(b) f < y df/dy {_T0}", f"(c) f above h(t)(y + 1) {_T0}")),
-    "late_floor": (_cir(lambda t, y: (1.0 - t) * _ONE(t, y), _ZERO, g=lambda t: 1.0 - t),
-                   {"horizon": 1.5}, (False, False, True),
-                   ("(a) lower envelope not positive at t=1", "f(t, y) < 0 at t=1.062")),
-    "no_small_y": (_cir(lambda t, y: _arr(y), _ONE, x1=1e-6), {}, (True, True, True), ()),
-}
-
-
-@pytest.mark.parametrize("name", list(_CIR_CASES))
-def test_cir_checker_report_is_pinned(name):
-    cir, kwargs, flags, details = _CIR_CASES[name]
-    assert check_cir_conditions(cir, **kwargs) == CirConditionReport(*flags, details)
-
-
 class TestSolver:
     def test_zero_drift_is_pure_translation(self):
         driver = sample_fbm(FbmSpec(hurst=0.75, n_steps=256, seed=31))
@@ -268,15 +226,16 @@ class TestSolver:
         # fix one fine driver, restrict to coarser grids, compare dt vs dt/2 vs dt/4
         spec = FbmSpec(hurst=0.75, n_steps=2048, seed=8)
         drivers_fine = sample_fbm_batch(spec, 100)
-        times_fine = spec.times
+        sols = {
+            step: solve_batch(1.0, reciprocal_drift(1.0), drivers_fine[:, ::step], spec.times[::step])
+            for step in (4, 2, 1)
+        }
+        # rows are independent of the batch; sum their maxima in row order
         d1_tot, d2_tot = 0.0, 0.0
-        for row in drivers_fine:
-            sols = {}
-            for step in (4, 2, 1):
-                times = times_fine[::step]
-                sols[step] = solve_batch(1.0, reciprocal_drift(1.0), row[::step][None, :], times)[0]
-            d1 = np.max(np.abs(sols[4] - sols[2][::2]))
-            d2 = np.max(np.abs(sols[2] - sols[1][::2]))
+        for d1, d2 in zip(
+            np.max(np.abs(sols[4] - sols[2][:, ::2]), axis=1),
+            np.max(np.abs(sols[2] - sols[1][:, ::2]), axis=1),
+        ):
             d1_tot += d1
             d2_tot += d2
         # first order predicts d1 ~ 2 d2; allow a factor-2 slack
@@ -656,70 +615,23 @@ class TestCir:
             cir_transform(-1.0)
 
     def test_constant_drift_transform_satisfies_assumptions(self):
-        drift = cir_drift_transform(_constant_cir(0.5))
-        assert check_drift_assumptions(drift, 0.75).all_pass
-        # f1(t, x) = 2 * 0.5 / x
-        assert float(drift.f(0.3, np.asarray(2.0))) == pytest.approx(0.5)
-
-    def test_affine_drift_conditions(self):
-        # f(t, y) = 1 + y satisfies (a)-(c) and transforms to 2/x + 2
-        cir = CirDriftSpec(
-            f=lambda t, y: 1.0 + np.asarray(y, dtype=np.float64),
-            dfdy=lambda t, y: np.ones_like(np.asarray(y, dtype=np.float64)),
-            lower_envelope=lambda t: 1.0,
-            upper_envelope=lambda t: 1.0,
-        )
-        assert check_cir_conditions(cir).all_pass
-        drift = cir_drift_transform(cir)
-        assert check_drift_assumptions(drift, 0.75).all_pass
-        for x in (0.5, 1.0, 4.0):
-            assert float(drift.f(0.3, np.asarray(x))) == pytest.approx(2.0 / x + 2.0)
-
-    def test_zero_drift_zero_driver_is_constant(self):
-        # without the small-value floor the transform is still well defined,
-        # and a flat driver keeps the level frozen
-        cir = CirDriftSpec(
-            f=lambda t, y: np.zeros_like(np.asarray(y, dtype=np.float64)),
-            dfdy=lambda t, y: np.zeros_like(np.asarray(y, dtype=np.float64)),
-            lower_envelope=lambda t: 0.0,
-            upper_envelope=lambda t: 0.0,
-        )
-        sol = solve_cir(2.0, cir, _flat_driver(64))
-        assert np.allclose(sol.values, 2.0, atol=1e-12)
-
-    def test_linear_drift_fails_floor_condition(self):
-        cir = CirDriftSpec(
-            f=lambda t, y: np.asarray(y, dtype=np.float64),
-            dfdy=lambda t, y: np.ones_like(np.asarray(y, dtype=np.float64)),
-            lower_envelope=lambda t: 0.1,
-            upper_envelope=lambda t: 1.0,
-        )
-        rep = check_cir_conditions(cir)
-        assert not rep.small_value_floor
-        with pytest.raises(CirConditionError, match=r"\(a\)"):
-            cir_drift_transform(cir)
+        # y' = k + sqrt(y) phi' becomes x' = 2k/x + phi' under x = 2 sqrt(y)
+        for k in (0.05, 0.5, 2.0):
+            for drift in (reciprocal_drift(2.0 * k), solver.cir_drift_transform(k)):
+                assert check_drift_assumptions(drift, 0.75).all_pass
+                assert float(drift.f(0.3, np.asarray(2.0))) == pytest.approx(k)
 
     def test_trivial_equation_constant(self):
-        cir = _constant_cir(0.5)
-        # zero drift AND zero driver would need f = 0 which violates (a); use
-        # the exact ODE solution instead: y' = k -> y0 + k t
-        sol = solve_cir(1.0, cir, _flat_driver(512))
+        # a flat driver leaves y' = k, so y = y0 + k t
+        sol = _solve_cir(1.0, 0.5, _flat_driver(512))
         assert np.max(np.abs(sol.values - (1.0 + 0.5 * sol.times))) < 1e-3
-
-    def test_square_root_identity(self):
-        cir = _constant_cir(0.5)
-        driver = sample_fbm(FbmSpec(hurst=0.75, n_steps=256, seed=6))
-        y = solve_cir(1.0, cir, driver)
-        x = solve_pathwise(2.0, cir_drift_transform(cir), driver)
-        assert np.allclose(y.values, x.values**2 / 4.0, rtol=0, atol=0)
 
     def test_young_residual_smooth_driver(self):
         k = 0.5
-        cir = _constant_cir(k)
         driver = SamplePath.from_function(
             lambda t: 0.3 * np.sin(2 * np.pi * t), 1.0, 1000, holder_hint=1.0
         )
-        y = solve_cir(1.0, cir, driver)
+        y = _solve_cir(1.0, k, driver)
         sq = SamplePath(y.times, np.sqrt(y.values), holder_hint=1.0)
         for t in (0.25, 0.5, 1.0):
             idx = y.index_of(t)
@@ -728,11 +640,9 @@ class TestCir:
             assert resid <= 5e-3
 
     def test_positivity_on_fbm(self):
-        cir = _constant_cir(0.5)
         spec = FbmSpec(hurst=0.75, n_steps=256, seed=10)
         drivers = sample_fbm_batch(spec, 100)
-        drift = cir_drift_transform(cir)
-        x = solve_batch(2.0, drift, drivers, spec.times)
+        x = solve_batch(cir_transform(1.0), reciprocal_drift(2.0 * 0.5), drivers, spec.times)
         assert np.min(x**2 / 4.0) > 0.0
 
 

@@ -1,12 +1,13 @@
 """Source rules for the library: errors are never swallowed, validation never uses assert,
-and every exported name exists."""
+every exported name exists, and the package imports only exported names."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "fbmsde").glob("*.py"))
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fbmsde"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -39,6 +40,27 @@ def _missing_exports(tree: ast.Module) -> list[str]:
     return [name for name in exported if name not in defined]
 
 
+def _all_of(module: str) -> list[str]:
+    """The ``__all__`` list of ``src/fbmsde/<module>.py``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _unexported_imports(init: ast.Module, all_of) -> list[str]:
+    """``module.name`` for each name the package imports from a module outside its ``__all__``."""
+    found = []
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = all_of(node.module)
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+    return found
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"solver.py", "fbm.py", "verify.py", "cli.py"}
 
@@ -56,6 +78,16 @@ def test_every_export_is_defined(path):
 def test_export_rule_catches_a_deleted_definition():
     source = "Z = 1\n__all__ = ['f', 'C', 'Z', 'gone']\ndef f(): pass\nclass C: pass\n"
     assert _missing_exports(ast.parse(source)) == ["gone"]
+
+
+def test_package_imports_only_exported_names():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert _unexported_imports(init, _all_of) == []
+
+
+def test_import_rule_catches_a_stale_name():
+    init = ast.parse("from .solver import solve_batch, solve_cir\nfrom numpy import pi\n")
+    assert _unexported_imports(init, lambda module: ["solve_batch"]) == ["solver.solve_cir"]
 
 
 @pytest.mark.parametrize(
