@@ -4,7 +4,7 @@ One subcommand per verification suite; every run echoes its full configuration
 into a structured text report, writes plot-ready CSV paths, and exits 0 only
 when every claim passes (not-applicable claims do not fail a run).  Identical
 configuration and seed produce byte-identical artifacts, independent of the
-worker thread count and of the path blocks Monte Carlo experiments stream in.
+path blocks Monte Carlo experiments stream in.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class ExperimentConfig:
     eps_list: tuple[float, ...] = (0.05, 0.025, 0.0125)
     scale_a: float = 2.0
     scale_t: float = 0.5
-    threads: int = 1
+    threads: int = 1  # the only legal value; kept so command lines passing --threads 1 still run
     output_dir: str = "out"
     wide: bool = False
 
@@ -83,7 +83,9 @@ class ExperimentConfig:
             self.fbm_spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        self._check_positive("n_paths", "threads")
+        self._check_positive("n_paths")
+        if self.threads != 1:
+            raise ConfigError(f"threads must be 1 (every block is solved on one thread), got {self.threads}")
         # The keys below are checked only for the experiments that read them.
         if self.experiment not in ("fbm-sample", "cir"):  # every caller of drift_spec()
             if self.drift not in _DRIFT_FAMILIES:
@@ -337,7 +339,7 @@ def _exp_simulate(cfg: ExperimentConfig, out_dir: Path):
     # The wide CSV is time-major, so every solution is kept; of the drivers,
     # only the rows the defect check reads.
     blocks = verify.simulate_paths(
-        spec, drift, cfg.x0, cfg.n_paths, lambda d, s: (d[:n_defect].copy(), s), threads=cfg.threads
+        spec, drift, cfg.x0, cfg.n_paths, lambda d, s: (d[:n_defect].copy(), s)
     )
     drivers = np.concatenate([d for d, _ in blocks])
     solutions = np.concatenate([s for _, s in blocks])
@@ -380,7 +382,6 @@ def _exp_verify_bound(cfg: ExperimentConfig, out_dir: Path):
     audits = verify.simulate_paths(
         spec, drift, cfg.x0, cfg.n_paths,
         lambda d, s: verify.check_path_bound(drift, s, d, spec.times, cfg.beta, cfg.gamma),
-        threads=cfg.threads,
     )
     report = replace(
         audits[0],
@@ -420,7 +421,7 @@ def _exp_neg_moments(cfg: ExperimentConfig, out_dir: Path):
     idx = [int(round(t / dt)) for t in t_snapped]
     # Only the t_eval columns are read, so the solve stops at the last of them.
     blocks = verify.simulate_paths(
-        spec, drift, cfg.x0, cfg.n_paths, lambda d, s: s[:, idx], threads=cfg.threads, n_points=max(idx) + 1
+        spec, drift, cfg.x0, cfg.n_paths, lambda d, s: s[:, idx], n_points=max(idx) + 1
     )
     columns = np.concatenate(blocks)
     claims = []
@@ -460,17 +461,22 @@ def _exp_scaling(cfg: ExperimentConfig, out_dir: Path):
     n_inner = cfg.scale_t / a / dt
     if abs(n_inner - round(n_inner)) > 1e-9:
         raise ConfigError("scale_t / scale_a must land on the grid: choose n_steps divisible by scale_a")
+    if round(n_inner) < 2:
+        raise ConfigError(
+            f"scale_t / scale_a spans {round(n_inner)} grid step(s), fewer than 2: "
+            "choose n_steps of at least 2 * scale_a"
+        )
     x0_b, drift_b, spec = verify.scaling_transform(drift, a, cfg.hurst, cfg.x0)
     spec_a = cfg.fbm_spec(horizon=cfg.scale_t / a, n_steps=int(round(n_inner)))
     side_a = a**cfg.hurst * np.concatenate(
-        verify.simulate_paths(spec_a, drift, cfg.x0, cfg.n_paths, _last_column, threads=cfg.threads)
+        verify.simulate_paths(spec_a, drift, cfg.x0, cfg.n_paths, _last_column)
     )
     spec_b = replace(
         cfg.fbm_spec(horizon=cfg.scale_t, n_steps=cfg.n_steps),
         seed=cfg.seed ^ _SCALING_SEED_FLIP,
     )
     side_b = np.concatenate(
-        verify.simulate_paths(spec_b, drift_b, x0_b, cfg.n_paths, _last_column, threads=cfg.threads)
+        verify.simulate_paths(spec_b, drift_b, x0_b, cfg.n_paths, _last_column)
     )
     stat = verify.ks_statistic(side_a, side_b)
     crit = verify.ks_critical_value(cfg.n_paths, cfg.n_paths, alpha=0.01)
@@ -507,9 +513,11 @@ def _exp_malliavin(cfg: ExperimentConfig, out_dir: Path):
     """analytic vs finite-difference directional derivatives"""
     spec = cfg.fbm_spec()
     try:  # the same grid lookup the derivative report makes on each solution
-        SamplePath(spec.times, spec.times).index_of(cfg.t_check)
+        check_index = SamplePath(spec.times, spec.times).index_of(cfg.t_check)
     except GridError as exc:
         raise ConfigError(f"t_check: {exc}") from exc
+    if check_index == 0:  # the kernel on [0, t_check] would have no cell
+        raise ConfigError(f"t_check must be at least one grid step dt={_fmt(spec.times[1])}")
     drift = cfg.drift_spec()
     direction = StepFunction.indicator(0.0, cfg.tau)
     drivers = fbm.sample_fbm_batch(spec, cfg.n_paths)
@@ -575,7 +583,7 @@ def _exp_cir(cfg: ExperimentConfig, out_dir: Path):
         worst_resid = max(worst_resid, resid)
     # stochastic positivity run
     y_mins = verify.simulate_paths(
-        cfg.fbm_spec(), drift, x0, cfg.n_paths, lambda d, x: float(np.min(x**2 / 4.0)), threads=cfg.threads
+        cfg.fbm_spec(), drift, x0, cfg.n_paths, lambda d, x: float(np.min(x**2 / 4.0))
     )
     y_min = min(y_mins)
     claims = [
@@ -598,7 +606,7 @@ def _exp_moments(cfg: ExperimentConfig, out_dir: Path):
         raise ConfigError("moments needs n_paths >= 4 for its two half-batch estimates")
     drift = cfg.drift_spec()
     blocks = verify.simulate_paths(
-        cfg.fbm_spec(), drift, cfg.x0, cfg.n_paths, lambda d, s: np.abs(s).max(axis=1), threads=cfg.threads
+        cfg.fbm_spec(), drift, cfg.x0, cfg.n_paths, lambda d, s: np.abs(s).max(axis=1)
     )
     sups = np.concatenate(blocks)
     report = verify.empirical_moment_stability(sups, cfg.p_orders)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import TypeVar
 
@@ -457,7 +455,6 @@ def simulate_paths(
     x0: float,
     n_paths: int,
     reduce: Callable[[np.ndarray, np.ndarray], _R],
-    threads: int = 1,
     n_points: int | None = None,
 ) -> list[_R]:
     """Sample drivers and solve the equation in path blocks; ``reduce`` each block.
@@ -471,10 +468,9 @@ def simulate_paths(
     grid, so they are rows of ``_prefix_spec(spec, n_points)``, cut to
     ``n_points`` columns.  A block holds about ``_BLOCK_BYTES`` of the full
     grid's increments and an even number of rows, so memory stays flat in
-    ``n_paths``.  Rows keep their keys whatever the blocks, and ``threads``
-    only splits each block's solve into chunks, so no result depends on
-    either.  ``reduce`` must not keep a view of its arguments, or the blocks
-    it views stay alive.
+    ``n_paths``.  Rows keep their keys whatever the blocks, so no result
+    depends on them.  ``reduce`` must not keep a view of its arguments, or
+    the blocks it views stay alive.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -486,19 +482,10 @@ def simulate_paths(
     rows = 2 * max(1, _BLOCK_BYTES // (8 * spec.n_steps) // 2)  # even: rows are keyed in pairs
     sampled = _prefix_spec(spec, n_points)
 
-    def block(first_row: int, pool: ThreadPoolExecutor | None) -> _R:
+    results = []
+    for first_row in range(0, n_paths, rows):
         count = min(rows, n_paths - first_row)
         drivers = sample_fbm_batch(sampled, count, first_row=first_row)[:, :n_points]
-        if pool is None:
-            return reduce(drivers, solve_batch(x0, drift, drivers, times))
-        solutions = np.empty_like(drivers)
-
-        def run(idx: np.ndarray) -> None:
-            if idx.size:
-                solutions[idx] = solve_batch(x0, drift, drivers[idx], times)
-
-        list(pool.map(run, np.array_split(np.arange(count), threads * 4)))
-        return reduce(drivers, solutions)
-
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        return [block(lo, pool) for lo in range(0, n_paths, rows)]
+        results.append(reduce(drivers, solve_batch(x0, drift, drivers, times)))
+        del drivers  # freed before the next block is sampled
+    return results

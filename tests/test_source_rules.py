@@ -1,5 +1,6 @@
 """Source rules for the library: errors are never swallowed, validation never uses assert,
-every exported name exists, and the package imports only exported names."""
+every exported name exists, the package imports only exported names, and nothing runs
+concurrently."""
 
 import ast
 from pathlib import Path
@@ -61,6 +62,23 @@ def _unexported_imports(init: ast.Module, all_of) -> list[str]:
     return found
 
 
+_CONCURRENCY = ("concurrent", "threading", "multiprocessing")
+
+
+def _concurrency_imports(tree: ast.AST) -> list[str]:
+    """``line N: module`` for each absolute import of a concurrency package or its submodules."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {m}" for m in modules if m.split(".")[0] in _CONCURRENCY]
+    return found
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"solver.py", "fbm.py", "verify.py", "cli.py"}
 
@@ -78,6 +96,26 @@ def test_every_export_is_defined(path):
 def test_export_rule_catches_a_deleted_definition():
     source = "Z = 1\n__all__ = ['f', 'C', 'Z', 'gone']\ndef f(): pass\nclass C: pass\n"
     assert _missing_exports(ast.parse(source)) == ["gone"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_concurrency_imports(path):
+    # every path depends only on its seed and index, so a worker pool could change only wall time
+    assert _concurrency_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "snippet, expected",
+    [
+        ("from concurrent.futures import ThreadPoolExecutor\n", ["line 1: concurrent.futures"]),
+        ("import numpy as np\nimport threading\n", ["line 2: threading"]),
+        ("def f():\n    import multiprocessing.pool as mp\n", ["line 2: multiprocessing.pool"]),
+        ("from .threading import x\nimport threadpoolctl\n", []),
+    ],
+    ids=["from-concurrent", "import-threading", "nested-multiprocessing", "look-alikes-allowed"],
+)
+def test_concurrency_rule_catches_each_form(snippet, expected):
+    assert _concurrency_imports(ast.parse(snippet)) == expected
 
 
 def test_package_imports_only_exported_names():

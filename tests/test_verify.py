@@ -31,9 +31,9 @@ from fbmsde.verify import (
 )
 
 
-def _whole_batch(spec, drift, x0, n_paths, threads=1):
+def _whole_batch(spec, drift, x0, n_paths):
     """(times, drivers, solutions) of a whole batch, gathered from the blocks of ``simulate_paths``."""
-    blocks = simulate_paths(spec, drift, x0, n_paths, lambda d, s: (d, s), threads=threads)
+    blocks = simulate_paths(spec, drift, x0, n_paths, lambda d, s: (d, s))
     return spec.times, np.concatenate([d for d, _ in blocks]), np.concatenate([s for _, s in blocks])
 
 
@@ -425,12 +425,3 @@ def test_streamed_reduction_memory_is_flat_in_n_paths(monkeypatch):
 
     peak(1)  # fill the eigenvalue cache first
     assert peak(8) <= 1.3 * peak(2)
-
-
-def test_simulate_paths_thread_invariance():
-    spec = FbmSpec(hurst=0.75, n_steps=128, seed=2)
-    drift = reciprocal_drift(1.0)
-    t1, d1, s1 = _whole_batch(spec, drift, 1.0, 60, threads=1)
-    t4, d4, s4 = _whole_batch(spec, drift, 1.0, 60, threads=4)
-    assert np.array_equal(d1, d4)
-    assert np.array_equal(s1, s4)
