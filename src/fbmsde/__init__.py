@@ -34,7 +34,6 @@ from .solver import (
     solve_pathwise,
 )
 from .verify import (
-    BoundConstants,
     HomogeneityError,
     MomentReport,
     ScalingSpec,

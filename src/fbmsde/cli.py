@@ -45,7 +45,7 @@ class ExperimentConfig:
     n_steps: int = 256
     n_paths: int = 200
     seed: int = 12345
-    method: str = "circulant_embedding"
+    method: str = "circulant_embedding"  # the only legal value; kept so command lines passing it still run
     drift: str = "reciprocal"
     drift_k: float = 1.0
     time_exponent: float = 1.0
@@ -86,6 +86,8 @@ class ExperimentConfig:
         self._check_positive("n_paths")
         if self.threads != 1:
             raise ConfigError(f"threads must be 1 (every block is solved on one thread), got {self.threads}")
+        if self.method != "circulant_embedding":
+            raise ConfigError(f"method must be circulant_embedding (the only sampler), got {self.method!r}")
         # The keys below are checked only for the experiments that read them.
         if self.experiment not in ("fbm-sample", "cir"):  # every caller of drift_spec()
             if self.drift not in _DRIFT_FAMILIES:
@@ -102,9 +104,14 @@ class ExperimentConfig:
                 raise ConfigError("p_orders must contain nonnegative values")
         if self.experiment == "verify-bound":
             try:
-                verify.admissible_order_window(self.beta, self.gamma)
+                lo, hi = verify.admissible_order_window(self.beta, self.gamma)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+            if lo >= hi:
+                raise ConfigError(
+                    f"empty pairing-order window for beta={self.beta}, gamma={self.gamma}; "
+                    f"need gamma > beta/(2 beta - 1) = {self.beta / (2 * self.beta - 1):.4g}"
+                )
             if not self.beta < self.hurst:
                 raise ConfigError(f"beta must lie in (1/2, hurst), got {self.beta}")
         if self.experiment == "malliavin":
@@ -138,7 +145,6 @@ class ExperimentConfig:
             hurst=self.hurst,
             horizon=self.horizon if horizon is None else horizon,
             n_steps=self.n_steps if n_steps is None else n_steps,
-            method=self.method,
             seed=self.seed,
         )
 
@@ -371,12 +377,6 @@ def _exp_simulate(cfg: ExperimentConfig, out_dir: Path):
 
 def _exp_verify_bound(cfg: ExperimentConfig, out_dir: Path):
     """audit the explicit sup-norm bound path by path"""
-    lo, hi = verify.admissible_order_window(cfg.beta, cfg.gamma)
-    if lo >= hi:
-        raise ConfigError(
-            f"empty pairing-order window for beta={cfg.beta}, gamma={cfg.gamma}; "
-            f"need gamma > beta/(2 beta - 1) = {cfg.beta / (2 * cfg.beta - 1):.4g}"
-        )
     drift = cfg.drift_spec()
     spec = cfg.fbm_spec()
     audits = verify.simulate_paths(
@@ -718,7 +718,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _assemble_config(args)
         report = run_experiment(cfg)
-    except ConfigError as exc:
+    except (ConfigError, fbm.FbmSamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     n_pass, n_fail, n_na = report.tally

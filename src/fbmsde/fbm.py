@@ -1,17 +1,18 @@
 """Exact sampling of fractional Brownian motion and its Gaussian geometry.
 
 Covariance: R(s, t) = (t^{2H} + s^{2H} - |t-s|^{2H}) / 2 with Hurst index
-H > 1/2 (long memory).  Two exact samplers are provided: circulant embedding
-of the stationary increment covariance (fast, O(n log n)) and a Cholesky
-factorization of the full grid covariance (the slow reference).  Both draw
-paths in pairs: rows 2j and 2j + 1 take their normals from one Philox
-generator re-keyed to ``[j, seed]``, so a row's bits depend only on the seed
-and its index, never on the batch.  The circulant sampler puts complex
-Gaussian weights on every mode of the embedding, so the real and imaginary
-parts of one FFT are two independent exact samples (Wood & Chan 1994;
-Dietrich & Newsam 1997).  The module also evaluates the singular-kernel
-inner product of step functions and the embedding of step directions into
-Hölder path space.
+H > 1/2 (long memory).  Paths are sampled exactly, in O(n log n), by
+circulant embedding of the stationary increment covariance.  For H >= 1/2
+the fGn autocovariance is nonnegative, decreasing and convex, so the minimal
+embedding is nonnegative definite (Dietrich & Newsam 1997); only rounding
+near H = 1 on very long grids breaks that, and raises ``FbmSamplingError``.
+Paths are drawn in pairs: rows 2j and 2j + 1 take their normals from one
+Philox generator re-keyed to ``[j, seed]``, so a row's bits depend only on
+the seed and its index, never on the batch.  Complex Gaussian weights on
+every mode of the embedding make the real and imaginary parts of one FFT two
+independent exact samples (Wood & Chan 1994).  The module also evaluates
+the singular-kernel inner product of step functions and the embedding of step
+directions into Hölder path space.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _BLOCK_ROWS = 16
 
 
 class FbmSamplingError(RuntimeError):
-    """Raised when a sampling method cannot produce an exact path."""
+    """Raised when the circulant embedding is not nonnegative definite, so no exact path exists."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,6 @@ class FbmSpec:
     hurst: float
     horizon: float = 1.0
     n_steps: int = 256
-    method: str = "circulant_embedding"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -74,8 +74,6 @@ class FbmSpec:
             raise ValueError("horizon must be positive")
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
-        if self.method not in ("circulant_embedding", "cholesky"):
-            raise ValueError(f"unknown method {self.method!r}")
         try:
             seed = operator.index(self.seed)
         except TypeError:
@@ -113,31 +111,13 @@ def _circulant_sqrt_eigs(hurst: float, n: int) -> np.ndarray:
     eigs = fft(row).real
     if eigs.min() < -_EIG_TOL:
         raise FbmSamplingError(
-            f"circulant embedding produced eigenvalue {eigs.min():.3e} < -{_EIG_TOL}; "
-            "fall back to method='cholesky'"
+            f"circulant embedding for hurst={hurst}, n_steps={n} produced eigenvalue "
+            f"{eigs.min():.3e} < -{_EIG_TOL}; lower hurst or n_steps"
         )
     eigs = np.clip(eigs, 0.0, None)
     out = np.sqrt(eigs / (2.0 * n))
     out.setflags(write=False)
     return out
-
-
-@functools.lru_cache(maxsize=64)
-def _cholesky_factor(hurst: float, n: int) -> np.ndarray:
-    """Lower Cholesky factor of the unit-horizon grid covariance."""
-    t = np.arange(1, n + 1, dtype=np.float64) / n
-    h2 = 2.0 * hurst
-    cov = 0.5 * (
-        t[:, None] ** h2 + t[None, :] ** h2 - np.abs(t[:, None] - t[None, :]) ** h2
-    )
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise FbmSamplingError(
-            f"grid covariance numerically non-positive-definite for H={hurst}, n={n}"
-        ) from exc
-    factor.setflags(write=False)
-    return factor
 
 
 def _philox_state(pair: int, seed: int) -> dict:
@@ -149,7 +129,7 @@ def _philox_state(pair: int, seed: int) -> dict:
 def sample_fbm(spec: FbmSpec) -> SamplePath:
     """Draw one fractional Brownian path with the exact grid law: row 0 of a 1-path batch.
 
-    Identical spec (including seed and method) yields a bit-identical path.
+    Identical spec (including seed) yields a bit-identical path.
     """
     return SamplePath(spec.times, sample_fbm_batch(spec, 1)[0], holder_hint=spec.hurst)
 
@@ -167,32 +147,25 @@ def sample_fbm_batch(spec: FbmSpec, n_paths: int, first_row: int = 0) -> np.ndar
     time.  Each pair of rows re-keys one Philox generator by assigning its
     state, so it draws what a fresh ``Philox(key=[j, seed])`` draws, whatever
     the batch size, without a ``SeedSequence`` built from OS entropy per pair.
-    Circulant pairs draw 4n normals, read as 2n complex weights on the modes,
-    and take one FFT: its real part is row 2j and its imaginary part row
-    2j + 1 (dropped for the last row of an odd batch).  Cholesky pairs draw 2n
-    normals, the first n for row 2j and the rest for row 2j + 1.
+    Each pair draws 4n normals, read as 2n complex weights on the modes, and
+    takes one FFT: its real part is row 2j and its imaginary part row 2j + 1
+    (dropped for the last row of an odd batch).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     if first_row < 0 or first_row % 2:
         raise ValueError(f"first_row must be even and nonnegative, got {first_row}")
     n = spec.n_steps
-    circulant = spec.method == "circulant_embedding"
     seed = int(spec.seed)
     rng = Generator(Philox(key=0))
     n_pairs = (n_paths + 1) // 2
-    normals = np.empty((min(_BLOCK_ROWS // 2, n_pairs), 4 * n if circulant else 2 * n))
+    normals = np.empty((min(_BLOCK_ROWS // 2, n_pairs), 4 * n))
     out = np.zeros((n_paths, n + 1))
     for lo in range(0, n_pairs, len(normals)):
         z, block = normals[: n_pairs - lo], out[2 * lo : 2 * (lo + len(normals)), 1:]
         for j, row in enumerate(z, start=first_row // 2 + lo):
             rng.bit_generator.state = _philox_state(j, seed)
             rng.standard_normal(out=row)
-        if not circulant:
-            factor = _cholesky_factor(spec.hurst, n)
-            for values, row in zip(block, z.reshape(-1, n)):
-                values[:] = spec.horizon**spec.hurst * (factor @ row)
-            continue
         w = fft(_circulant_sqrt_eigs(spec.hurst, n) * z.view(np.complex128), axis=1)
         scale = (spec.horizon / n) ** spec.hurst
         np.multiply(scale, w.real[:, :n], out=block[0::2])

@@ -21,7 +21,6 @@ from .paths import SamplePath
 from .solver import DriftSpec, scaled_drift, solve_batch
 
 __all__ = [
-    "BoundConstants",
     "BoundAuditReport",
     "MomentReport",
     "ScalingSpec",
@@ -30,7 +29,6 @@ __all__ = [
     "ibp_constant",
     "admissible_order_window",
     "window_length",
-    "bound_constants",
     "log_supnorm_bound",
     "check_path_bound",
     "negative_moment_threshold",
@@ -116,38 +114,6 @@ def window_length(
     return min(terms)
 
 
-@dataclass(frozen=True)
-class BoundConstants:
-    """Everything the explicit sup-norm bound is assembled from."""
-
-    gamma: float
-    beta: float
-    k_sup: float
-    c_ibp: float
-    window: float
-    n_intervals: int | float  # inf once the window underflows
-    growth_const: float  # 8 k_sup gamma T + 4 T^beta
-
-
-def bound_constants(
-    gamma: float,
-    beta: float,
-    k_sup: float,
-    phi_norm: float,
-    horizon: float,
-    c_ibp: float | None = None,
-) -> BoundConstants:
-    if c_ibp is None:
-        c_ibp = ibp_constant(beta, gamma)
-    window = window_length(gamma, beta, k_sup, phi_norm, c_ibp)
-    # a huge driver norm underflows the window, and no finite count of
-    # subintervals covers the horizon: the bound is vacuous
-    intervals = horizon / window if window > 0.0 else math.inf
-    n_intervals = int(intervals) + 1 if math.isfinite(intervals) else math.inf
-    growth = 8.0 * k_sup * gamma * horizon + 4.0 * horizon**beta
-    return BoundConstants(gamma, beta, k_sup, c_ibp, window, n_intervals, growth)
-
-
 def log_supnorm_bound(
     x0: float,
     gamma: float,
@@ -164,10 +130,15 @@ def log_supnorm_bound(
     """
     if x0 <= 0:
         raise ValueError("x0 must be positive")
-    consts = bound_constants(gamma, beta, k_sup, phi_norm, horizon, c_ibp)
-    return (
-        consts.n_intervals * math.log(2.0) + math.log(x0**gamma + consts.growth_const)
-    ) / gamma
+    if c_ibp is None:
+        c_ibp = ibp_constant(beta, gamma)
+    window = window_length(gamma, beta, k_sup, phi_norm, c_ibp)
+    # a huge driver norm underflows the window, and no finite count of
+    # subintervals covers the horizon: the bound is vacuous
+    intervals = horizon / window if window > 0.0 else math.inf
+    n_intervals = int(intervals) + 1 if math.isfinite(intervals) else math.inf
+    growth = 8.0 * k_sup * gamma * horizon + 4.0 * horizon**beta
+    return (n_intervals * math.log(2.0) + math.log(x0**gamma + growth)) / gamma
 
 
 _ENVELOPE_CELLS = 512
@@ -184,10 +155,6 @@ def drift_sup_envelope(drift: DriftSpec, horizon: float) -> float:
 class BoundAuditReport:
     n_paths: int
     n_passed: int
-    gamma: float
-    beta: float
-    k_sup: float
-    c_ibp: float
     worst_margin: float  # min over paths of log(bound) - log(sup norm)
 
     @property
@@ -238,9 +205,7 @@ def check_path_bound(
         worst = min(worst, margin)
         if margin >= 0.0:
             n_passed += 1
-    return BoundAuditReport(
-        solutions.shape[0], n_passed, gamma, beta, k_sup, c_ibp, worst
-    )
+    return BoundAuditReport(solutions.shape[0], n_passed, worst)
 
 
 def negative_moment_threshold(k: float, p: float, hurst: float) -> float:

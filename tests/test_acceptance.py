@@ -40,7 +40,9 @@ from fbmsde.verify import (
 )
 
 from drifts import zero_drift
-# the Riemann-Stieltjes oracle of young_integral lives with the fraccalc tests
+# the Cholesky reference sampler lives with the fbm tests, and the
+# Riemann-Stieltjes oracle of young_integral with the fraccalc tests
+from test_fbm import cholesky_rows
 from test_fraccalc import riemann_stieltjes
 
 
@@ -67,12 +69,9 @@ def test_criterion_1_fbm_exactness():
     worst_ks = 0.0
     ok = True
     for hurst in (0.6, 0.75, 0.9):
-        spec_c = FbmSpec(hurst=hurst, n_steps=n, method="circulant_embedding", seed=1001)
-        spec_l = FbmSpec(
-            hurst=hurst, n_steps=n, method="cholesky", seed=1001 ^ (1 << 40)
-        )
+        spec_c = FbmSpec(hurst=hurst, n_steps=n, seed=1001)
         vals_c = sample_fbm_batch(spec_c, m)[:, 1:]
-        vals_l = sample_fbm_batch(spec_l, m)[:, 1:]
+        vals_l = cholesky_rows(hurst, n, 1001 ^ (1 << 40), m)
         times = spec_c.times[1:]
         target = 0.5 * (
             times[:, None] ** (2 * hurst)

@@ -275,6 +275,7 @@ _REJECTED = [
     ("--seed", "-1"),
     ("--seed", str(2**64)),
     ("--method", "fft"),
+    ("--method", "cholesky"),
     ("--drift", "cubic"),
     ("--drift-k", "0"),
     ("--time-exponent", "-1"),
@@ -286,6 +287,7 @@ _REJECTED = [
     ("--beta", "0.5"),
     ("--beta", "0.75"),
     ("--gamma", "2"),
+    ("--gamma", "2.1"),  # beta 0.65 leaves no pairing order below gamma 2.167
     ("--p-orders", "-1"),
     ("--t-eval", "0"),
     ("--t-eval", "1.5"),
@@ -395,8 +397,10 @@ def test_every_subcommand_accepts_every_config_flag():
 
 
 # Configs that would pass validation but fail inside the library (or check
-# nothing at all); each runner rejects them before any sampling.  Each entry
-# gives the arguments and a fragment of the error message.
+# nothing at all); each runner rejects them before any sampling, except a
+# circulant embedding that rounding makes indefinite, which the sampler
+# rejects before drawing.  Each entry gives the arguments and a fragment of
+# the error message.
 _RUNNER_REJECTED = {
     "moments-too-few-paths": (["moments", "--n-paths", "2", "--n-steps", "16"], "n_paths >= 4"),
     "malliavin-t-check-off-grid": (
@@ -416,6 +420,10 @@ _RUNNER_REJECTED = {
     "scaling-one-inner-step": (
         ["scaling", "--n-paths", "1000", "--n-steps", "16", "--scale-a", "16"],
         "fewer than 2",
+    ),
+    "fbm-sample-embedding-indefinite": (
+        ["fbm-sample", "--hurst", "0.99999", "--n-steps", "65536", "--n-paths", "2"],
+        "circulant embedding",
     ),
 }
 

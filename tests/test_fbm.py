@@ -10,7 +10,6 @@ from fbmsde.fbm import (
     _BLOCK_ROWS,
     FbmSpec,
     _circulant_sqrt_eigs,
-    _cholesky_factor,
     _philox_state,
     embed_direction,
     grid_inner_product,
@@ -45,6 +44,30 @@ class TestCovariance:
             hurst_covariance(1.0, 1.0, 1.0)
 
 
+# The one sampler's name, kept as a parameter id so these cases keep the names
+# they had while a Cholesky sampler shared them.
+_SAMPLER = pytest.mark.parametrize("sampler", ["circulant_embedding"])
+
+
+def cholesky_rows(hurst: float, n: int, seed: int, n_paths: int) -> np.ndarray:
+    """Exact unit-horizon fBm at the grid times 1/n .. 1, the slow reference sampler.
+
+    Rows 2j and 2j + 1 are ``L @ z`` for the (2, n) normals z of
+    ``Philox(key=[j, seed])``, with L the lower Cholesky factor of the grid
+    covariance: an O(n^3) draw the circulant sampler is checked against in law.
+    """
+    t = np.arange(1, n + 1, dtype=np.float64) / n
+    h2 = 2.0 * hurst
+    factor = np.linalg.cholesky(
+        0.5 * (t[:, None] ** h2 + t[None, :] ** h2 - np.abs(t[:, None] - t[None, :]) ** h2)
+    )
+    rows = []
+    for pair in range((n_paths + 1) // 2):
+        rng = np.random.Generator(np.random.Philox(key=np.array([pair, seed], dtype=np.uint64)))
+        rows.extend(factor @ z for z in rng.standard_normal((2, n)))
+    return np.array(rows[:n_paths])
+
+
 class TestSampler:
     def test_deterministic_bytes(self):
         spec = FbmSpec(hurst=0.7, n_steps=64, seed=99)
@@ -57,11 +80,11 @@ class TestSampler:
         batch = sample_fbm_batch(spec, 4)
         assert np.array_equal(batch[0], sample_fbm(spec).values)
 
-    @pytest.mark.parametrize("method", ["circulant_embedding", "cholesky"])
-    def test_block_invariance(self, method):
+    @_SAMPLER
+    def test_block_invariance(self, sampler):
         # row i equals the per-pair reference row, for batches ending on either
         # side of every block boundary, odd sizes included
-        spec = FbmSpec(hurst=0.75, n_steps=64, method=method, seed=11)
+        spec = FbmSpec(hurst=0.75, n_steps=64, seed=11)
         ref = _reference_rows(spec, 3 * _BLOCK_ROWS + 1)
         for blocks in range(4):
             for n_paths in (blocks * _BLOCK_ROWS - 1, blocks * _BLOCK_ROWS, blocks * _BLOCK_ROWS + 1):
@@ -72,11 +95,11 @@ class TestSampler:
                 for i, row in enumerate(batch):
                     assert np.array_equal(row, ref[i]), (n_paths, i)
 
-    @pytest.mark.parametrize("method", ["circulant_embedding", "cholesky"])
-    def test_offset_batch_equals_rows_of_whole_batch(self, method):
+    @_SAMPLER
+    def test_offset_batch_equals_rows_of_whole_batch(self, sampler):
         # offsets on and off the sampler's block boundaries, with odd counts
         # that end a batch on the first row of a pair
-        spec = FbmSpec(hurst=0.75, n_steps=64, method=method, seed=17)
+        spec = FbmSpec(hurst=0.75, n_steps=64, seed=17)
         total = 3 * _BLOCK_ROWS + 1
         whole = sample_fbm_batch(spec, total)
         for first_row in (0, 2, _BLOCK_ROWS - 2, _BLOCK_ROWS, _BLOCK_ROWS + 2, 2 * _BLOCK_ROWS):
@@ -104,12 +127,12 @@ class TestSampler:
         }
         assert len(rows) == 64
 
-    @pytest.mark.parametrize("method", ["circulant_embedding", "cholesky"])
-    def test_pair_rows_independent_with_fgn_covariance(self, method):
+    @_SAMPLER
+    def test_pair_rows_independent_with_fgn_covariance(self, sampler):
         # the real and imaginary rows of one FFT: each with the unit-step fGn
         # autocovariance, and uncorrelated with each other, within 4 standard errors
         hurst, n, lags = 0.75, 32, 4
-        spec = FbmSpec(hurst, n_steps=n, method=method, seed=2718)
+        spec = FbmSpec(hurst, n_steps=n, seed=2718)
         inc = np.diff(sample_fbm_batch(spec, 20_000), axis=1) * n**hurst
         even, odd = inc[0::2], inc[1::2]
         k = np.arange(lags, dtype=np.float64)
@@ -125,11 +148,6 @@ class TestSampler:
                 se = np.std(per_path) / math.sqrt(per_path.size)
                 assert abs(np.mean(per_path) - expected) < 4.0 * se, (k, expected)
 
-    def test_methods_disagree_pathwise_but_share_law(self):
-        circ = FbmSpec(hurst=0.75, n_steps=64, seed=1, method="circulant_embedding")
-        chol = FbmSpec(hurst=0.75, n_steps=64, seed=1, method="cholesky")
-        assert not np.array_equal(sample_fbm(circ).values, sample_fbm(chol).values)
-
     def test_brownian_increments_uncorrelated(self):
         spec = FbmSpec(hurst=0.5, n_steps=64, seed=7)
         vals = sample_fbm_batch(spec, 4000)
@@ -137,10 +155,10 @@ class TestSampler:
         lag1 = np.mean(inc[:, :-1] * inc[:, 1:]) / np.mean(inc**2)
         assert abs(lag1) < 0.03
 
-    @pytest.mark.parametrize("method", ["circulant_embedding", "cholesky"])
-    def test_terminal_variance(self, method):
+    @_SAMPLER
+    def test_terminal_variance(self, sampler):
         m = 20_000
-        spec = FbmSpec(hurst=0.75, horizon=1.0, n_steps=64, method=method, seed=42)
+        spec = FbmSpec(hurst=0.75, horizon=1.0, n_steps=64, seed=42)
         terminal = sample_fbm_batch(spec, m)[:, -1]
         sq = terminal**2
         se = math.sqrt((np.mean(sq**2) - np.mean(sq) ** 2) / m)
@@ -167,14 +185,10 @@ def _per_pair_values(spec: FbmSpec, pair: int) -> np.ndarray:
     """Rows 2j and 2j + 1 drawn one pair at a time, kept as the block kernel's reference."""
     rng = np.random.Generator(np.random.Philox(key=np.array([pair, spec.seed], dtype=np.uint64)))
     n = spec.n_steps
-    if spec.method == "circulant_embedding":
-        z = rng.standard_normal(4 * n)
-        noise = np.fft.fft(_circulant_sqrt_eigs(spec.hurst, n) * (z[0::2] + 1j * z[1::2]))[:n]
-        increments = (spec.horizon / n) ** spec.hurst * np.stack([noise.real, noise.imag])
-        return np.hstack([np.zeros((2, 1)), np.cumsum(increments, axis=1)])
-    z = rng.standard_normal((2, n))
-    factor = _cholesky_factor(spec.hurst, n)
-    return np.hstack([np.zeros((2, 1)), [spec.horizon**spec.hurst * (factor @ row) for row in z]])
+    z = rng.standard_normal(4 * n)
+    noise = np.fft.fft(_circulant_sqrt_eigs(spec.hurst, n) * (z[0::2] + 1j * z[1::2]))[:n]
+    increments = (spec.horizon / n) ** spec.hurst * np.stack([noise.real, noise.imag])
+    return np.hstack([np.zeros((2, 1)), np.cumsum(increments, axis=1)])
 
 
 def _reference_rows(spec: FbmSpec, n_paths: int) -> np.ndarray:
@@ -182,18 +196,26 @@ def _reference_rows(spec: FbmSpec, n_paths: int) -> np.ndarray:
 
 
 class TestBlockSampler:
-    @pytest.mark.parametrize("method", ["circulant_embedding", "cholesky"])
+    @_SAMPLER
     @pytest.mark.parametrize("n_steps", [2, 3, 1023, 1024])
     @pytest.mark.parametrize("hurst", [0.5, 0.51, 0.75, 0.99])
-    def test_rows_equal_per_path_reference(self, hurst, n_steps, method):
+    def test_rows_equal_per_path_reference(self, hurst, n_steps, sampler):
         sizes = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3)
         for seed in (0, 12345, 2**64 - 1):
             for horizon in (1.0, 2.5):
-                spec = FbmSpec(hurst, horizon=horizon, n_steps=n_steps, method=method, seed=seed)
+                spec = FbmSpec(hurst, horizon=horizon, n_steps=n_steps, seed=seed)
                 ref = _reference_rows(spec, max(sizes))
                 for n_paths in sizes:
                     assert np.array_equal(sample_fbm_batch(spec, n_paths), ref[:n_paths])
                 assert np.array_equal(sample_fbm(spec).values, ref[0])
+
+    def test_embedding_nonnegative_definite_over_working_range(self):
+        # for H in [1/2, 1) the fGn autocovariance is nonnegative, decreasing
+        # and convex, so the minimal embedding needs no fallback sampler
+        # (Dietrich & Newsam 1997); unwrapped, so the sweep fills no cache
+        for hurst in np.linspace(0.5, 0.999, 25):
+            for n in (2, 3, 5, 64, 1023, 1024, 4096, 16384, 65536):
+                _circulant_sqrt_eigs.__wrapped__(float(hurst), n)
 
     def test_rekeyed_state_draws_like_fresh_philox(self):
         bitgen = np.random.Philox(key=3)
