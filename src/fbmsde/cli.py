@@ -1,10 +1,10 @@
 """Configuration-driven experiment runner.
 
-One subcommand per verification suite; every run echoes its full configuration
-into a structured text report, writes plot-ready CSV paths, and exits 0 only
-when every claim passes (not-applicable claims do not fail a run).  Identical
-configuration and seed produce byte-identical artifacts, independent of the
-path blocks Monte Carlo experiments stream in.
+One subcommand per verification suite; every run echoes the configuration keys
+its experiment reads into a structured text report, writes plot-ready CSV
+paths, and exits 0 only when every claim passes (not-applicable claims do not
+fail a run).  Identical configuration and seed produce byte-identical
+artifacts, independent of the path blocks Monte Carlo experiments stream in.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -83,26 +83,30 @@ class ExperimentConfig:
             self.fbm_spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        self._check_positive("n_paths")
         if self.threads != 1:
             raise ConfigError(f"threads must be 1 (every block is solved on one thread), got {self.threads}")
         if self.method != "circulant_embedding":
             raise ConfigError(f"method must be circulant_embedding (the only sampler), got {self.method!r}")
-        # The keys below are checked only for the experiments that read them.
-        if self.experiment not in ("fbm-sample", "cir"):  # every caller of drift_spec()
-            if self.drift not in _DRIFT_FAMILIES:
-                raise ConfigError(f"drift must be one of {_DRIFT_FAMILIES}, got {self.drift!r}")
-            self._check_positive("drift_k", "singularity_exponent", "x0")
-            if self.time_exponent < 0:
-                raise ConfigError("time_exponent must be nonnegative")
-            if self.bessel_dimension < 2:
-                raise ConfigError("bessel_dimension must be at least 2")
-        if self.experiment == "cir":
-            self._check_positive("y0", "cir_k")
-        if self.experiment in ("neg-moments", "moments"):
-            if not self.p_orders or any(p < 0 for p in self.p_orders):
-                raise ConfigError("p_orders must contain nonnegative values")
-        if self.experiment == "verify-bound":
+        # The range checks below bind only the keys the experiment reads.
+        reads = _keys_read(self.experiment)
+        for key in ("n_paths", "drift_k", "singularity_exponent", "x0", "y0", "cir_k", "scale_a"):
+            if key in reads and getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be positive")
+        if "drift" in reads and self.drift not in _DRIFT_FAMILIES:
+            raise ConfigError(f"drift must be one of {_DRIFT_FAMILIES}, got {self.drift!r}")
+        if "time_exponent" in reads and self.time_exponent < 0:
+            raise ConfigError("time_exponent must be nonnegative")
+        if "bessel_dimension" in reads and self.bessel_dimension < 2:
+            raise ConfigError("bessel_dimension must be at least 2")
+        if "p_orders" in reads and (not self.p_orders or any(p < 0 for p in self.p_orders)):
+            raise ConfigError("p_orders must contain nonnegative values")
+        if "eps_list" in reads and (not self.eps_list or any(e <= 0 for e in self.eps_list)):
+            raise ConfigError("eps_list must contain positive values")
+        for key in ("tau", "t_check", "scale_t", "t_eval"):
+            times = self.t_eval if key == "t_eval" else (getattr(self, key),)
+            if key in reads and (not times or any(not 0 < t <= self.horizon for t in times)):
+                raise ConfigError(f"{key} must lie in (0, horizon]")
+        if "beta" in reads:
             try:
                 lo, hi = verify.admissible_order_window(self.beta, self.gamma)
             except ValueError as exc:
@@ -114,24 +118,6 @@ class ExperimentConfig:
                 )
             if not self.beta < self.hurst:
                 raise ConfigError(f"beta must lie in (1/2, hurst), got {self.beta}")
-        if self.experiment == "malliavin":
-            for key in ("tau", "t_check"):
-                if not 0 < getattr(self, key) <= self.horizon:
-                    raise ConfigError(f"{key} must lie in (0, horizon]")
-            if not self.eps_list or any(e <= 0 for e in self.eps_list):
-                raise ConfigError("eps_list must contain positive values")
-        if self.experiment == "scaling":
-            self._check_positive("scale_a")
-            if not 0 < self.scale_t <= self.horizon:
-                raise ConfigError("scale_t must lie in (0, horizon]")
-        if self.experiment == "neg-moments":
-            if not self.t_eval or any(t <= 0 or t > self.horizon for t in self.t_eval):
-                raise ConfigError("t_eval must contain times in (0, horizon]")
-
-    def _check_positive(self, *keys: str) -> None:
-        for key in keys:
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be positive")
 
     def drift_spec(self) -> solver.DriftSpec:
         if self.drift == "reciprocal":
@@ -276,6 +262,7 @@ def _write_paths_csv(
     out_dir: Path, times: np.ndarray, values: np.ndarray, wide: bool, stem: str = "path"
 ) -> list[str]:
     values = np.atleast_2d(values)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if wide:
         header = "time," + ",".join(f"{stem}_{i:04d}" for i in range(values.shape[0]))
         _write_time_major(out_dir / f"{stem}s.csv", header, times, values)
@@ -291,8 +278,8 @@ _REPORT_NAME = "report.txt"
 
 def _write_report(out_dir: Path, report: RunReport) -> None:
     lines = ["fbmsde report", f"experiment: {report.config.experiment}", "config:"]
-    for f in fields(ExperimentConfig):
-        lines.append(f"  {f.name}: {_fmt(getattr(report.config, f.name))}")
+    for key in _keys_read(report.config.experiment):
+        lines.append(f"  {key}: {_fmt(getattr(report.config, key))}")
     lines.append("claims:")
     for c in report.claims:
         lines.append(f"  {c.name}:")
@@ -305,6 +292,7 @@ def _write_report(out_dir: Path, report: RunReport) -> None:
     for name in report.artifacts[:-1]:  # the last artifact is this report
         lines.append(f"  - {name}")
     lines.append("summary: {} pass, {} fail, {} not-applicable".format(*report.tally))
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / _REPORT_NAME).write_text("\n".join(lines) + "\n")
 
 
@@ -623,29 +611,41 @@ def _exp_moments(cfg: ExperimentConfig, out_dir: Path):
     return claims, []
 
 
-# The experiments in subcommand order; each runner's docstring is its help text.
+# Every experiment reads these keys; _RUNNERS lists the rest.
+_SHARED_KEYS = ("hurst", "horizon", "n_steps", "n_paths", "seed", "output_dir")
+_SOLVE_KEYS = ("drift", "drift_k", "time_exponent", "singularity_exponent", "bessel_dimension", "x0")
+
+# The experiments in subcommand order: each one's runner, whose docstring is
+# its help text, and the keys it reads beyond the shared ones (a key one of its
+# validation checks reads counts).  Only these keys are range-checked and
+# echoed in its report.
 _RUNNERS = {
-    "fbm-sample": _exp_fbm_sample,
-    "simulate": _exp_simulate,
-    "verify-bound": _exp_verify_bound,
-    "neg-moments": _exp_neg_moments,
-    "scaling": _exp_scaling,
-    "malliavin": _exp_malliavin,
-    "cir": _exp_cir,
-    "moments": _exp_moments,
+    "fbm-sample": (_exp_fbm_sample, ("wide",)),
+    "simulate": (_exp_simulate, (*_SOLVE_KEYS, "wide")),
+    "verify-bound": (_exp_verify_bound, (*_SOLVE_KEYS, "beta", "gamma")),
+    "neg-moments": (_exp_neg_moments, ("drift", "drift_k", "x0", "p_orders", "t_eval")),
+    "scaling": (_exp_scaling, (*_SOLVE_KEYS, "scale_a", "scale_t")),
+    "malliavin": (_exp_malliavin, (*_SOLVE_KEYS, "tau", "t_check", "eps_list")),
+    "cir": (_exp_cir, ("y0", "cir_k")),
+    "moments": (_exp_moments, (*_SOLVE_KEYS, "p_orders")),
 }
 
 
 EXPERIMENTS = tuple(_RUNNERS)
 
 
+def _keys_read(experiment: str) -> tuple[str, ...]:
+    """The config keys ``experiment`` reads, in dataclass order."""
+    reads = {*_SHARED_KEYS, *_RUNNERS[experiment][1]}
+    return tuple(key for key in _KINDS if key in reads)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Execute one experiment: validates, runs, writes report + CSV artifacts."""
     cfg.validate()
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(cfg.output_dir)  # made by the first write, so a rejected config leaves none
     start = time.perf_counter()
-    claims, artifacts = _RUNNERS[cfg.experiment](cfg, out_dir)
+    claims, artifacts = _RUNNERS[cfg.experiment][0](cfg, out_dir)
     wall = time.perf_counter() - start
     report = RunReport(cfg, tuple(claims), (*artifacts, _REPORT_NAME), wall)
     _write_report(out_dir, report)
@@ -677,7 +677,7 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             flags.add_argument(flag, type=str, default=None, metavar=key.upper())
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="EXPERIMENT")
-    for name, runner in _RUNNERS.items():
+    for name, (runner, _) in _RUNNERS.items():
         sub.add_parser(name, help=runner.__doc__, parents=[flags])
     return parser
 

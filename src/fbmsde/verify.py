@@ -235,12 +235,6 @@ class MomentReport:
     claim_bound: float | None
     passed: bool | None
 
-    @property
-    def outcome(self) -> str:
-        if self.passed is None:
-            return "not applicable"
-        return "pass" if self.passed else "fail"
-
 
 def check_negative_moments(
     terminal_values: np.ndarray,

@@ -210,6 +210,14 @@ class TestCliProcess:
         assert main(["fbm-sample", "--config", str(cfg_file)]) == 2
 
 
+def _run_in(cwd: Path, monkeypatch, argv: list) -> tuple:
+    """Run the CLI from a new directory ``cwd`` with output to the relative path "out"."""
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    code = main([*argv, "--output-dir", "out"])
+    return code, {p.name: p.read_bytes() for p in sorted(Path("out").iterdir())}
+
+
 @pytest.mark.parametrize(
     "args, rows_at_64_steps",
     [
@@ -235,10 +243,7 @@ def test_path_blocks_do_not_change_artifacts(args, rows_at_64_steps, tmp_path, m
             return sample(spec, n_paths, first_row=first_row)
 
         monkeypatch.setattr(verify, "sample_fbm_batch", counted)
-        (tmp_path / name).mkdir()
-        monkeypatch.chdir(tmp_path / name)
-        code = main([*args, "--output-dir", "out"])
-        return code, {p.name: p.read_bytes() for p in sorted(Path("out").iterdir())}
+        return _run_in(tmp_path / name, monkeypatch, args)
 
     one_rows, many_rows = [], []
     one = run("one", one_rows)
@@ -263,7 +268,7 @@ def test_run_experiment_returns_report(tmp_path):
 # One out-of-range value for each check in ``ExperimentConfig.validate``, then
 # non-finite values, which the float parsers reject first; every one must be
 # rejected before any work with exit code 2.  A key that only some experiments
-# read is checked under one of them (``_READER``); every other key under
+# read is checked under the first of them (``_READERS``); every other key under
 # ``fbm-sample``.
 _REJECTED = [
     ("--hurst", "0.4"),
@@ -310,57 +315,79 @@ _REJECTED = [
 ]
 
 
-_READER = {
-    "--drift": "simulate",
-    "--drift-k": "simulate",
-    "--time-exponent": "simulate",
-    "--singularity-exponent": "simulate",
-    "--bessel-dimension": "simulate",
-    "--x0": "simulate",
-    "--y0": "cir",
-    "--cir-k": "cir",
-    "--p-orders": "moments",
-    "--beta": "verify-bound",
-    "--gamma": "verify-bound",
-    "--tau": "malliavin",
-    "--t-check": "malliavin",
-    "--eps-list": "malliavin",
-    "--scale-a": "scaling",
-    "--scale-t": "scaling",
-    "--t-eval": "neg-moments",
-}
+# The experiments that read each key beyond the shared ones, from the table.
+_READERS = {key: [e for e, (_, keys) in cli._RUNNERS.items() if key in keys] for key in cli._KINDS}
+
+
+def _key(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 @pytest.mark.parametrize("flag,value", _REJECTED, ids=[f"{f}={v}" for f, v in _REJECTED])
 def test_out_of_range_value_exits_2(tmp_path, capsys, flag, value):
-    args = [_READER.get(flag, "fbm-sample"), "--n-paths", "8", "--n-steps", "16", flag, value]
+    experiment = (_READERS[_key(flag)] or ["fbm-sample"])[0]
+    args = [experiment, "--n-paths", "8", "--n-steps", "16", flag, value]
     assert main([*args, "--output-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "report.txt").exists()
 
 
-_UNREAD = [(f, v) for f, v in _REJECTED if f in _READER and v not in ("inf", "nan", "0.1,nan")]
-
-
-# a second experiment that never reads the key, besides fbm-sample
-_ALSO_UNREAD_BY = {
-    **dict.fromkeys(
-        ["--drift", "--drift-k", "--time-exponent", "--singularity-exponent", "--bessel-dimension", "--x0"],
-        "cir",
-    ),
-    "--y0": "simulate",
-    "--cir-k": "simulate",
-    "--p-orders": "cir",
-}
+_UNREAD = [(f, v) for f, v in _REJECTED if _READERS[_key(f)] and v not in ("inf", "nan", "0.1,nan")]
 
 
 @pytest.mark.parametrize("flag,value", _UNREAD, ids=[f"{f}={v}" for f, v in _UNREAD])
 def test_experiment_specific_value_ignored_elsewhere(tmp_path, flag, value):
-    # these experiments read none of these keys, so their ranges do not bind them
-    experiments = ["fbm-sample"] + ([_ALSO_UNREAD_BY[flag]] if flag in _ALSO_UNREAD_BY else [])
+    # the first two experiments that never read the key: its range does not bind them
+    experiments = [e for e in cli.EXPERIMENTS if e not in _READERS[_key(flag)]][:2]
     for experiment in experiments:
         args = [experiment, "--n-paths", "8", "--n-steps", "16", flag, value]
         assert main([*args, "--output-dir", str(tmp_path / experiment)]) == 0
+
+
+# A legal value other than the default for every key besides the shared ones;
+# threads and method have no other legal value, so they are passed at it.
+_OTHER_VALUE = {
+    "method": "circulant_embedding",
+    "drift": "power",
+    "drift_k": "2",
+    "time_exponent": "0.5",
+    "singularity_exponent": "1.5",
+    "bessel_dimension": "3",
+    "x0": "0.5",
+    "y0": "2",
+    "cir_k": "0.25",
+    "beta": "0.6",
+    "gamma": "4",
+    "p_orders": "1,3",
+    "t_eval": "0.25",
+    "tau": "0.25",
+    "t_check": "0.5",
+    "eps_list": "0.04,0.02",
+    "scale_a": "4",
+    "scale_t": "0.25",
+    "threads": "1",
+    "wide": None,  # a flag
+}
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_keys_outside_the_table_change_no_artifact(tmp_path, monkeypatch, experiment):
+    # every key the table does not list for the experiment moves off its
+    # default; if the table lists every key the run reads, the artifacts keep
+    # their bytes.  Both runs write to the relative path "out".
+    assert set(_OTHER_VALUE) == set(cli._KINDS) - {"experiment", *cli._SHARED_KEYS}
+    assert set(cli._RUNNERS[experiment][1]) <= set(_OTHER_VALUE)
+    reads = cli._keys_read(experiment)
+    moved = []
+    for key, value in _OTHER_VALUE.items():
+        if key not in reads:
+            moved += ["--" + key.replace("_", "-")] + ([] if value is None else [value])
+    # scaling needs 1000 paths; on 16 steps the scheme's finite differences
+    # miss the continuous kernel by more than the malliavin tolerance
+    size = {"scaling": ["--n-paths", "1000"], "malliavin": ["--n-paths", "2", "--n-steps", "256"]}
+    argv = [experiment, "--n-paths", "8", "--n-steps", "16", *size.get(experiment, [])]
+    default = _run_in(tmp_path / "default", monkeypatch, argv)
+    assert default[0] == 0 and _run_in(tmp_path / "moved", monkeypatch, argv + moved) == default
 
 
 @pytest.mark.parametrize(
@@ -431,10 +458,11 @@ _RUNNER_REJECTED = {
 @pytest.mark.parametrize("name", list(_RUNNER_REJECTED))
 def test_config_caused_errors_exit_2(tmp_path, capsys, name):
     argv, fragment = _RUNNER_REJECTED[name]
-    assert main([*argv, "--output-dir", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main([*argv, "--output-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
-    assert not (tmp_path / "report.txt").exists()
+    assert not out.exists()
 
 
 def _per_value_csv(out_dir, times, values, wide, stem="path"):

@@ -245,7 +245,6 @@ class TestNegativeMoments:
             np.ones(100), p=1.0, t=0.6, x0=1.0, k=1.0, hurst=0.75
         )
         assert rep.passed is None
-        assert rep.outcome == "not applicable"
 
     def test_zero_order_is_exact(self):
         rep = check_negative_moments(
