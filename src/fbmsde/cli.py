@@ -25,7 +25,13 @@ from .paths import GridError, SamplePath, StepFunction
 
 __all__ = ["ExperimentConfig", "Claim", "RunReport", "ConfigError", "parse_config", "run_experiment", "main"]
 
-_DRIFT_FAMILIES = ("reciprocal", "power", "bessel")
+# The drift families and the keys each one reads; an experiment that reads
+# "drift" reads the keys of the family chosen.
+_DRIFT_KEYS = {
+    "reciprocal": ("drift_k",),
+    "power": ("drift_k", "time_exponent", "singularity_exponent"),
+    "bessel": ("bessel_dimension",),
+}
 
 # XORed into the seed of the scaling experiment's comparison batch.  Sampler
 # keys are [pair, seed], so any seed that differs from the primary batch's
@@ -88,12 +94,12 @@ class ExperimentConfig:
         if self.method != "circulant_embedding":
             raise ConfigError(f"method must be circulant_embedding (the only sampler), got {self.method!r}")
         # The range checks below bind only the keys the experiment reads.
-        reads = _keys_read(self.experiment)
+        reads = _keys_read(self.experiment, self.drift)
         for key in ("n_paths", "drift_k", "singularity_exponent", "x0", "y0", "cir_k", "scale_a"):
             if key in reads and getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
-        if "drift" in reads and self.drift not in _DRIFT_FAMILIES:
-            raise ConfigError(f"drift must be one of {_DRIFT_FAMILIES}, got {self.drift!r}")
+        if "drift" in reads and self.drift not in _DRIFT_KEYS:
+            raise ConfigError(f"drift must be one of {tuple(_DRIFT_KEYS)}, got {self.drift!r}")
         if "time_exponent" in reads and self.time_exponent < 0:
             raise ConfigError("time_exponent must be nonnegative")
         if "bessel_dimension" in reads and self.bessel_dimension < 2:
@@ -278,7 +284,7 @@ _REPORT_NAME = "report.txt"
 
 def _write_report(out_dir: Path, report: RunReport) -> None:
     lines = ["fbmsde report", f"experiment: {report.config.experiment}", "config:"]
-    for key in _keys_read(report.config.experiment):
+    for key in _keys_read(report.config.experiment, report.config.drift):
         lines.append(f"  {key}: {_fmt(getattr(report.config, key))}")
     lines.append("claims:")
     for c in report.claims:
@@ -339,14 +345,13 @@ def _exp_simulate(cfg: ExperimentConfig, out_dir: Path):
     solutions = np.concatenate([s for _, s in blocks])
     del blocks
     min_val = float(np.min(solutions))
-    worst_defect = 0.0
-    for i in range(n_defect):
-        worst_defect = max(
-            worst_defect,
-            solver.residual_defect(
-                SamplePath(times, solutions[i]), drift, SamplePath(times, drivers[i])
-            ),
-        )
+    # numpy's max and min, here and in the runners below, pass a NaN on where
+    # Python's would drop it, so a NaN claim value fails its claim
+    defects = [
+        solver.residual_defect(SamplePath(times, solutions[i]), drift, SamplePath(times, drivers[i]))
+        for i in range(n_defect)
+    ]
+    worst_defect = float(np.max(defects))
     dt = float(times[1] - times[0])
     claims = [
         Claim("positivity_min_value", min_val, 0.0, "value > bound (strict)", min_val > 0.0),
@@ -355,7 +360,7 @@ def _exp_simulate(cfg: ExperimentConfig, out_dir: Path):
             worst_defect,
             None,
             "reported (trapezoid residual of the integral equation, first 16 paths)",
-            True,
+            math.isfinite(worst_defect),
         ),
         Claim("grid_step", dt, None, "reported", True),
     ]
@@ -375,7 +380,7 @@ def _exp_verify_bound(cfg: ExperimentConfig, out_dir: Path):
         audits[0],
         n_paths=sum(a.n_paths for a in audits),
         n_passed=sum(a.n_passed for a in audits),
-        worst_margin=min(a.worst_margin for a in audits),
+        worst_margin=float(np.min([a.worst_margin for a in audits])),
     )
     claims = [
         Claim(
@@ -509,9 +514,6 @@ def _exp_malliavin(cfg: ExperimentConfig, out_dir: Path):
     drift = cfg.drift_spec()
     direction = StepFunction.indicator(0.0, cfg.tau)
     drivers = fbm.sample_fbm_batch(spec, cfg.n_paths)
-    worst_rel = 0.0
-    norm_lo, norm_hi = math.inf, -math.inf
-    all_pass = True
     reports = malliavin.derivative_report(
         cfg.x0,
         drift,
@@ -522,11 +524,12 @@ def _exp_malliavin(cfg: ExperimentConfig, out_dir: Path):
         cfg.hurst,
         eps_list=cfg.eps_list,
     )
-    for rep in reports:
-        all_pass = all_pass and rep.passed
-        err = abs(rep.analytic_value - rep.extrapolated_fd)
-        worst_rel = max(worst_rel, err / max(1e-300, abs(rep.analytic_value)))
-        norm_lo, norm_hi = min(norm_lo, rep.norm_sq), max(norm_hi, rep.norm_sq)
+    all_pass = all(rep.passed for rep in reports)
+    analytic = np.array([rep.analytic_value for rep in reports])
+    err = np.abs(analytic - [rep.extrapolated_fd for rep in reports])
+    worst_rel = float(np.max(err / np.maximum(1e-300, np.abs(analytic))))
+    norms = np.array([rep.norm_sq for rep in reports])
+    norm_lo, norm_hi = float(np.min(norms)), float(np.max(norms))
     cap = cfg.t_check ** (2.0 * cfg.hurst)
     claims = [
         Claim(
@@ -562,18 +565,18 @@ def _exp_cir(cfg: ExperimentConfig, out_dir: Path):
     x_path = solver.solve_pathwise(x0, drift, smooth)
     y_path = SamplePath(x_path.times, x_path.values**2 / 4.0, holder_hint=1.0)
     sqrt_y = SamplePath(y_path.times, np.sqrt(y_path.values), holder_hint=1.0)
-    worst_resid = 0.0
+    resids = []
     for frac in (0.25, 0.5, 0.75, 1.0):
         t = _snap_down(frac * cfg.horizon, y_path.dt)
         idx = y_path.index_of(t)
         stieltjes = fraccalc.young_integral(sqrt_y, smooth, 0.0, t, 0.5)
-        resid = abs(y_path.values[idx] - cfg.y0 - k * t - stieltjes)
-        worst_resid = max(worst_resid, resid)
+        resids.append(abs(y_path.values[idx] - cfg.y0 - k * t - stieltjes))
+    worst_resid = float(np.max(resids))
     # stochastic positivity run
     y_mins = verify.simulate_paths(
         cfg.fbm_spec(), drift, x0, cfg.n_paths, lambda d, x: float(np.min(x**2 / 4.0))
     )
-    y_min = min(y_mins)
+    y_min = float(np.min(y_mins))
     claims = [
         Claim(
             "young_residual_smooth_driver",
@@ -613,17 +616,18 @@ def _exp_moments(cfg: ExperimentConfig, out_dir: Path):
 
 # Every experiment reads these keys; _RUNNERS lists the rest.
 _SHARED_KEYS = ("hurst", "horizon", "n_steps", "n_paths", "seed", "output_dir")
-_SOLVE_KEYS = ("drift", "drift_k", "time_exponent", "singularity_exponent", "bessel_dimension", "x0")
+_SOLVE_KEYS = ("drift", "x0")
 
 # The experiments in subcommand order: each one's runner, whose docstring is
 # its help text, and the keys it reads beyond the shared ones (a key one of its
-# validation checks reads counts).  Only these keys are range-checked and
+# validation checks reads counts); one that reads "drift" reads the chosen
+# family's keys of _DRIFT_KEYS too.  Only these keys are range-checked and
 # echoed in its report.
 _RUNNERS = {
     "fbm-sample": (_exp_fbm_sample, ("wide",)),
     "simulate": (_exp_simulate, (*_SOLVE_KEYS, "wide")),
     "verify-bound": (_exp_verify_bound, (*_SOLVE_KEYS, "beta", "gamma")),
-    "neg-moments": (_exp_neg_moments, ("drift", "drift_k", "x0", "p_orders", "t_eval")),
+    "neg-moments": (_exp_neg_moments, (*_SOLVE_KEYS, "p_orders", "t_eval")),
     "scaling": (_exp_scaling, (*_SOLVE_KEYS, "scale_a", "scale_t")),
     "malliavin": (_exp_malliavin, (*_SOLVE_KEYS, "tau", "t_check", "eps_list")),
     "cir": (_exp_cir, ("y0", "cir_k")),
@@ -634,9 +638,10 @@ _RUNNERS = {
 EXPERIMENTS = tuple(_RUNNERS)
 
 
-def _keys_read(experiment: str) -> tuple[str, ...]:
-    """The config keys ``experiment`` reads, in dataclass order."""
-    reads = {*_SHARED_KEYS, *_RUNNERS[experiment][1]}
+def _keys_read(experiment: str, drift: str) -> tuple[str, ...]:
+    """The config keys ``experiment`` reads at drift family ``drift``, in dataclass order."""
+    keys = _RUNNERS[experiment][1]
+    reads = {*_SHARED_KEYS, *keys, *(_DRIFT_KEYS.get(drift, ()) if "drift" in keys else ())}
     return tuple(key for key in _KINDS if key in reads)
 
 

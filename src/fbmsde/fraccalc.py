@@ -14,7 +14,12 @@ order.
 
 Sign convention: the right derivative absorbs the complex unit factors of the
 textbook definition so that the left/right pairing is real and
-``young_integral(1, phi, s, t) == phi(t) - phi(s)``.
+``young_integral(1, phi, s, t) == phi(t) - phi(s)``.  One routine computes
+the tails of both derivatives: the reflection Q f(r) = f(T - r) maps the
+right tail of order 1 - alpha on [u, t] onto the left tail of that order on
+[T - t, T - u] (Samko, Kilbas & Marichev, 1993, §2), so the right derivative
+is taken from the reflected path.  The reconstruction needs a grid of at
+least 3 points.
 """
 
 from __future__ import annotations
@@ -185,74 +190,58 @@ def holder_seminorm(x: SamplePath, s: float, t: float, beta: float) -> float:
     return best
 
 
-def _interp3(times: np.ndarray, values: np.ndarray, u: float) -> tuple[int, float]:
-    """Cell index k with t_k <= u and the local quadratic reconstruction at u."""
+def _locate(times: np.ndarray, u: float) -> tuple[int, float]:
+    """Cell index k with t_k <= u, and u, or t_k when u lies within rounding of it."""
     dt = times[1] - times[0]
     k = int(np.floor(u / dt + _SNAP))
     k = min(max(k, 0), times.size - 1)
     if abs(u - times[k]) <= _SNAP * max(1.0, abs(u)):
-        return k, float(values[k])
+        return k, float(times[k])
+    return k, u
+
+
+def _interp3(times: np.ndarray, values: np.ndarray, u: float) -> tuple[float, float]:
+    """The located node (see ``_locate``) and the local quadratic reconstruction there."""
+    k, u = _locate(times, u)
+    if u == times[k]:
+        return u, float(values[k])
+    dt = times[1] - times[0]
     i0 = min(max(k - 1, 0), times.size - 3)
     x = u - times[i0]
     l0 = (x - dt) * (x - 2 * dt) / (2 * dt * dt)
     l1 = x * (2 * dt - x) / (dt * dt)
     l2 = x * (x - dt) / (2 * dt * dt)
-    return k, float(l0 * values[i0] + l1 * values[i0 + 1] + l2 * values[i0 + 2])
+    return u, float(l0 * values[i0] + l1 * values[i0 + 1] + l2 * values[i0 + 2])
 
 
-def _quad_coeffs(x0, dt: float, v0, v1, v2):
-    """Coefficients (c0, c1, c2) of the quadratic through (x0, v0), (x0+dt, v1), (x0+2dt, v2)."""
-    d1 = (v1 - v0) / dt
-    d2 = (v2 - 2.0 * v1 + v0) / (2.0 * dt * dt)
-    x1 = x0 + dt
-    c2 = d2
-    c1 = d1 - d2 * (x0 + x1)
-    c0 = v0 - d1 * x0 + d2 * x0 * x1
-    return c0, c1, c2
-
-
-def _left_tail(times, values, i_s: int, u: float, order: float) -> tuple[float, float]:
-    """(y(u), integral_s^u (y(u)-y(r)) (u-r)^{-order-1} dr) with s = times[i_s]."""
+def _left_tail(times, values, i_s: int, u: float, y_u: float, order: float) -> float:
+    """integral_s^u (y_u - y(r)) (u-r)^{-order-1} dr with s = times[i_s] and y_u = y(u)."""
     a = order
     dt = times[1] - times[0]
-    k, y_u = _interp3(times, values, u)
+    k, u = _locate(times, u)
     total = 0.0
     if k > i_s:
-        # full cells [t_j, t_{j+1}], j = i_s .. k-1, in w = u - r coordinates
-        sl = slice(max(i_s - 1, 0), k + 1)
-        delta = y_u - values[sl]
-        off = i_s - max(i_s - 1, 0)  # 1 when a left neighbor exists, else 0
-        j = np.arange(i_s, k)
+        # full cells [t_j, t_{j+1}], j = i_s .. k-1, in w = u - r coordinates:
+        # c0 + c1 w + c2 w^2 through the stencil i0 .. i0+2 of _interp3,
+        # i0 = max(j-1, 0), which lies at w = x0, x0 + dt, x0 + 2 dt
+        i0 = np.maximum(np.arange(i_s, k) - 1, 0)
+        x0 = u - times[i0 + 2]
+        v0, v1, v2 = y_u - values[i0 + 2], y_u - values[i0 + 1], y_u - values[i0]
+        d1 = (v1 - v0) / dt
+        c2 = (v2 - 2.0 * v1 + v0) / (2.0 * dt * dt)
+        c1 = d1 - c2 * (x0 + (x0 + dt))
+        c0 = v0 - d1 * x0 + c2 * x0 * (x0 + dt)
         w1 = u - times[i_s + 1 : k + 1]
         w2 = u - times[i_s:k]
-        if off == 1:
-            # centered stencil (j-1, j, j+1): quadratic through w-points (w1, w2, w2+dt)
-            c0, c1, c2 = _quad_coeffs(w1, dt, delta[j - i_s + 2], delta[j - i_s + 1], delta[j - i_s])
-        else:
-            c0 = np.empty(j.size)
-            c1 = np.empty(j.size)
-            c2 = np.empty(j.size)
-            if j.size > 1:
-                jj = j[1:]
-                c0[1:], c1[1:], c2[1:] = _quad_coeffs(
-                    w1[1:], dt, delta[jj + 1], delta[jj], delta[jj - 1]
-                )
-            # first cell has no left neighbor: forward stencil (j, j+1, j+2)
-            if i_s + 2 < times.size:
-                d_fwd = y_u - values[i_s : i_s + 3]
-                c0[0], c1[0], c2[0] = _quad_coeffs(w1[0] - dt, dt, d_fwd[2], d_fwd[1], d_fwd[0])
-            else:
-                slope = (values[i_s + 1] - values[i_s]) / dt
-                c0[0], c1[0], c2[0] = 0.0, slope, 0.0
         m1 = (w2 ** (1.0 - a) - w1 ** (1.0 - a)) / (1.0 - a)
         m2 = (w2 ** (2.0 - a) - w1 ** (2.0 - a)) / (2.0 - a)
         seg = c1 * m1 + c2 * m2
         mask = w1 > 0
         seg[mask] += c0[mask] * (w1[mask] ** (-a) - w2[mask] ** (-a)) / a
         total += float(np.sum(seg))
-    wb = u - times[k]
-    if wb > _SNAP * max(1.0, u) and k + 1 < times.size:
+    if u > times[k]:
         # partial cell [t_k, u]: quadratic through (0, 0), (wb, .), (wb+dt, .)
+        wb = u - times[k]
         db = y_u - values[k]
         if k >= 1:
             wc = wb + dt
@@ -262,65 +251,32 @@ def _left_tail(times, values, i_s: int, u: float, order: float) -> tuple[float, 
         else:
             c1, c2 = db / wb, 0.0
         total += c1 * wb ** (1.0 - a) / (1.0 - a) + c2 * wb ** (2.0 - a) / (2.0 - a)
-    return y_u, total
+    return total
 
 
 def _right_value(times, values, u: float, i_t: int, order: float) -> float:
-    """Right compensated derivative at u, anchored at t = times[i_t]."""
+    """Right compensated derivative at u, anchored at t = times[i_t].
+
+    Its tail is the left tail of order 1 - order of the reflected path
+    r -> phi(T - r) - phi(t), from T - t to T - u, with phi(u) reconstructed
+    on the original grid.
+    """
     a = order
-    dt = times[1] - times[0]
     t = times[i_t]
     if u >= t - _SNAP * max(1.0, t):
         return 0.0
-    k, phi_u = _interp3(times, values, u)
-    total = 0.0
-    first_full = k
-    wb = times[k + 1] - u if k + 1 <= i_t else 0.0
-    if u > times[k] + _SNAP * max(1.0, abs(u)):
-        # partial cell [u, t_{k+1}]: quadratic through (0, 0), (wb, .), (wb+dt, .)
-        db = phi_u - values[k + 1]
-        if k + 2 < times.size:
-            wc = wb + dt
-            dc = phi_u - values[k + 2]
-            c2 = (dc / wc - db / wb) / (wc - wb)
-            c1 = db / wb - c2 * wb
-        else:
-            c1, c2 = db / wb, 0.0
-        total += c1 * wb**a / a + c2 * wb ** (a + 1.0) / (a + 1.0)
-        first_full = k + 1
-    if first_full < i_t:
-        j = np.arange(first_full, i_t)
-        delta = phi_u - values
-        w1 = times[first_full:i_t] - u
-        w2 = times[first_full + 1 : i_t + 1] - u
-        # forward stencil (j, j+1, j+2); last grid cell falls back to (j-1, j, j+1)
-        c0 = np.empty(j.size)
-        c1 = np.empty(j.size)
-        c2 = np.empty(j.size)
-        fwd = j + 2 <= times.size - 1
-        if np.any(fwd):
-            jf = j[fwd]
-            c0[fwd], c1[fwd], c2[fwd] = _quad_coeffs(
-                w1[fwd], dt, delta[jf], delta[jf + 1], delta[jf + 2]
-            )
-        if np.any(~fwd):
-            jb = j[~fwd]
-            c0[~fwd], c1[~fwd], c2[~fwd] = _quad_coeffs(
-                w1[~fwd] - dt, dt, delta[jb - 1], delta[jb], delta[jb + 1]
-            )
-        m1 = (w2**a - w1**a) / a
-        m2 = (w2 ** (a + 1.0) - w1 ** (a + 1.0)) / (a + 1.0)
-        seg = c1 * m1 + c2 * m2
-        mask = w1 > 0
-        seg[mask] += c0[mask] * (w2[mask] ** (a - 1.0) - w1[mask] ** (a - 1.0)) / (a - 1.0)
-        total += float(np.sum(seg))
-    head = (phi_u - values[i_t]) * (t - u) ** (a - 1.0)
-    return -(head + (1.0 - a) * total) / math.gamma(a)
+    u, phi_u = _interp3(times, values, u)
+    rise = phi_u - values[i_t]
+    n = times.size - 1
+    tail = _left_tail(times, values[::-1] - values[i_t], n - i_t, times[n] - u, rise, 1.0 - a)
+    return -(rise * (t - u) ** (a - 1.0) + (1.0 - a) * tail) / math.gamma(a)
 
 
-def _check_order(order: float) -> None:
+def _check_inputs(order: float, path: SamplePath) -> None:
     if not 0.0 < order < 1.0:
         raise ValueError(f"fractional order must lie in (0, 1), got {order}")
+    if path.times.size < 3:
+        raise GridError("the quadratic reconstruction needs a grid of at least 3 points")
 
 
 def frac_deriv_left(y: SamplePath, s: float, u: float, order: float) -> float:
@@ -329,13 +285,14 @@ def frac_deriv_left(y: SamplePath, s: float, u: float, order: float) -> float:
     Value: [ y(u) (u-s)^{-order}
              + order * integral_s^u (y(u)-y(r)) (u-r)^{-order-1} dr ] / Gamma(1-order).
     """
-    _check_order(order)
+    _check_inputs(order, y)
     i_s = y.index_of(s)
     if u <= s:
         raise ValueError("u must exceed s")
     if u > y.horizon + 1e-12:
         raise GridError(f"u={u} beyond the grid span")
-    y_u, tail = _left_tail(y.times, y.values, i_s, u, order)
+    u, y_u = _interp3(y.times, y.values, u)
+    tail = _left_tail(y.times, y.values, i_s, u, y_u, order)
     return (y_u * (u - s) ** (-order) + order * tail) / math.gamma(1.0 - order)
 
 
@@ -347,7 +304,7 @@ def frac_deriv_right(phi: SamplePath, u: float, t: float, order: float) -> float
        + (1-order) * integral_u^t (phi(u)-phi(r)) (r-u)^{order-2} dr ] / Gamma(order).
     Vanishes for constant phi and tends to 0 as u -> t on Hölder paths.
     """
-    _check_order(order)
+    _check_inputs(order, phi)
     i_t = phi.index_of(t)
     if u >= t:
         raise ValueError("u must be below t")
@@ -384,7 +341,7 @@ def young_integral(y: SamplePath, phi: SamplePath, s: float, t: float, order: fl
     the order lies strictly between 1 - beta(phi) and beta(y); a warning is
     issued when the paths' ``holder_hint`` exponents contradict that window.
     """
-    _check_order(order)
+    _check_inputs(order, y)
     if y.times.size != phi.times.size or not np.array_equal(y.times, phi.times):
         raise GridError("integrand and driver must share one grid")
     i_s, i_t = y.index_of(s), y.index_of(t)
@@ -409,15 +366,11 @@ def young_integral(y: SamplePath, phi: SamplePath, s: float, t: float, order: fl
     times = y.times
     nodes = _pairing_nodes(times, i_s, i_t)
     g_vals = np.empty(nodes.size)
-    for idx, u in enumerate(nodes):
-        if u <= s + _SNAP * max(1.0, s):
-            g_vals[idx] = y.values[i_s] / gamma_left * _right_value(
-                times, phi.values, float(u), i_t, a
-            )
-            continue
-        y_u, tail = _left_tail(times, y.values, i_s, float(u), a)
+    for idx, node in enumerate(nodes):
+        u, y_u = _interp3(times, y.values, float(node))
+        tail = _left_tail(times, y.values, i_s, u, y_u, a)
         m_val = (y_u + a * (u - s) ** a * tail) / gamma_left
-        g_vals[idx] = m_val * _right_value(times, phi.values, float(u), i_t, a)
+        g_vals[idx] = m_val * _right_value(times, phi.values, u, i_t, a)
     v1 = nodes[:-1] - s
     v2 = nodes[1:] - s
     slope = np.diff(g_vals) / (v2 - v1)

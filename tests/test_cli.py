@@ -1,6 +1,8 @@
 """Config parsing, report determinism, exit codes."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import fbmsde
-from fbmsde import cli, verify
+from fbmsde import cli, fraccalc, malliavin, solver, verify
 from fbmsde.cli import (
     Claim,
     ConfigError,
@@ -255,6 +257,49 @@ def test_path_blocks_do_not_change_artifacts(args, rows_at_64_steps, tmp_path, m
     assert one[0] == 0 and one == many
 
 
+_derivative_report = malliavin.derivative_report
+
+
+def _nan_norms(*args, **kwargs):
+    return [dataclasses.replace(r, norm_sq=math.nan) for r in _derivative_report(*args, **kwargs)]
+
+# A library value turned NaN under each experiment that reduces claim values
+# over paths or times; the claim it feeds must fail (Python's max and min
+# would drop the NaN and pass it).
+_NAN_CLAIMS = {
+    "cir": (fraccalc, "young_integral", lambda *args: math.nan, "young_residual_smooth_driver"),
+    "simulate": (solver, "residual_defect", lambda *args: math.nan, "integral_equation_defect"),
+    "malliavin": (malliavin, "derivative_report", _nan_norms, "derivative_norm_sq_min"),
+}
+
+
+@pytest.mark.parametrize("experiment", list(_NAN_CLAIMS))
+def test_nan_claim_value_fails_its_claim(tmp_path, monkeypatch, experiment):
+    module, name, replacement, claim = _NAN_CLAIMS[experiment]
+    monkeypatch.setattr(module, name, replacement)
+    args = [experiment, "--n-paths", "2", "--n-steps", "256", "--output-dir", str(tmp_path)]
+    assert main(args) == 1
+    report = (tmp_path / "report.txt").read_text()
+    assert f"  {claim}:\n    value: nan\n" in report
+    assert report.split(f"  {claim}:\n", 1)[1].split("outcome: ", 1)[1].startswith("fail")
+
+
+def test_nan_margin_in_a_later_block_fails(tmp_path, monkeypatch):
+    # verify-bound takes the least margin over blocks; Python's min kept the
+    # first block's margin over a NaN in a later one
+    audit, calls = verify.check_path_bound, []
+
+    def nan_after_first(*args):
+        calls.append(audit(*args))
+        return calls[-1] if len(calls) == 1 else dataclasses.replace(calls[-1], worst_margin=math.nan)
+
+    monkeypatch.setattr(verify, "check_path_bound", nan_after_first)
+    monkeypatch.setattr(verify, "_BLOCK_BYTES", 8 * 16 * 2)  # two rows a block at 16 steps
+    args = ["verify-bound", "--n-paths", "4", "--n-steps", "16", "--output-dir", str(tmp_path)]
+    assert main(args) == 1 and len(calls) == 2
+    assert "  worst_log_margin:\n    value: nan\n" in (tmp_path / "report.txt").read_text()
+
+
 def test_run_experiment_returns_report(tmp_path):
     cfg = ExperimentConfig(
         experiment="moments", n_paths=200, n_steps=64, output_dir=str(tmp_path)
@@ -315,8 +360,14 @@ _REJECTED = [
 ]
 
 
-# The experiments that read each key beyond the shared ones, from the table.
-_READERS = {key: [e for e, (_, keys) in cli._RUNNERS.items() if key in keys] for key in cli._KINDS}
+# The first drift family that reads each family key (the last write wins, so
+# the families are walked in reverse), and the experiments that read each key
+# beyond the shared ones, under some family, from the tables.
+_FAMILY = {key: f for f, keys in reversed(cli._DRIFT_KEYS.items()) for key in keys}
+_READERS = {
+    key: [e for e, (_, keys) in cli._RUNNERS.items() if key in keys or (key in _FAMILY and "drift" in keys)]
+    for key in cli._KINDS
+}
 
 
 def _key(flag: str) -> str:
@@ -326,7 +377,8 @@ def _key(flag: str) -> str:
 @pytest.mark.parametrize("flag,value", _REJECTED, ids=[f"{f}={v}" for f, v in _REJECTED])
 def test_out_of_range_value_exits_2(tmp_path, capsys, flag, value):
     experiment = (_READERS[_key(flag)] or ["fbm-sample"])[0]
-    args = [experiment, "--n-paths", "8", "--n-steps", "16", flag, value]
+    family = ["--drift", _FAMILY[_key(flag)]] if _key(flag) in _FAMILY else []
+    args = [experiment, "--n-paths", "8", "--n-steps", "16", *family, flag, value]
     assert main([*args, "--output-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "report.txt").exists()
@@ -342,6 +394,19 @@ def test_experiment_specific_value_ignored_elsewhere(tmp_path, flag, value):
     for experiment in experiments:
         args = [experiment, "--n-paths", "8", "--n-steps", "16", flag, value]
         assert main([*args, "--output-dir", str(tmp_path / experiment)]) == 0
+
+
+_FAMILY_UNREAD = [(f, v) for f, v in _UNREAD if _key(f) in _FAMILY]
+
+
+@pytest.mark.parametrize("flag,value", _FAMILY_UNREAD, ids=[f"{f}={v}" for f, v in _FAMILY_UNREAD])
+def test_drift_family_value_ignored_by_other_families(tmp_path, flag, value):
+    # e.g. simulate --time-exponent -1 runs at the reciprocal drift, which never reads it
+    experiment = _READERS[_key(flag)][0]
+    for family, keys in cli._DRIFT_KEYS.items():
+        if _key(flag) not in keys:
+            args = [experiment, "--drift", family, "--n-paths", "8", "--n-steps", "16", flag, value]
+            assert main([*args, "--output-dir", str(tmp_path / family)]) == 0
 
 
 # A legal value other than the default for every key besides the shared ones;
@@ -370,14 +435,27 @@ _OTHER_VALUE = {
 }
 
 
-@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
-def test_keys_outside_the_table_change_no_artifact(tmp_path, monkeypatch, experiment):
-    # every key the table does not list for the experiment moves off its
-    # default; if the table lists every key the run reads, the artifacts keep
-    # their bytes.  Both runs write to the relative path "out".
+# Each experiment at the default drift, then each one that reads "drift" at
+# the other families (neg-moments accepts only the reciprocal drift).
+_TABLE_RUNS = [(e, None) for e in cli.EXPERIMENTS] + [
+    (e, family)
+    for e, (_, keys) in cli._RUNNERS.items()
+    if "drift" in keys and e != "neg-moments"
+    for family in cli._DRIFT_KEYS
+    if family != ExperimentConfig.drift
+]
+
+
+@pytest.mark.parametrize(
+    "experiment,drift", _TABLE_RUNS, ids=[e if d is None else f"{e}-{d}" for e, d in _TABLE_RUNS]
+)
+def test_keys_outside_the_table_change_no_artifact(tmp_path, monkeypatch, experiment, drift):
+    # every key the tables do not list for the experiment and drift moves off
+    # its default; if the tables list every key the run reads, the artifacts
+    # keep their bytes.  Both runs write to the relative path "out".
     assert set(_OTHER_VALUE) == set(cli._KINDS) - {"experiment", *cli._SHARED_KEYS}
     assert set(cli._RUNNERS[experiment][1]) <= set(_OTHER_VALUE)
-    reads = cli._keys_read(experiment)
+    reads = cli._keys_read(experiment, drift or ExperimentConfig.drift)
     moved = []
     for key, value in _OTHER_VALUE.items():
         if key not in reads:
@@ -386,6 +464,7 @@ def test_keys_outside_the_table_change_no_artifact(tmp_path, monkeypatch, experi
     # miss the continuous kernel by more than the malliavin tolerance
     size = {"scaling": ["--n-paths", "1000"], "malliavin": ["--n-paths", "2", "--n-steps", "256"]}
     argv = [experiment, "--n-paths", "8", "--n-steps", "16", *size.get(experiment, [])]
+    argv += [] if drift is None else ["--drift", drift]
     default = _run_in(tmp_path / "default", monkeypatch, argv)
     assert default[0] == 0 and _run_in(tmp_path / "moved", monkeypatch, argv + moved) == default
 

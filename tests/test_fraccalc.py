@@ -392,6 +392,97 @@ class TestYoungIntegral:
             young_integral(y, phi, 0.0, 1.0, 0.45)
 
 
+class TestRoughPathPins:
+    """Values on random-walk paths, recorded before the right derivative was
+    taken from the reflected path; the smooth-path tests above cannot see a
+    change of stencil on a rough path."""
+
+    ORDERS = (0.3, 0.45, 0.6)
+    # grid index windows (s, t) of n steps
+    WINDOWS = {
+        "whole": lambda n: (0, n),
+        "inner": lambda n: (n // 4, 3 * n // 4),
+        "first": lambda n: (0, 2),
+        "last": lambda n: (n - 2, n),
+    }
+    # young_integral(_walk(11, n), _walk(12, n)) at ORDERS
+    YOUNG = {
+        (64, "whole"): (0.016484716459272773, 0.016563638408512944, 0.016430029222820955),
+        (64, "inner"): (0.06267903737255803, 0.06039200530054524, 0.05900083730724253),
+        (64, "first"): (0.0016351404145325068, 0.0015169101986077706, 0.0013603648454873487),
+        (64, "last"): (0.0008939385093185801, 0.0010571379919278132, 0.0013448510889205458),
+        (257, "whole"): (0.005230631561355812, 0.005350940658329184, 0.005250234509852236),
+        (257, "inner"): (-0.007888861346623298, -0.007705783971901702, -0.00774762478723774),
+        (257, "first"): (0.00020320076039293726, 0.00018850815689306865, 0.0001690540876845001),
+        (257, "last"): (0.00613526190162972, 0.006039134302186563, 0.005933683459579147),
+    }
+    # frac_deriv_right(_walk(12, 257), u, t_j, order) at the u of _right_nodes
+    RIGHT = {
+        (257, 0.3): (0.40070591990605653, -0.9105010332302721, -0.6442333857234123, 0.9493581616030404, 2.2268848897444613),
+        (257, 0.45): (0.3216579656714388, -0.33060349073965933, -0.38023066083428375, 0.3771709105338343, 1.0042137452652897),
+        (257, 0.6): (0.21815730168821762, -0.0793317311414705, -0.21564365391589, 0.1465748344579688, 0.4467834552304806),
+        (150, 0.3): (0.3722083155123389, -0.9421814931222252, -0.7052564524263836, 0.4378586495993765, -1.2136373846641384),
+        (150, 0.45): (0.27904268336160787, -0.3768858198290536, -0.45545557046996277, 0.17906827934151912, -0.45440603014118497),
+        (150, 0.6): (0.16270922986975972, -0.13818502705075275, -0.2978668246407037, 0.07120276087178778, -0.1653736618268026),
+    }
+    # frac_deriv_left(_walk(11, 257), s_i, u, order) at the u of _left_nodes
+    LEFT = {
+        (0, 0.3): (-0.016575273516048726, 0.04192223435618213, 0.395314935592151, 0.3249907016938633),
+        (0, 0.45): (-0.043217433829696186, 0.1188371758907296, 0.7677714507277832, 0.5797255683070296),
+        (0, 0.6): (-0.11043026481156644, 0.32797336326409676, 1.5126632278390835, 1.0155856361095315),
+        (40, 0.3): (-0.24946090310505664, -0.15380449450392122, 0.395131593848916, 0.32496226798970596),
+        (40, 0.45): (-0.5028626315731328, -0.25433053626763585, 0.767482339100368, 0.5796787314394848),
+        (40, 0.6): (-0.9052269980995996, -0.3608967920255206, 1.5123048491134905, 1.0155275647572664),
+    }
+
+    @staticmethod
+    def _walk(seed, n):
+        # cumulative sums of seeded normals, which every supported numpy draws alike
+        rng = np.random.default_rng(seed)
+        steps = rng.standard_normal(n) * (1.0 / n) ** 0.75
+        return SamplePath(np.linspace(0.0, 1.0, n + 1), np.concatenate([[0.0], np.cumsum(steps)]))
+
+    @pytest.mark.parametrize("n,window", list(YOUNG))
+    def test_young_integral(self, n, window):
+        y, phi = self._walk(11, n), self._walk(12, n)
+        i, j = self.WINDOWS[window](n)
+        got = [young_integral(y, phi, y.times[i], y.times[j], a) for a in self.ORDERS]
+        assert got == pytest.approx(self.YOUNG[n, window], rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("j,order", list(RIGHT))
+    def test_right_derivative_off_grid(self, j, order):
+        phi = self._walk(12, 257)
+        t, dt = phi.times[j], 1.0 / 257
+        nodes = (0.3 * dt, 0.1234, 0.5 + dt / 3, t - 0.5 * dt, t - 1.7 * dt)
+        got = [frac_deriv_right(phi, u, t, order) for u in nodes]
+        assert got == pytest.approx(self.RIGHT[j, order], rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("i,order", list(LEFT))
+    def test_left_derivative_off_grid(self, i, order):
+        y = self._walk(11, 257)
+        s, dt = y.times[i], 1.0 / 257
+        nodes = (s + 0.5 * dt, s + 1.3 * dt, 0.61803, 1.0 - 0.4 * dt)
+        got = [frac_deriv_left(y, s, u, order) for u in nodes]
+        assert got == pytest.approx(self.LEFT[i, order], rel=1e-9, abs=0.0)
+
+
+def test_two_point_grid_rejected():
+    # the quadratic reconstruction reads three points; on two it read values[-1]
+    # and gave young_integral -12.80 for the exact 0.5
+    line = _path(lambda t: t, 1)
+    with pytest.raises(GridError):
+        young_integral(line, line, 0.0, 1.0, 0.45)
+    with pytest.raises(GridError):
+        frac_deriv_left(line, 0.0, 0.5, 0.45)
+    with pytest.raises(GridError):
+        frac_deriv_right(line, 0.3, 1.0, 0.45)
+    # on three points a line keeps its closed forms (see the tests above)
+    line = _path(lambda t: t, 2)
+    left = 0.5**0.55 / math.gamma(1.55)
+    assert frac_deriv_left(line, 0.0, 0.5, 0.45) == pytest.approx(left, rel=1e-12)
+    assert frac_deriv_right(line, 0.3, 1.0, 0.45) == pytest.approx(0.7**0.45 / math.gamma(1.45), rel=1e-12)
+
+
 class TestRiemannStieltjes:
     def test_step_integrand_exact(self):
         n = 100
