@@ -8,13 +8,11 @@ solution positive.  Drifts of the form c(t)/x get a closed-form quadratic
 step; everything else goes through Newton, started from b plus the previous
 step's drift increment dt f.  A nonincreasing drift (the paper's first
 assumption, audited by ``check_drift_assumptions``) gives the step function
-F(x) = x - dt f(t, x) - b a slope F' >= 1.  A drift declared ``convex`` in x
-on the positive domain (the power family) also makes F concave, so Newton
-needs no bracket: one step from any point lands at or left of the root, and
-from there it climbs to the root monotonically.  Every other drift takes
-safeguarded Newton: the root lies within |F(x)| of any x, which brackets it,
-and a step that leaves the bracket is replaced by bisection.  A drift that
-breaks the assumption may leave the root outside: ``SolverError``.
+F(x) = x - dt f(t, x) - b a slope F' >= 1, so its root is unique.  A drift
+convex in x (the power family) also makes F concave, so Newton needs no
+bracket: one step from any point lands at or left of the root, and from
+there it climbs to the root monotonically.  A step that does not converge,
+as for a drift that breaks the assumption, raises ``SolverError``.
 
 Also houses the drift assumption checker, the square-root-diffusion change of
 variables, and an a-posteriori residual for the integral equation.  The
@@ -72,9 +70,6 @@ class DriftSpec:
     with f(t, x) <= h(t)(1 + 1/x).  ``inverse_coeff`` is set when
     f(t, x) = c(t)/x exactly, unlocking the closed-form implicit step.
     ``homogeneity`` = (p, q, n) encodes f(st, yx) = s^(p + q*H) y^n f(t, x).
-    ``convex`` states that f is convex in x, so the implicit step on the
-    positive domain takes Newton without a bracket; it describes the drift
-    (``power_drift`` sets it) and ``check_drift_assumptions`` audits it.
     """
 
     family: str
@@ -86,8 +81,11 @@ class DriftSpec:
     x1: float = 1.0
     inverse_coeff: Callable | None = None
     homogeneity: tuple[float, float, float] | None = None
-    positive_domain: bool = True
-    convex: bool = False
+
+    @property
+    def positive_domain(self) -> bool:
+        """A drift singular at 0 lives on x > 0; one with exponent 0 on the whole line."""
+        return self.singularity_exponent > 0
 
 
 _MAX_NEWTON_ITERS = 200
@@ -128,7 +126,6 @@ def power_drift(k: float, time_exponent: float, singularity_exponent: float) -> 
         x1=1.0,
         inverse_coeff=(lambda t: k * t**p) if q == 1.0 else None,
         homogeneity=(p, 0.0, -q),
-        convex=True,
     )
 
 
@@ -176,7 +173,7 @@ def scaled_drift(drift: DriftSpec, factor: float) -> DriftSpec:
 class AssumptionReport:
     """Lattice audit of the three structural drift assumptions."""
 
-    nonnegative_decreasing: bool  # f >= 0, df/dx <= 0, and df/dx nondecreasing if convex
+    nonnegative_decreasing: bool  # f >= 0 and df/dx <= 0
     singular_repulsion: bool  # f >= g(t) x^{-alpha} near 0 and alpha large enough
     reciprocal_growth: bool  # f <= h(t)(1 + 1/x)
     details: tuple[str, ...] = ()
@@ -199,11 +196,6 @@ def _above(values: np.ndarray, cap) -> bool:
     return bool(np.any(values > cap * (1.0 + 1e-9) + _TOL))
 
 
-def _decreasing(values: np.ndarray) -> bool:
-    """Some value lies below its predecessor by more than the relative and absolute slack."""
-    return bool(np.any(values[1:] < values[:-1] - 1e-9 * np.abs(values[:-1]) - _TOL))
-
-
 def _first_violation(ts: np.ndarray, tests: list) -> str | None:
     """Scan the lattice times in order and try each ``(bad, message)`` test at
     every t in order; the first test that holds gives ``"<message> at t=..."``.
@@ -224,9 +216,7 @@ def check_drift_assumptions(
 ) -> AssumptionReport:
     """Evaluate the structural assumptions on a (t, x) lattice; reports, never raises.
 
-    A drift that declares ``convex`` also fails ``nonnegative_decreasing``
-    where df/dx decreases between neighboring lattice values of x.  The
-    repulsion check also requires singularity_exponent > 1/beta - 1 for the
+    The repulsion check also requires singularity_exponent > 1/beta - 1 for the
     configured Hölder exponent beta < hurst (midpoint of (1/2, hurst) when
     omitted).
     """
@@ -245,10 +235,6 @@ def check_drift_assumptions(
         [
             (lambda t: _below(f(t), 0.0), "f(t, x) < 0"),
             (lambda t: _above(dfdx(t), 0.0), "df/dx > 0"),
-            (
-                lambda t: drift.convex and _decreasing(dfdx(t)),
-                "df/dx decreasing in x although convex is declared",
-            ),
         ],
     )
     if alpha > 1.0 / beta - 1.0:
@@ -280,14 +266,12 @@ def _implicit_step(
 
     Newton starts from ``b + increment`` (the previous step's dt f, 0 on the
     first step), at least x_prev / 2 on the positive domain.  A convex drift
-    on the positive domain makes F concave and increasing, so a candidate
+    makes F concave and increasing, so on the positive domain a candidate
     needs only the clamp ``>= x / 2`` to stay positive: a clamped point has
-    either F > 0 (step again) or F <= 0 (climb to the root).  Every other
-    drift keeps a bracket: F' >= 1 gives F(y) - F(x) >= y - x, so
-    [x - |F(x)|, x + |F(x)|] holds the root, and a candidate outside the
-    bracket is replaced by its midpoint.  Each row takes at least one Newton
-    step, stops once |F| is within tolerance, then takes one last step -F/F'
-    with the slope it holds, which moves it by at most that tolerance.
+    either F > 0 (step again) or F <= 0 (climb to the root).  Each row takes
+    at least one Newton step, stops once |F| is within tolerance (a NaN
+    residual never is), then takes one last step -F/F' with the slope it
+    holds, which moves it by at most that tolerance.
     """
     if drift.inverse_coeff is not None:
         c = drift.inverse_coeff(t)
@@ -298,29 +282,21 @@ def _implicit_step(
     def residual(x):
         return x - dt * np.asarray(drift.f(t, x), dtype=np.float64) - b
 
+    positive = drift.positive_domain
     x = b + increment
-    if drift.positive_domain:
+    if positive:
         np.maximum(x, 0.5 * x_prev, out=x)
     res = residual(x)
-    bracketed = not (drift.convex and drift.positive_domain)
-    if bracketed:
-        lo, hi = x - np.abs(res), x + np.abs(res)
-        if drift.positive_domain:
-            np.maximum(lo, 0.0, out=lo)
     tol = np.maximum(_NEWTON_TOL, _ROUNDING * (np.abs(x) + np.abs(b)))
     # Every row takes at least one Newton step, then freezes at its own
-    # convergence: a frozen row's lo, hi and candidate are never read again.
+    # convergence: a frozen row's candidate is never read again.
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(_MAX_NEWTON_ITERS):
         if done.all():
             break
         slope = 1.0 - dt * np.asarray(drift.dfdx(t, x), dtype=np.float64)
         cand = x - res / slope
-        if bracketed:
-            np.copyto(lo, x, where=res < 0)
-            np.copyto(hi, x, where=res > 0)
-            np.copyto(cand, 0.5 * (lo + hi), where=(cand <= lo) | (cand >= hi))
-        else:
+        if positive:
             np.maximum(cand, 0.5 * x, out=cand)
         np.copyto(x, cand, where=~done)
         res = residual(x)
@@ -379,7 +355,7 @@ def eval_along_path(fn: Callable, times: np.ndarray, values: np.ndarray) -> np.n
 
     ``fn`` is called once with the whole time and value arrays; a scalar
     result is broadcast, any other shape than ``values.shape`` raises
-    ``ValueError``.  A nonfinite value at t=0 is replaced by its neighbor.
+    ``ValueError``.
     """
     out = np.asarray(fn(times, values), dtype=np.float64)
     if out.ndim == 0:
@@ -388,9 +364,6 @@ def eval_along_path(fn: Callable, times: np.ndarray, values: np.ndarray) -> np.n
         raise ValueError(
             f"drift callable returned shape {out.shape} along a path of shape {values.shape}"
         )
-    if not np.isfinite(out[0]):
-        out = out.copy()
-        out[0] = out[1]
     return out
 
 

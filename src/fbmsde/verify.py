@@ -100,7 +100,8 @@ def window_length(
     """
     if gamma <= 2.0 or not 0.0 < beta < 1.0:
         raise ValueError("need gamma > 2 and beta in (0, 1)")
-    if k_sup < 0 or phi_norm < 0 or c_ibp <= 0:
+    # written so that a NaN fails the check
+    if not (k_sup >= 0 and phi_norm >= 0 and c_ibp > 0):
         raise ValueError("k_sup and phi_norm must be nonnegative, c_ibp positive")
     terms = []
     if phi_norm > 0:
@@ -145,10 +146,9 @@ _ENVELOPE_CELLS = 512
 
 
 def drift_sup_envelope(drift: DriftSpec, horizon: float) -> float:
-    """sup of the drift's upper envelope h on [0, horizon], taken over 513 grid times."""
+    """sup of the drift's upper envelope h on [0, horizon] over 513 grid times; NaN and inf stay."""
     ts = np.linspace(0.0, horizon, _ENVELOPE_CELLS + 1)
-    vals = [float(drift.upper_envelope(float(t))) for t in ts]
-    return max(v for v in vals if np.isfinite(v))
+    return float(np.max([float(drift.upper_envelope(float(t))) for t in ts]))
 
 
 @dataclass(frozen=True)

@@ -15,5 +15,4 @@ def zero_drift() -> DriftSpec:
         singularity_exponent=0.0,
         lower_envelope=lambda t: 0.0,
         upper_envelope=lambda t: 0.0,
-        positive_domain=False,
     )

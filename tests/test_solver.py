@@ -1,5 +1,6 @@
 """Assumption checker, implicit stepper closed forms, positivity, change of variables."""
 
+import contextlib
 import hashlib
 from dataclasses import replace
 
@@ -81,8 +82,11 @@ class TestAssumptionChecker:
 
     @pytest.mark.parametrize("q", [0.2, 1.0, 1.5, 6.0, 20.0])
     def test_power_family_convexity_passes(self, q):
+        # convex in x (df/dx increases in x), which Newton's bracket-free step rests on
         drift = power_drift(2.0, 1.5, q)
-        assert drift.convex and scaled_drift(drift, 3.0).convex
+        xs = np.geomspace(1e-4, 10.0, 48)
+        for d in (drift, scaled_drift(drift, 3.0)):
+            assert np.all(np.diff(d.dfdx(0.7, xs)) > 0.0)
         rep = check_drift_assumptions(drift, 0.75, horizon=3.0)
         assert rep.nonnegative_decreasing, rep.details
 
@@ -143,16 +147,6 @@ _DRIFT_CASES = {
         zero_drift(), {}, (True, False, True),
         ("singularity exponent 0.0 <= 1/beta - 1 = 0.6 (beta=0.625)",),
     ),
-    # nonincreasing, but concave near x = 1.5 although it declares convexity
-    "concave_declared_convex": (
-        replace(
-            _drift(lambda t, x: 1.0 / _arr(x) + 5.0 * (1.0 - np.tanh(_arr(x) - 2.0)),
-                   lambda t, x: -1.0 / _arr(x) ** 2 - 5.0 / np.cosh(_arr(x) - 2.0) ** 2,
-                   h=lambda t: 10.0),
-            convex=True,
-        ),
-        {}, (False, True, True), (f"df/dx decreasing in x although convex is declared {_T0}",),
-    ),
 }
 
 
@@ -169,8 +163,8 @@ class TestSolver:
         assert np.allclose(sol.values, 5.0 + driver.values, atol=1e-13)
 
     def test_zero_drift_brackets_below_minus_one(self):
-        # a whole-line path below -1 that then steps up: the upper bracket
-        # must grow upward from a negative start
+        # a whole-line path below -1 that then steps up: no clamp may keep
+        # the iterate from a negative root
         times = np.linspace(0.0, 1.0, 5)
         sol = solve_batch(1.0, zero_drift(), [[0.0, -3.0, -2.5, -2.6, -2.0]], times)
         assert np.allclose(sol[0], [1.0, -2.0, -1.5, -1.6, -1.0], rtol=0.0, atol=1e-12)
@@ -384,8 +378,7 @@ def _recording(drift, calls):
 def _non_newton_steps(calls, times, b_by_step):
     """Iterations whose next iterate is not the Newton candidate.
 
-    On the convex route these are clamps at x / 2; on the bracketed route,
-    bracket midpoints.
+    These are the clamps at x / 2 on the positive domain.
     """
     dt = float(times[1] - times[0])
     count = 0
@@ -409,8 +402,8 @@ _POWERS = (0.5, 1.5, 3.0, 6.0)
 def _oracle_grid_fallbacks(drift):
     """Check ``drift`` against the bisection oracle and return ``_non_newton_steps``.
 
-    Short, coarse grids with a 5x driver push Newton candidates below x / 2 or
-    out of the bracket, so the guards fire; no byte pin reaches them.
+    Short, coarse grids with a 5x driver push Newton candidates below x / 2,
+    so the clamp fires; no byte pin reaches it.
     """
     fallbacks = 0
     for n in (8, 16, 64):
@@ -430,9 +423,8 @@ def _oracle_grid_fallbacks(drift):
 
 
 def test_whole_line_drift_matches_the_oracle():
-    # the one whole-line drift on the oracle grid; its Newton candidates never
-    # leave the bracket there, so no guard count is asserted
-    _oracle_grid_fallbacks(
+    # the one whole-line drift on the oracle grid; no clamp applies there
+    assert _oracle_grid_fallbacks(
         DriftSpec(
             "custom",
             lambda t, x: -2.0 * x + np.sin(x),
@@ -440,37 +432,27 @@ def test_whole_line_drift_matches_the_oracle():
             singularity_exponent=0.0,
             lower_envelope=lambda t: 0.0,
             upper_envelope=lambda t: 0.0,
-            positive_domain=False,
         )
+    ) == 0
+
+
+@pytest.mark.parametrize("q", _POWERS, ids=lambda q: f"{q}-clamp")
+def test_each_newton_guard_fires_on_the_oracle_grid(q):
+    # Newton matches the oracle, and its clamp at x / 2 fires for every q
+    assert _oracle_grid_fallbacks(power_drift(1.0, 0.0, q)) > 0
+
+
+def test_nonconvex_drift_matches_the_oracle():
+    # nonincreasing but concave in x near x = 1.5, so the step function F is
+    # not concave there and Newton may overshoot the root; the clamp still
+    # keeps it positive and every step converges to the oracle's root
+    drift = _drift(
+        lambda t, x: 1.0 / _arr(x) + 5.0 * (1.0 - np.tanh(_arr(x) - 2.0)),
+        lambda t, x: -1.0 / _arr(x) ** 2 - 5.0 / np.cosh(_arr(x) - 2.0) ** 2,
+        h=lambda t: 10.0,
     )
-
-
-@pytest.mark.parametrize("convex", [True, False], ids=["clamp", "midpoint"])
-@pytest.mark.parametrize("q", _POWERS)
-def test_each_newton_guard_fires_on_the_oracle_grid(q, convex):
-    # Either route matches the oracle, and its guard fires for every q: the
-    # clamp at x / 2 on the convex route, the bracket midpoint on the other.
-    # The midpoint is reached by no other test.
-    assert _oracle_grid_fallbacks(replace(power_drift(1.0, 0.0, q), convex=convex)) > 0
-
-
-@pytest.mark.parametrize(
-    "spec, n_paths",
-    [
-        (FbmSpec(0.75, n_steps=256, seed=2024), 8),
-        (FbmSpec(0.75, n_steps=1024, seed=12345), 60),
-        (FbmSpec(0.75, n_steps=1024, seed=301), 60),
-    ],
-    ids=["byte-pin", "60x1024-12345", "60x1024-301"],
-)
-def test_convex_route_gives_the_bracketed_bits(spec, n_paths):
-    drivers = sample_fbm_batch(spec, n_paths)
-    drift = power_drift(1.0, 0.0, 1.5)
-    convex = solve_batch(1.0, drift, drivers, spec.times)
-    bracketed = solve_batch(1.0, replace(drift, convex=False), drivers, spec.times)
-    assert np.array_equal(convex, bracketed)
-    # rows stay independent of the batch
-    assert np.array_equal(solve_batch(1.0, drift, drivers[:7], spec.times), convex[:7])
+    assert check_drift_assumptions(drift, 0.75).nonnegative_decreasing
+    assert _oracle_grid_fallbacks(drift) > 0
 
 
 @pytest.mark.parametrize("x0", [1e3, 1e5, 1e7])
@@ -490,15 +472,14 @@ def test_newton_converges_far_from_the_singularity(x0):
         assert np.all(np.abs(got[:, k] - root) <= bound), (k, np.max(np.abs(got[:, k] - root)))
 
 
-def _newton_drift(f, positive_domain=True):
+def _newton_drift(f, singularity_exponent=1.0):
     return DriftSpec(
         "custom",
         f,
         lambda t, x: np.zeros_like(x),
-        singularity_exponent=1.0,
+        singularity_exponent=singularity_exponent,
         lower_envelope=lambda t: 1.0,
         upper_envelope=lambda t: 1.0,
-        positive_domain=positive_domain,
     )
 
 
@@ -510,25 +491,28 @@ class TestImplicitStepErrors:
             solve_batch(np.array([1.0, 5.0]), drift, np.zeros((2, 17)), np.linspace(0.0, 1.0, 17))
 
     @pytest.mark.parametrize(
-        "f, positive_domain, driver_step",
+        "f, singularity_exponent, driver_step, overflows",
         [
-            (lambda t, x: -np.ones_like(x), True, -1.0),
-            (lambda t, x: -(x**2) - 1.0, False, -1.0),
-            (lambda t, x: x**2, True, 0.0),
+            (lambda t, x: -np.ones_like(x), 1.0, -1.0, False),
+            (lambda t, x: -(x**2) - 1.0, 0.0, -1.0, True),
+            (lambda t, x: x**2, 1.0, 0.0, True),
         ],
         ids=["positive-below", "whole-line-below", "above"],
     )
-    def test_bracket_failure_raises(self, f, positive_domain, driver_step):
-        # one step of size dt = 1 from x0 = 1 whose equation has no root: these
-        # drifts break the nonincreasing assumption, so the residual bracket
-        # holds no root and the iteration runs out
+    def test_bracket_failure_raises(self, f, singularity_exponent, driver_step, overflows):
+        # one step of size dt = 1 from x0 = 1 whose equation has no root in
+        # the domain: these drifts break the nonincreasing assumption, so
+        # the iteration runs out.  Two of them send the iterate to +-inf,
+        # and the drift's own x**2 overflows on the way.
         drivers = np.array([[0.0, driver_step]])
-        with pytest.raises(solver.SolverError, match="implicit step did not converge"):
-            solve_batch(1.0, _newton_drift(f, positive_domain), drivers, np.array([0.0, 1.0]))
+        drift = _newton_drift(f, singularity_exponent)
+        warns = pytest.warns(RuntimeWarning) if overflows else contextlib.nullcontext()
+        with warns, pytest.raises(solver.SolverError, match="implicit step did not converge"):
+            solve_batch(1.0, drift, drivers, np.array([0.0, 1.0]))
 
     def test_root_at_the_start_is_taken(self):
         # x - (-x^2) - 0 has the roots 0 and -1; the step starts at b = 0
-        drift = _newton_drift(lambda t, x: -(x**2), positive_domain=False)
+        drift = _newton_drift(lambda t, x: -(x**2), singularity_exponent=0.0)
         sol = solve_batch(1.0, drift, np.array([[0.0, -1.0]]), np.array([0.0, 1.0]))
         assert sol[0, 1] == 0.0
 
@@ -600,10 +584,17 @@ class TestEvalAlongPath:
         with pytest.raises(ValueError, match="shape"):
             eval_along_path(lambda t, x: np.ones(3), times, values)
 
-    def test_nonfinite_start_replaced_by_neighbor(self):
+    def test_nonfinite_start_propagates(self):
         times = np.linspace(0.0, 1.0, 3)
         got = eval_along_path(lambda t, x: x, times, np.array([np.inf, 3.0, 2.0]))
-        assert np.array_equal(got, [3.0, 3.0, 2.0])
+        assert np.array_equal(got, [np.inf, 3.0, 2.0])
+        # a drift that is NaN at t = 0 gives a NaN defect, not a patched one
+        drift = replace(
+            reciprocal_drift(1.0), f=lambda t, x: np.where(t > 0.0, 1.0 / _arr(x), np.nan)
+        )
+        driver = _flat_driver(16)
+        sol = solve_pathwise(1.0, reciprocal_drift(1.0), driver)
+        assert np.isnan(residual_defect(sol, drift, driver))
 
 
 class TestCir:

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,6 +58,13 @@ class TestWindowLength:
     def test_degenerate_configuration(self):
         with pytest.raises(ValueError):
             window_length(3.0, 0.6, 0.0, 0.0, 5.0)
+
+    @pytest.mark.parametrize("arg", range(3))
+    def test_nan_input_rejected(self, arg):
+        args = [1.0, 1.0, 5.0]
+        args[arg] = math.nan
+        with pytest.raises(ValueError, match="nonnegative"):
+            window_length(3.0, 0.65, *args)
 
 
 class TestIbpConstant:
@@ -176,6 +184,21 @@ class TestPathBoundAudit:
             rep = check_path_bound(drift, sols, drivers, times, beta=0.65, gamma=3.0)
         assert rep.pass_fraction == 1.0
         assert rep.worst_margin == math.inf
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_nonfinite_envelope_is_not_dropped(self, value):
+        # h is 1 up to t = 0.5 and ``value`` after: the drift cap is that
+        # value, not the 1 of the finite part
+        drift = power_drift(1.0, 0.0, 1.5)
+        times, drivers, sols = _whole_batch(FbmSpec(hurst=0.75, n_steps=64, seed=5), drift, 1.0, 4)
+        drift = replace(drift, upper_envelope=lambda t: 1.0 if t <= 0.5 else value)
+        if math.isnan(value):
+            with pytest.raises(ValueError, match="k_sup"):
+                check_path_bound(drift, sols, drivers, times, beta=0.65, gamma=3.0)
+        else:
+            rep = check_path_bound(drift, sols, drivers, times, beta=0.65, gamma=3.0)
+            assert rep.pass_fraction == 1.0
+            assert rep.worst_margin == math.inf
 
     @pytest.mark.parametrize(
         "case, message",
