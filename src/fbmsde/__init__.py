@@ -45,6 +45,7 @@ from .verify import (
     ks_statistic,
     log_supnorm_bound,
     negative_moment_threshold,
+    pair_units,
     scaling_spec,
     scaling_transform,
     simulate_paths,

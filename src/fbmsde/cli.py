@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError("bessel_dimension must be at least 2")
         if "p_orders" in reads and (not self.p_orders or any(p < 0 for p in self.p_orders)):
             raise ConfigError("p_orders must contain nonnegative values")
+        if "p_orders" in reads and len(set(self.p_orders)) < len(self.p_orders):
+            raise ConfigError(f"p_orders must not repeat a value, got {_fmt(self.p_orders)}")
         if "eps_list" in reads and (not self.eps_list or any(e <= 0 for e in self.eps_list)):
             raise ConfigError("eps_list must contain positive values")
         for key in ("tau", "t_check", "scale_t", "t_eval"):
@@ -407,21 +409,25 @@ def _exp_neg_moments(cfg: ExperimentConfig, out_dir: Path):
         raise ConfigError("neg-moments requires drift = reciprocal")
     spec = cfg.fbm_spec()
     dt = float(spec.times[1] - spec.times[0])
-    if any(_snap_down(t, dt) == 0.0 for t in cfg.t_eval):
-        raise ConfigError(f"every t_eval must be at least one grid step dt={_fmt(dt)}")
-    drift = cfg.drift_spec()
     t_snapped = [_snap_down(t, dt) for t in cfg.t_eval]
+    if 0.0 in t_snapped:
+        raise ConfigError(f"every t_eval must be at least one grid step dt={_fmt(dt)}")
+    if len(set(t_snapped)) < len(t_snapped):
+        raise ConfigError(f"t_eval values snap to the same grid time (grid step dt={_fmt(dt)})")
+    drift = cfg.drift_spec()
     idx = [int(round(t / dt)) for t in t_snapped]
     # Only the t_eval columns are read, so the solve stops at the last of them.
+    # Rows 2i and 2i + 1 solve one driver and its negation: one unit per pair.
     blocks = verify.simulate_paths(
-        spec, drift, cfg.x0, cfg.n_paths, lambda d, s: s[:, idx], n_points=max(idx) + 1
+        spec, drift, cfg.x0, cfg.n_paths, lambda d, s: s[:, idx], n_points=max(idx) + 1, antithetic=True
     )
     columns = np.concatenate(blocks)
+    pairs = verify.pair_units(cfg.n_paths)
     claims = []
     for p in cfg.p_orders:
         for j, t in enumerate(t_snapped):
             rep = verify.check_negative_moments(
-                columns[:, j], p=p, t=t, x0=cfg.x0, k=cfg.drift_k, hurst=cfg.hurst
+                columns[:, j], p=p, t=t, x0=cfg.x0, k=cfg.drift_k, hurst=cfg.hurst, units=pairs
             )
             bound = rep.claim_bound
             claims.append(
@@ -429,7 +435,7 @@ def _exp_neg_moments(cfg: ExperimentConfig, out_dir: Path):
                     f"inverse_moment[p={_fmt(p)},t={_fmt(t)}]",
                     rep.estimate,
                     (bound + 3.0 * rep.std_error) if bound is not None else None,
-                    "value <= bound (x0^-p plus 3 standard errors)"
+                    "value <= bound (x0^-p plus 3 standard errors over antithetic driver pairs)"
                     if bound is not None
                     else "not applicable: t above the claim threshold",
                     rep.passed,

@@ -39,6 +39,7 @@ __all__ = [
     "ks_critical_value",
     "empirical_moment_stability",
     "simulate_paths",
+    "pair_units",
 ]
 
 
@@ -244,18 +245,32 @@ def check_negative_moments(
     x0: float,
     k: float,
     hurst: float,
+    units: np.ndarray | None = None,
 ) -> MomentReport:
     """Estimate E[X_t^{-p}] and compare with x0^{-p} + 3 standard errors.
 
-    Marked not applicable when t exceeds the threshold time; no claim is made
-    there.  p = 0 degenerates to the exact value 1.
+    The estimate is the mean over paths.  ``units`` labels each path with
+    the independent unit it belongs to (an antithetic pair, say, as
+    ``pair_units`` gives), numbered 0 .. U-1; without labels every path is
+    its own unit.  The standard error is the cluster one over the U units,
+    SE^2 = U/(U-1) sum_u (S_u - n_u mean)^2 / m^2, with S_u and n_u the sum
+    and size of unit u: for one path per unit the usual per-path standard
+    error, for pairs that of the pair means.  Fewer than two units give
+    SE 0.  Marked not applicable when t exceeds the threshold time; no claim
+    is made there.  p = 0 degenerates to the exact value 1.
     """
     xt = np.asarray(terminal_values, dtype=np.float64)
     m = xt.size
     threshold = negative_moment_threshold(k, max(p, 1.0), hurst)
     samples = xt ** (-p)
     estimate = float(np.mean(samples))
-    std_error = float(np.std(samples, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+    units = np.arange(m) if units is None else units
+    if np.shape(units) != xt.shape:
+        raise ValueError(f"units has shape {np.shape(units)}, the values {xt.shape}")
+    sums, sizes = np.bincount(units, samples), np.bincount(units)
+    n_units = sizes.size
+    resid_sq = float(np.sum((sums - sizes * estimate) ** 2))
+    std_error = math.sqrt(n_units / (n_units - 1) * resid_sq) / m if n_units > 1 else 0.0
     if p > 0 and t > threshold:
         return MomentReport(t, p, estimate, std_error, m, None, None)
     bound = x0 ** (-p)
@@ -415,6 +430,8 @@ def simulate_paths(
     n_paths: int,
     reduce: Callable[[np.ndarray, np.ndarray], _R],
     n_points: int | None = None,
+    *,
+    antithetic: bool = False,
 ) -> list[_R]:
     """Sample drivers and solve the equation in path blocks; ``reduce`` each block.
 
@@ -430,6 +447,13 @@ def simulate_paths(
     ``n_paths``.  Rows keep their keys whatever the blocks, so no result
     depends on them.  ``reduce`` must not keep a view of its arguments, or
     the blocks it views stay alive.
+
+    With ``antithetic``, path rows 2i and 2i + 1 are sampled row i and its
+    negation (the fBm law is symmetric), so ``ceil(n_paths / 2)`` rows are
+    sampled; an odd ``n_paths`` leaves the last path unmirrored.  Each pair
+    is one independent unit, not two (``pair_units`` labels them).  Blocks
+    then hold a multiple of 4 rows, so each block's first sampled row stays
+    even.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -438,13 +462,29 @@ def simulate_paths(
     if not 2 <= n_points <= times.size:
         raise ValueError(f"n_points must lie in [2, {times.size}], got {n_points}")
     times = times[:n_points]
-    rows = 2 * max(1, _BLOCK_BYTES // (8 * spec.n_steps) // 2)  # even: rows are keyed in pairs
+    # sampled rows are keyed in pairs, so every block starts on an even one
+    unit = 4 if antithetic else 2
+    rows = unit * max(1, _BLOCK_BYTES // (8 * spec.n_steps) // unit)
     sampled = _prefix_spec(spec, n_points)
 
     results = []
     for first_row in range(0, n_paths, rows):
         count = min(rows, n_paths - first_row)
-        drivers = sample_fbm_batch(sampled, count, first_row=first_row)[:, :n_points]
+        if antithetic:
+            drivers = np.empty((count, n_points))
+            drivers[0::2] = sample_fbm_batch(sampled, (count + 1) // 2, first_row=first_row // 2)[:, :n_points]
+            np.negative(drivers[: count - 1 : 2], out=drivers[1::2])
+        else:
+            drivers = sample_fbm_batch(sampled, count, first_row=first_row)[:, :n_points]
         results.append(reduce(drivers, solve_batch(x0, drift, drivers, times)))
         del drivers  # freed before the next block is sampled
     return results
+
+
+def pair_units(n_paths: int) -> np.ndarray:
+    """The unit label of each path row of ``simulate_paths(..., antithetic=True)``.
+
+    Rows 2i and 2i + 1 share driver i, so both are unit i; an odd last row is
+    a unit of its own.  These are the ``units`` of ``check_negative_moments``.
+    """
+    return np.arange(n_paths) // 2

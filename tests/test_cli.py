@@ -257,6 +257,26 @@ def test_path_blocks_do_not_change_artifacts(args, rows_at_64_steps, tmp_path, m
     assert one[0] == 0 and one == many
 
 
+def test_neg_moments_bound_takes_the_standard_error_over_pairs(tmp_path):
+    # paths 2i and 2i + 1 solve driver i and its negation; each bound is
+    # x0^-p plus 3 standard errors of the 50 pair means, which differ from
+    # the per-path standard error of the same 100 values
+    assert main(["neg-moments", "--n-paths", "100", "--n-steps", "128", "--p-orders", "1",
+                 "--output-dir", str(tmp_path)]) == 0
+    report = (tmp_path / "report.txt").read_text()
+    spec, idx = fbmsde.FbmSpec(hurst=0.75, n_steps=128, seed=12345), [25, 51]
+    columns = np.concatenate(verify.simulate_paths(
+        spec, solver.reciprocal_drift(1.0), 1.0, 100, lambda d, s: s[:, idx], n_points=52, antithetic=True
+    ))
+    for j, i in enumerate(idx):
+        inverse = 1.0 / columns[:, j]
+        se_pairs = np.std(inverse.reshape(50, 2).mean(axis=1), ddof=1) / math.sqrt(50)
+        se_paths = np.std(inverse, ddof=1) / math.sqrt(100)
+        assert abs(se_pairs - se_paths) > 0.1 * se_paths
+        block = report.split(f"inverse_moment[p=1,t={_fmt(spec.times[i])}]:\n")[1]
+        assert float(block.splitlines()[1].split(": ")[1]) == pytest.approx(1.0 + 3.0 * se_pairs, rel=1e-12)
+
+
 _derivative_report = malliavin.derivative_report
 
 
@@ -339,6 +359,7 @@ _REJECTED = [
     ("--gamma", "2"),
     ("--gamma", "2.1"),  # beta 0.65 leaves no pairing order below gamma 2.167
     ("--p-orders", "-1"),
+    ("--p-orders", "1,1"),  # two claims of one name
     ("--t-eval", "0"),
     ("--t-eval", "1.5"),
     ("--tau", "0"),
@@ -519,6 +540,9 @@ _RUNNER_REJECTED = {
         ["neg-moments", "--t-eval", "0.2,0.001", "--n-steps", "16"],
         "dt=0.0625",
     ),
+    # both snap to 0.19921875 on 256 steps: two claims of one name
+    "neg-moments-t-eval-snap-to-one-time": (["neg-moments", "--t-eval", "0.2,0.2001"], "same grid time"),
+    "moments-repeated-p-orders": (["moments", "--p-orders", "1,1"], "repeat"),
     "malliavin-t-check-snaps-to-0": (
         ["malliavin", "--n-paths", "2", "--n-steps", "16", "--t-check", "1e-9"],
         "dt=0.0625",

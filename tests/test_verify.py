@@ -25,6 +25,7 @@ from fbmsde.verify import (
     ks_statistic,
     log_supnorm_bound,
     negative_moment_threshold,
+    pair_units,
     scaling_spec,
     scaling_transform,
     simulate_paths,
@@ -287,6 +288,72 @@ class TestNegativeMoments:
         assert rep.passed is True
 
 
+class TestClusterStdError:
+    def test_pairs_and_a_singleton_by_hand(self):
+        # units {0, 1}, {2, 3}, {4}: sums 3, 7, 5 of sizes 2, 2, 1 around the
+        # mean 3; residuals 3 - 6, 7 - 6, 5 - 3 square to 9 + 1 + 4 = 14, and
+        # SE^2 = 3/2 * 14 / 5^2
+        values = 1.0 / np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        rep = check_negative_moments(
+            values, p=1.0, t=0.2, x0=1.0, k=1.0, hurst=0.75, units=np.array([0, 0, 1, 1, 2])
+        )
+        assert rep.estimate == 3.0 and rep.n_paths == 5
+        assert rep.std_error == pytest.approx(math.sqrt(1.5 * 14.0) / 5.0, rel=1e-15)
+
+    def test_pairs_give_the_standard_error_of_the_pair_means(self):
+        samples = np.random.default_rng(3).uniform(0.5, 2.0, 400)
+        rep = check_negative_moments(
+            1.0 / samples, p=1.0, t=0.2, x0=1.0, k=1.0, hurst=0.75, units=pair_units(400)
+        )
+        means = samples.reshape(200, 2).mean(axis=1)
+        assert rep.std_error == pytest.approx(np.std(means, ddof=1) / math.sqrt(200), rel=1e-12)
+
+    def test_one_path_per_unit_gives_the_per_path_standard_error(self):
+        xt = np.random.default_rng(4).uniform(0.3, 2.0, 501)
+        samples = xt**-2.0
+        rep = check_negative_moments(xt, p=2.0, t=0.1, x0=1.0, k=1.0, hurst=0.75)
+        assert rep.estimate == float(np.mean(samples))
+        assert rep.std_error == pytest.approx(np.std(samples, ddof=1) / math.sqrt(501), rel=1e-12)
+        singletons = check_negative_moments(xt, p=2.0, t=0.1, x0=1.0, k=1.0, hurst=0.75, units=np.arange(501))
+        assert singletons.std_error == rep.std_error
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_one_unit_gives_zero_without_a_warning(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_negative_moments(
+                np.linspace(1.0, 2.0, n), p=1.0, t=0.2, x0=1.0, k=1.0, hurst=0.75, units=np.zeros(n, int)
+            )
+        assert rep.std_error == 0.0 and rep.passed is True
+
+    def test_units_must_label_every_path(self):
+        with pytest.raises(ValueError, match="units"):
+            check_negative_moments(np.ones(4), p=1.0, t=0.2, x0=1.0, k=1.0, hurst=0.75, units=np.zeros(3))
+
+    def test_mirrored_pairs_do_not_raise_the_standard_error(self):
+        # 2,000 solved paths each way at H 0.75, 256 steps: the pair SE was
+        # 0.45-0.50x (t 0.2) and 0.55-0.66x (t 0.4) the independent SE over
+        # seeds 0-9
+        spec, n_paths, idx = FbmSpec(hurst=0.75, n_steps=256, seed=31), 2000, [51, 102]
+
+        def columns(antithetic: bool) -> np.ndarray:
+            blocks = simulate_paths(
+                spec, reciprocal_drift(1.0), 1.0, n_paths, lambda d, s: s[:, idx],
+                n_points=103, antithetic=antithetic,
+            )
+            return np.concatenate(blocks)
+
+        independent, mirrored = columns(False), columns(True)
+        for j in range(2):
+            t = float(spec.times[idx[j]])
+            se_ind = check_negative_moments(independent[:, j], p=1.0, t=t, x0=1.0, k=1.0, hurst=0.75).std_error
+            pairs = check_negative_moments(
+                mirrored[:, j], p=1.0, t=t, x0=1.0, k=1.0, hurst=0.75, units=pair_units(n_paths)
+            )
+            assert pairs.passed is True
+            assert pairs.std_error <= se_ind
+
+
 class TestScaling:
     def test_identity_at_unit_factor(self):
         x0p, drift_p, spec = scaling_transform(power_drift(1.0, 1.0, 1.0), 1.0, 0.75, 1.0)
@@ -428,6 +495,50 @@ def test_prefix_drivers_have_the_fbm_law():
 def test_solve_horizon_outside_grid_rejected(n_points):
     with pytest.raises(ValueError, match="n_points must lie in"):
         simulate_paths(FbmSpec(0.75, n_steps=128), reciprocal_drift(1.0), 1.0, 2, np.min, n_points=n_points)
+
+
+class TestAntitheticDrivers:
+    spec = FbmSpec(hurst=0.75, n_steps=128, seed=6)
+
+    def _blocks(self, n_paths: int, n_points: int | None = None) -> list:
+        return simulate_paths(
+            self.spec, reciprocal_drift(1.0), 1.0, n_paths, lambda d, s: (d.copy(), s.copy()),
+            n_points=n_points, antithetic=True,
+        )
+
+    @pytest.mark.parametrize("n_paths", [8, 7])
+    def test_odd_rows_are_the_negated_even_rows(self, n_paths):
+        ((d, s),) = self._blocks(n_paths, n_points=40)
+        # the even rows are the first ceil(n_paths / 2) rows of the prefix grid
+        prefix = FbmSpec(hurst=0.75, horizon=0.5, n_steps=64, seed=6)
+        assert d[0::2].tobytes() == sample_fbm_batch(prefix, (n_paths + 1) // 2)[:, :40].tobytes()
+        assert (-d[0 : n_paths - 1 : 2]).tobytes() == d[1::2].tobytes()
+        assert s.tobytes() == solve_batch(1.0, reciprocal_drift(1.0), d, self.spec.times[:40]).tobytes()
+
+    @pytest.mark.parametrize("plain_rows", [2, 6])
+    @pytest.mark.parametrize("n_paths", [21, 24])
+    def test_blocks_change_no_byte(self, monkeypatch, plain_rows, n_paths):
+        # a plain block of 2 or 6 rows becomes a mirrored block of 4: every
+        # block starts on an even sampled row
+        whole = self._blocks(n_paths)
+        monkeypatch.setattr(verify, "_BLOCK_BYTES", 8 * self.spec.n_steps * plain_rows)
+        blocks = self._blocks(n_paths)
+        assert [len(d) for d, _ in blocks] == [4] * (n_paths // 4) + ([n_paths % 4] if n_paths % 4 else [])
+        for k in (0, 1):
+            assert np.concatenate([b[k] for b in blocks]).tobytes() == whole[0][k].tobytes()
+
+    def test_odd_n_paths_leaves_the_last_path_unmirrored(self, monkeypatch):
+        monkeypatch.setattr(verify, "_BLOCK_BYTES", 8 * self.spec.n_steps * 4)
+        drivers = np.concatenate([d for d, _ in self._blocks(9)])
+        assert drivers.shape == (9, 129)
+        assert drivers[8].tobytes() == sample_fbm_batch(self.spec, 6)[4].tobytes()
+        assert not np.array_equal(drivers[8], -drivers[7])
+        # the unit labels follow the layout: a unit is one driver and its negation
+        units = pair_units(9)
+        assert units.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4]
+        for u in range(5):
+            rows = drivers[units == u]
+            assert (-rows[1:]).tobytes() == rows[:1].repeat(len(rows) - 1, axis=0).tobytes()
 
 
 def test_streamed_reduction_memory_is_flat_in_n_paths(monkeypatch):
