@@ -54,7 +54,6 @@ from .verify import (
 from .malliavin import (
     DerivativeReport,
     derivative_report,
-    kernel_profile,
 )
 
 __version__ = "0.1.0"

@@ -3,17 +3,17 @@
 For an additively-forced equation with nonincreasing-in-x drift, the
 derivative of X_t with respect to a noise perturbation has the explicit
 kernel exp(integral_s^t df/dx(r, X_r) dr) on [0, t], a number in (0, 1].
-This module evaluates that kernel along a computed path, its squared norm
-under the singular-kernel inner product (strictly positive: the computable
-content of the absolute-continuity criterion), the analytic directional
-derivative against step-function directions, and the finite-difference
-counterpart obtained by re-solving perturbed equations and extrapolating the
-difference quotients to zero.
+``derivative_report`` evaluates that kernel over a block of computed paths,
+its squared norm under the singular-kernel inner product (strictly positive:
+the computable content of the absolute-continuity criterion), the analytic
+directional derivative against a step-function direction phi, and the
+finite-difference counterpart obtained by re-solving perturbed equations and
+extrapolating the difference quotients to zero.
 
-``derivative_report`` checks a whole batch of drivers at once: the direction
-is embedded once, and every driver's base row and perturbed rows are stacked
-into a single ``solve_batch`` call.  Solver rows do not depend on the batch
-they are solved in, so each report equals the one a single-driver call gives.
+The direction is embedded once as h(t) = <phi, 1_[0,t]>, which also pairs it
+with the kernel's cells: <phi, 1_[t_i, t_{i+1})> = h(t_{i+1}) - h(t_i).  All
+rows are solved in one ``solve_batch`` call and reduced row by row, so each
+row of the report equals the one a single-driver call gives.
 """
 
 from __future__ import annotations
@@ -23,19 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import embed_direction, grid_inner_product, inner_product
-from .paths import SamplePath, StepFunction
+# inner_product is not called here; perfbench's tracer wraps it under this name
+from .fbm import embed_direction, grid_inner_product, inner_product  # noqa: F401
+from .paths import StepFunction
 from .solver import DriftSpec, cumulative_along_path, solve_batch
 
 __all__ = [
     "DerivativeReport",
     "ExtrapolationWarning",
-    "kernel_profile",
     "derivative_report",
 ]
 
 
-# a report passes when analytic and extrapolated values differ by at most
+# a row passes when analytic and extrapolated values differ by at most
 # max(_ABS_TOL, _REL_TOL * |analytic|)
 _ABS_TOL, _REL_TOL = 1e-3, 1e-2
 
@@ -44,98 +44,24 @@ class ExtrapolationWarning(UserWarning):
     """Difference quotients did not look first-order; smallest step reported."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivativeReport:
-    """Analytic vs finite-difference directional derivative at one time."""
+    """Analytic vs finite-difference directional derivative at ``t``, one entry per driver row.
 
-    t: float
-    analytic_value: float
-    fd_values: tuple[tuple[float, float], ...]
-    extrapolated_fd: float
-    norm_sq: float
-    passed: bool
-
-
-def kernel_profile(solution: SamplePath, drift: DriftSpec, t: float) -> np.ndarray:
-    """exp(integral_{s_i}^t df/dx(r, X_r) dr) for every grid point s_i <= t; each lies in (0, 1]."""
-    j = solution.index_of(t)
-    cum = cumulative_along_path(drift.dfdx, solution)
-    return np.exp(cum[j] - cum[: j + 1])
-
-
-def _kernel_step(solution: SamplePath, drift: DriftSpec, t: float) -> StepFunction:
-    # cell averages of the kernel profile on [0, t]: a step function the
-    # rectangle weights integrate exactly
-    prof = kernel_profile(solution, drift, t)
-    return StepFunction(solution.times[: prof.size], 0.5 * (prof[1:] + prof[:-1]))
-
-
-def _perturbed_solve(
-    x0: float,
-    drift: DriftSpec,
-    drivers: np.ndarray,
-    times: np.ndarray,
-    t: float,
-    phi: StepFunction,
-    hurst: float,
-    eps_list,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve every driver row and its perturbations d + e h in one batch.
-
-    Rows are stacked per driver as [d, d + e_1 h, ..., d + e_E h] with the
-    eps values in decreasing order.  Returns the eps values, the base
-    solutions (n_paths, n_steps + 1) and the difference quotients
-    (X^eps_t - X_t)/eps, shaped (n_paths, E).
+    ``quotients[i, e]`` is row i's (X^eps_t - X_t)/eps at ``eps[e]``, eps decreasing.
     """
-    eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=np.float64)
-    if eps_arr.size < 1 or np.any(eps_arr <= 0):
-        raise ValueError("eps_list must contain positive values")
-    if drivers.ndim != 2:
-        raise ValueError("drivers must be a 2-d array (n_paths, n_steps + 1)")
-    h = embed_direction(phi, hurst, times)
-    j = h.index_of(t)
-    n_paths, n_pts = drivers.shape
-    rows = np.empty((n_paths, 1 + eps_arr.size, n_pts))
-    rows[:, 0] = drivers
-    rows[:, 1:] = drivers[:, None, :] + eps_arr[:, None] * h.values
-    sols = solve_batch(x0, drift, rows.reshape(-1, n_pts), times)
-    sols = sols.reshape(rows.shape)
-    quotients = (sols[:, 1:, j] - sols[:, :1, j]) / eps_arr
-    return eps_arr, sols[:, 0], quotients
 
+    eps: np.ndarray
+    quotients: np.ndarray
+    analytic: np.ndarray
+    extrapolated: np.ndarray
+    norm_sq: np.ndarray
 
-def _extrapolate(
-    eps_arr: np.ndarray, quotients: np.ndarray
-) -> tuple[tuple[tuple[float, float], ...], float]:
-    """Richardson limit at eps -> 0 of one path's quotients, eps decreasing.
-
-    Assumes a first-order expansion in eps; when the quotients do not shrink
-    consistently with that, the smallest-eps quotient is returned with an
-    ``ExtrapolationWarning`` attributed to the caller of the public function.
-    """
-    fd_values = tuple((float(e), float(q)) for e, q in zip(eps_arr, quotients))
-    if eps_arr.size == 1:
-        return fd_values, float(quotients[0])
-    diffs = np.diff(quotients)
-    scale = max(1.0, float(np.max(np.abs(quotients))))
-    if np.all(np.abs(diffs) <= 1e-12 * scale):
-        # exactly linear response (zero-drift case): any quotient is the limit
-        return fd_values, float(quotients[-1])
-    if eps_arr.size >= 3:
-        expected = (eps_arr[0] - eps_arr[1]) / (eps_arr[1] - eps_arr[2])
-        observed = diffs[0] / diffs[1] if diffs[1] != 0 else np.inf
-        if not 0.4 * expected <= observed <= 2.5 * expected:
-            warnings.warn(
-                f"difference quotients not first-order (ratio {observed:.3g}, "
-                f"expected {expected:.3g}); reporting the smallest-step value",
-                ExtrapolationWarning,
-                stacklevel=3,
-            )
-            return fd_values, float(quotients[-1])
-    e1, e2 = eps_arr[-2], eps_arr[-1]
-    q1, q2 = quotients[-2], quotients[-1]
-    extrapolated = q2 + e2 * (q2 - q1) / (e1 - e2)
-    return fd_values, float(extrapolated)
+    @property
+    def passed(self) -> np.ndarray:
+        """Per row: |analytic - extrapolated| <= max(1e-3, 1e-2 |analytic|)."""
+        slack = np.maximum(_ABS_TOL, _REL_TOL * np.abs(self.analytic))
+        return np.abs(self.analytic - self.extrapolated) <= slack
 
 
 def derivative_report(
@@ -147,23 +73,58 @@ def derivative_report(
     phi: StepFunction,
     hurst: float,
     eps_list=(0.1, 0.05, 0.025),
-) -> list[DerivativeReport]:
-    """Full check per driver row: analytic vs extrapolated finite difference, plus the norm.
+) -> DerivativeReport:
+    """Analytic vs extrapolated finite-difference derivative, plus the norm, per driver row.
 
-    ``drivers`` is (n_paths, n_steps + 1) on the grid ``times``; one report per
-    row, from one batched solve and one kernel evaluation per path.  A report
-    passes when |analytic - extrapolated| <= max(1e-3, 1e-2 * |analytic|).
+    ``drivers`` is (n_paths, n_steps + 1) on the grid ``times``.  Rows whose
+    quotients are not first order in eps report their smallest-eps quotient,
+    under one ``ExtrapolationWarning`` per call.
     """
-    eps_arr, base, quotients = _perturbed_solve(
-        x0, drift, np.asarray(drivers, dtype=np.float64), times, t, phi, hurst, eps_list
-    )
-    reports = []
-    for values, path_quotients in zip(base, quotients):
-        solution = SamplePath(times, values, holder_hint=hurst)
-        step = _kernel_step(solution, drift, t)
-        analytic = inner_product(phi, step, hurst)
-        fd_values, extrapolated = _extrapolate(eps_arr, path_quotients)
-        norm_sq = grid_inner_product(step.levels, step.levels, solution.dt, hurst)
-        passed = abs(analytic - extrapolated) <= max(_ABS_TOL, _REL_TOL * abs(analytic))
-        reports.append(DerivativeReport(t, analytic, fd_values, extrapolated, norm_sq, passed))
-    return reports
+    eps = np.asarray(sorted(eps_list, reverse=True), dtype=np.float64)
+    if eps.size < 1 or np.any(eps <= 0) or np.any(np.diff(eps) == 0):
+        raise ValueError(f"eps_list must hold distinct positive values, got {list(eps_list)}")
+    drivers = np.asarray(drivers, dtype=np.float64)
+    if drivers.ndim != 2:
+        raise ValueError("drivers must be a 2-d array (n_paths, n_steps + 1)")
+    h = embed_direction(phi, hurst, times)
+    j = h.index_of(t)
+    # rows [d, d + e_1 h, ..., d + e_E h] per driver, in one solve
+    n_paths, n_pts = drivers.shape
+    rows = np.empty((n_paths, 1 + eps.size, n_pts))
+    rows[:, 0] = drivers
+    rows[:, 1:] = drivers[:, None, :] + eps[:, None] * h.values
+    sols = solve_batch(x0, drift, rows.reshape(-1, n_pts), times)
+    sols = sols.reshape(rows.shape)
+    quotients = (sols[:, 1:, j] - sols[:, :1, j]) / eps
+    base = sols[:, 0, : j + 1].copy()
+    del rows, sols  # freed before the kernel block is built
+
+    cum = cumulative_along_path(drift.dfdx, h.times[: j + 1], base)
+    profile = np.exp(cum[:, -1:] - cum)
+    levels = 0.5 * (profile[:, 1:] + profile[:, :-1])  # kernel cell averages on [0, t]
+    # a sum per row, not a matrix product, which BLAS may round differently per block
+    analytic = (levels * np.diff(h.values[: j + 1])).sum(axis=1)
+    # Richardson limit at eps -> 0, assuming a first-order expansion in eps.  A
+    # row whose quotients agree to roundoff (a linear response), or do not
+    # shrink as first order predicts (``off``), keeps its smallest-eps quotient.
+    extrapolated, off = quotients[:, -1].copy(), np.zeros(n_paths, dtype=bool)
+    if eps.size > 1:
+        diffs = np.diff(quotients, axis=1)
+        scale = np.maximum(1.0, np.max(np.abs(quotients), axis=1))
+        linear = np.all(np.abs(diffs) <= 1e-12 * scale[:, None], axis=1)
+        if eps.size >= 3:
+            expected = (eps[0] - eps[1]) / (eps[1] - eps[2])
+            d0, d1 = diffs[:, 0], diffs[:, 1]
+            observed = np.divide(d0, d1, out=np.full(n_paths, np.inf), where=d1 != 0)
+            off = ~linear & ~((0.4 * expected <= observed) & (observed <= 2.5 * expected))
+        r = ~(linear | off)
+        extrapolated[r] += eps[-1] * (extrapolated[r] - quotients[r, -2]) / (eps[-2] - eps[-1])
+    if off.any():
+        warnings.warn(
+            f"difference quotients not first-order on {int(off.sum())} of {n_paths} rows; "
+            "reporting their smallest-step values",
+            ExtrapolationWarning,
+            stacklevel=2,
+        )
+    norm_sq = np.array([grid_inner_product(row, row, h.dt, hurst) for row in levels])
+    return DerivativeReport(eps, quotients, analytic, extrapolated, norm_sq)

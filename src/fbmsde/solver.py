@@ -62,10 +62,10 @@ class DriftSpec:
     """A drift f(t, x) with its x-derivative and assumption envelopes.
 
     ``f`` and ``dfdx`` must accept a scalar time with a value array (one
-    solver step across a batch) and, elementwise, a time array with a value
-    array of the same shape (every grid point along one path); each returns
-    an array of the value shape or a scalar.  The envelopes witness the
-    structural assumptions: ``lower_envelope`` g with
+    solver step across a batch) and a time array with a value array whose
+    last axis runs along it (every grid point of a path or of a block of
+    rows); each returns an array of the value shape or a scalar.  The
+    envelopes witness the structural assumptions: ``lower_envelope`` g with
     f(t, x) >= g(t) x^{-singularity_exponent} near 0, ``upper_envelope`` h
     with f(t, x) <= h(t)(1 + 1/x).  ``inverse_coeff`` is set when
     f(t, x) = c(t)/x exactly, unlocking the closed-form implicit step.
@@ -351,7 +351,7 @@ def solve_pathwise(x0: float, drift: DriftSpec, driver: SamplePath) -> SamplePat
 
 
 def eval_along_path(fn: Callable, times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """fn(t_i, x_i) along a path, for a drift callable ``f`` or ``dfdx``.
+    """fn(t_i, x_i) along a path or a block of rows, for a drift callable ``f`` or ``dfdx``.
 
     ``fn`` is called once with the whole time and value arrays; a scalar
     result is broadcast, any other shape than ``values.shape`` raises
@@ -367,24 +367,27 @@ def eval_along_path(fn: Callable, times: np.ndarray, values: np.ndarray) -> np.n
     return out
 
 
-def cumulative_along_path(fn: Callable, path: SamplePath) -> np.ndarray:
-    """Trapezoidal cumulative integral of fn(s, x_s) from 0 to each grid time."""
-    v = eval_along_path(fn, path.times, path.values)
-    return np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * path.dt)])
+def cumulative_along_path(fn: Callable, times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Trapezoidal cumulative integral of fn(s, x_s) from 0 to each grid time, along the last axis."""
+    v = eval_along_path(fn, times, values)
+    out = np.zeros(v.shape)
+    np.cumsum(0.5 * (v[..., 1:] + v[..., :-1]) * (times[1] - times[0]), axis=-1, out=out[..., 1:])
+    return out
 
 
-def residual_defect(solution: SamplePath, drift: DriftSpec, driver: SamplePath) -> float:
-    """Max over the grid of |x_t - x_0 - trapz(f(s, x_s)) - phi_t|.
+def residual_defect(
+    solutions: np.ndarray, drift: DriftSpec, drivers: np.ndarray, times: np.ndarray
+) -> np.ndarray:
+    """Per row, the max over the grid of |x_t - x_0 - trapz(f(s, x_s)) - (phi_t - phi_0)|.
 
-    A-posteriori check that the computed path satisfies the integral equation
-    up to quadrature error.
+    A-posteriori check that each row of ``solutions`` satisfies the integral
+    equation driven by the same row of ``drivers``, up to quadrature error.
     """
-    if not np.array_equal(solution.times, driver.times):
-        raise ValueError("solution and driver must share one grid")
-    vals = solution.values
-    drift_integral = cumulative_along_path(drift.f, solution)
-    defect = vals - vals[0] - drift_integral - (driver.values - driver.values[0])
-    return float(np.max(np.abs(defect)))
+    if solutions.shape != drivers.shape or solutions.shape[-1] != times.size:
+        raise ValueError("solutions, drivers and times must share one grid")
+    drift_integral = cumulative_along_path(drift.f, times, solutions)
+    defect = solutions - solutions[..., :1] - drift_integral - (drivers - drivers[..., :1])
+    return np.max(np.abs(defect), axis=-1)
 
 
 def cir_transform(y: float) -> float:

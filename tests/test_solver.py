@@ -535,13 +535,13 @@ class TestResidualDefect:
     def test_zero_drift_zero_defect(self):
         driver = sample_fbm(FbmSpec(hurst=0.75, n_steps=128, seed=12))
         sol = solve_pathwise(2.0, zero_drift(), driver)
-        assert residual_defect(sol, zero_drift(), driver) < 1e-12
+        assert residual_defect(sol.values, zero_drift(), driver.values, driver.times) < 1e-12
 
     def test_closed_form_case_small_defect(self):
         driver = _flat_driver(2000)
         drift = reciprocal_drift(1.0)
         sol = solve_pathwise(1.0, drift, driver)
-        assert residual_defect(sol, drift, driver) < 5e-4
+        assert residual_defect(sol.values, drift, driver.values, driver.times) < 5e-4
 
     def test_defect_shrinks_with_dt(self):
         spec = FbmSpec(hurst=0.75, n_steps=1024, seed=77)
@@ -552,9 +552,25 @@ class TestResidualDefect:
             times = fine.times[::step]
             driver = SamplePath(times, fine.values[::step], holder_hint=0.75)
             sol = solve_pathwise(1.0, drift, driver)
-            defects.append(residual_defect(sol, drift, driver))
+            defects.append(residual_defect(sol.values, drift, driver.values, times))
         assert defects[0] >= 2.0 * defects[1] * 0.7
         assert defects[1] >= 2.0 * defects[2] * 0.7
+
+    def test_block_gives_each_rows_defect(self):
+        # row i of the solutions is checked against row i of the drivers
+        spec = FbmSpec(hurst=0.75, n_steps=64, seed=78)
+        drivers = sample_fbm_batch(spec, 5)
+        drift = power_drift(1.0, 0.5, 1.5)
+        sols = solve_batch(1.0, drift, drivers, spec.times)
+        block = residual_defect(sols, drift, drivers, spec.times)
+        assert block.shape == (5,)
+        for i in range(5):
+            assert block[i] == residual_defect(sols[i], drift, drivers[i], spec.times)
+        assert np.all(residual_defect(sols, drift, drivers[::-1], spec.times)[[0, 1, 3, 4]] > 1e-2)
+        with pytest.raises(ValueError, match="share one grid"):
+            residual_defect(sols, drift, drivers[:4], spec.times)
+        with pytest.raises(ValueError, match="share one grid"):
+            residual_defect(sols, drift, drivers, spec.times[:-1])
 
 
 class TestEvalAlongPath:
@@ -575,7 +591,7 @@ class TestEvalAlongPath:
         driver = _flat_driver(64)
         sol = solve_pathwise(1.0, reciprocal_drift(1.0), driver)
         with pytest.raises(RuntimeError, match="scalar time only"):
-            residual_defect(sol, drift, driver)
+            residual_defect(sol.values, drift, driver.values, driver.times)
 
     def test_shape_checked_and_scalar_broadcast(self):
         times = np.linspace(0.0, 1.0, 9)
@@ -594,7 +610,7 @@ class TestEvalAlongPath:
         )
         driver = _flat_driver(16)
         sol = solve_pathwise(1.0, reciprocal_drift(1.0), driver)
-        assert np.isnan(residual_defect(sol, drift, driver))
+        assert np.isnan(residual_defect(sol.values, drift, driver.values, driver.times))
 
 
 class TestCir:
