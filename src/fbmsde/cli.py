@@ -341,17 +341,20 @@ def _exp_simulate(cfg: ExperimentConfig, out_dir: Path):
     times = spec.times
     n_defect = min(cfg.n_paths, 16)
     # The wide CSV is time-major, so every solution is kept; of the drivers,
-    # only the rows the defect check reads.
-    blocks = verify.simulate_paths(
-        spec, drift, cfg.x0, cfg.n_paths, lambda d, s: (d[:n_defect].copy(), s)
-    )
-    drivers = np.concatenate([d for d, _ in blocks])
-    solutions = np.concatenate([s for _, s in blocks])
-    del blocks
+    # only the first n_defect rows, which the defect check reads.
+    kept = []
+
+    def keep(d, s):
+        need = n_defect - sum(map(len, kept))
+        if need > 0:
+            kept.append(d[:need].copy())
+        return s
+
+    solutions = np.concatenate(verify.simulate_paths(spec, drift, cfg.x0, cfg.n_paths, keep))
     min_val = float(np.min(solutions))
     # numpy's max and min, here and in the runners below, pass a NaN on where
     # Python's would drop it, so a NaN claim value fails its claim
-    defects = solver.residual_defect(solutions[:n_defect], drift, drivers[:n_defect], times)
+    defects = solver.residual_defect(solutions[:n_defect], drift, np.concatenate(kept), times)
     worst_defect = float(np.max(defects))
     dt = float(times[1] - times[0])
     claims = [

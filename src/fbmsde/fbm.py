@@ -11,8 +11,9 @@ Philox generator re-keyed to ``[j, seed]``, so a row's bits depend only on
 the seed and its index, never on the batch.  Complex Gaussian weights on
 every mode of the embedding make the real and imaginary parts of one FFT two
 independent exact samples (Wood & Chan 1994).  The module also evaluates
-the singular-kernel inner product of step functions and the embedding of step
-directions into Hölder path space.
+the singular-kernel inner product of step functions (on a uniform grid, from
+the same circulant eigenvalues) and the embedding of step directions into
+Hölder path space.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 # numpy 2 loads these submodules on first attribute access; importing them
 # here keeps that cost in start-up rather than inside the first sample.
-from numpy.fft import fft
+from numpy.fft import fft, rfft
 from numpy.random import Generator, Philox
 
 from .paths import SamplePath, StepFunction
@@ -204,27 +205,37 @@ def inner_product(phi: StepFunction, psi: StepFunction, hurst: float) -> float:
 
 def grid_inner_product(
     levels_u: np.ndarray, levels_v: np.ndarray, dt: float, hurst: float
-) -> float:
-    """Inner product of two step functions sharing the same uniform cells.
+) -> float | np.ndarray:
+    """Inner product of step functions sharing the same m uniform cells, per row.
 
-    On uniform cells the rectangle weights collapse to the stationary lag
-    sequence, so the double sum reduces to one correlation pass.
+    ``levels_u`` and ``levels_v`` are 1-d (one pair: a float) or (rows, m)
+    (a block: one value per row).  On uniform cells the rectangle weights
+    collapse to the Toeplitz matrix T of the fGn lags, and T is the leading
+    block of the size-2m circulant the sampler diagonalises, so the value is
+    dt^{2H} sum_k s_k^2 Re(U_k conj V_k), with U, V the length-2m FFTs of the
+    zero-padded rows and s_k^2 the circulant eigenvalues over 2m.  Each term
+    of u^T T u is then >= 0.  A row's value does not depend on the rows
+    beside it.
+
+    The eigenvalues come from ``_circulant_sqrt_eigs``: a grid whose
+    embedding is indefinite raises ``FbmSamplingError``, and the clamp to 0
+    of eigenvalues within 1e-10 of 0 moves u^T T u by at most
+    1e-10 dt^{2H} |u|^2 (Parseval).
     """
     if not 0.5 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
     u = np.asarray(levels_u, dtype=np.float64)
     v = np.asarray(levels_v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError("level arrays must be 1-d and equally long")
-    m = u.size
-    h2 = 2.0 * hurst
-    gamma = _fgn_autocovariance(hurst, m)
-    # np.correlate(u, v, "full")[m-1+k] = sum_i u_{i+k} v_i
-    cross = np.correlate(u, v, "full")
-    total = gamma[0] * cross[m - 1]
-    if m > 1:
-        total += np.dot(gamma[1:], cross[m:] + cross[m - 2 :: -1])
-    return float(dt**h2 * total)
+    if u.shape != v.shape or u.ndim not in (1, 2) or u.shape[-1] < 1:
+        raise ValueError("level arrays must be 1-d or 2-d, equally shaped and nonempty")
+    m = u.shape[-1]
+    weights = _circulant_sqrt_eigs(hurst, m)[: m + 1] ** 2
+    weights[1:m] *= 2.0  # rfft keeps one of each conjugate pair of interior modes
+    uu = rfft(u, n=2 * m, axis=-1)
+    vv = uu if v is u else rfft(v, n=2 * m, axis=-1)
+    # a sum per row, not a matrix product, which BLAS may round differently per block
+    total = (weights * (uu.real * vv.real + uu.imag * vv.imag)).sum(axis=-1)
+    return dt ** (2.0 * hurst) * (float(total) if u.ndim == 1 else total)
 
 
 def embed_direction(phi: StepFunction, hurst: float, times: np.ndarray) -> SamplePath:

@@ -328,8 +328,9 @@ def _pairing_nodes(times: np.ndarray, i_s: int, i_t: int) -> np.ndarray:
     s, t = times[i_s], times[i_t]
     frac = np.arange(1, _ENDPOINT_SPLITS) / _ENDPOINT_SPLITS
     extra = np.concatenate([s + dt * frac, t - dt * frac])
-    nodes = np.concatenate([times[i_s : i_t + 1], extra[(extra > s) & (extra < t)]])
-    return np.unique(nodes)
+    nodes = np.sort(np.concatenate([times[i_s : i_t + 1], extra[(extra > s) & (extra < t)]]))
+    # what np.unique returns, without the numpy.ma import it costs on numpy 2.4
+    return nodes[np.concatenate([[True], nodes[1:] != nodes[:-1]])]
 
 
 def young_integral(y: SamplePath, phi: SamplePath, s: float, t: float, order: float) -> float:

@@ -12,8 +12,10 @@ extrapolating the difference quotients to zero.
 
 The direction is embedded once as h(t) = <phi, 1_[0,t]>, which also pairs it
 with the kernel's cells: <phi, 1_[t_i, t_{i+1})> = h(t_{i+1}) - h(t_i).  All
-rows are solved in one ``solve_batch`` call and reduced row by row, so each
-row of the report equals the one a single-driver call gives.
+rows are solved in one ``solve_batch`` call and reduced as one block: the
+kernel norms of every row come from one FFT quadratic form over the block,
+weighted by the sampler's circulant eigenvalues.  No reduction mixes rows,
+so each row of the report equals the one a single-driver call gives.
 """
 
 from __future__ import annotations
@@ -126,5 +128,5 @@ def derivative_report(
             ExtrapolationWarning,
             stacklevel=2,
         )
-    norm_sq = np.array([grid_inner_product(row, row, h.dt, hurst) for row in levels])
+    norm_sq = grid_inner_product(levels, levels, h.dt, hurst)
     return DerivativeReport(eps, quotients, analytic, extrapolated, norm_sq)

@@ -317,6 +317,9 @@ def solve_batch(x0, drift: DriftSpec, driver_values: np.ndarray, times: np.ndarr
     ``driver_values`` is (n_paths, n_steps + 1); ``x0`` is a scalar or a
     per-path vector.  Per-path results are independent of the batch
     composition: each path's Newton iteration freezes at its own convergence.
+    On the positive domain a value <= 0 raises ``PositivityError`` naming
+    the first step that produced it: Newton checks after every step, the
+    closed-form route once over the solved block.
     """
     drivers = np.atleast_2d(np.asarray(driver_values, dtype=np.float64))
     times = np.asarray(times, dtype=np.float64)
@@ -325,7 +328,8 @@ def solve_batch(x0, drift: DriftSpec, driver_values: np.ndarray, times: np.ndarr
         raise ValueError("driver and grid sizes differ")
     dt = float(times[1] - times[0])
     x0_vec = np.broadcast_to(np.asarray(x0, dtype=np.float64), (n_paths,)).copy()
-    if drift.positive_domain and np.any(x0_vec <= 0):
+    positive = drift.positive_domain
+    if positive and np.any(x0_vec <= 0):
         raise ValueError("initial values must be strictly positive")
 
     out = np.empty((n_paths, n_pts))
@@ -333,14 +337,26 @@ def solve_batch(x0, drift: DriftSpec, driver_values: np.ndarray, times: np.ndarr
     x = x0_vec
     newton = drift.inverse_coeff is None
     increment = 0.0  # Newton's predictor: the last step's dt f(t, x)
-    for k, t in enumerate(times[1:].tolist(), start=1):
-        b = x + (drivers[:, k] - drivers[:, k - 1])
-        x = _implicit_step(drift, t, b, x, dt, increment)
-        if newton:
-            increment = x - b
-        if drift.positive_domain and (x <= 0).any():
-            raise PositivityError(f"nonpositive value after step {k}")
-        out[:, k] = x
+    filled = 1  # columns of ``out`` written so far
+    try:
+        for k, t in enumerate(times[1:].tolist(), start=1):
+            b = x + (drivers[:, k] - drivers[:, k - 1])
+            x = _implicit_step(drift, t, b, x, dt, increment)
+            if newton:
+                increment = x - b
+                # a nonpositive iterate would be fed to f on the next step
+                if positive and (x <= 0).any():
+                    raise PositivityError(f"nonpositive value after step {k}")
+            out[:, k] = x
+            filled = k + 1
+    finally:
+        # The closed-form step never divides by x, so one check over the
+        # solved columns names the first bad step, even when a later step
+        # raised first.
+        if positive and not newton:
+            bad = (out[:, 1:filled] <= 0).any(axis=0)
+            if bad.any():
+                raise PositivityError(f"nonpositive value after step {int(bad.argmax()) + 1}") from None
     return out
 
 

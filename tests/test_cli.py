@@ -667,6 +667,24 @@ def test_import_loads_numpy_only():
     assert {"numpy.fft", "numpy.random"} <= loaded
 
 
+def test_cir_run_does_not_load_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on numpy 2.4, about 12 ms per process; the
+    # pairing integral that cir runs dedupes its nodes without it
+    code = (
+        "import sys; from fbmsde.cli import main; "
+        "assert main(['cir', '--n-paths', '4', '--n-steps', '64', '--output-dir', sys.argv[1]]) == 0; "
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma loaded'"
+    )
+    src = str(Path(fbmsde.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_benchmark_tracer_finds_every_binding():
     # perfbench/child.py wraps package functions by name when it traces a run;
     # a renamed or deleted one fails every traced benchmark run

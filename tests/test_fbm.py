@@ -285,6 +285,43 @@ class TestInnerProduct:
         general = inner_product(StepFunction(bp, u), StepFunction(bp, v), 0.8)
         assert grid_inner_product(u, v, dt, 0.8) == pytest.approx(general, rel=1e-10)
 
+    @pytest.mark.parametrize("hurst", [0.51, 0.75, 0.99])
+    @pytest.mark.parametrize("m", [1, 2, 7, 1000, 2048])
+    def test_block_norm_matches_dense_toeplitz_and_general(self, m, hurst):
+        # levels in [0.5, 1.5], like the kernel averages the norm is taken
+        # of, so no polarised value is small by cancellation
+        rng = np.random.default_rng(m)
+        dt, h2 = 1.0 / m, 2.0 * hurst
+        u, v = rng.random(m) + 0.5, rng.random(m) + 0.5
+        k = np.arange(m, dtype=np.float64)
+        gamma = 0.5 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
+        toeplitz = dt**h2 * gamma[np.abs(np.subtract.outer(np.arange(m), np.arange(m)))]
+        bp = np.arange(m + 1) * dt
+        for a, b in ((u, u), (u, v)):
+            got = grid_inner_product(a, b, dt, hurst)
+            assert isinstance(got, float)
+            assert got == pytest.approx(a @ toeplitz @ b, rel=1e-12)
+            general = inner_product(StepFunction(bp, a), StepFunction(bp, b), hurst)
+            assert got == pytest.approx(general, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 513, 2048])
+    def test_block_rows_equal_one_row_calls_bitwise(self, m):
+        rng = np.random.default_rng(m + 1)
+        u, v = rng.random((5, m)), rng.standard_normal((5, m))
+        for a, b in ((u, u), (u, v)):
+            block = grid_inner_product(a, b, 0.01, 0.75)
+            assert block.shape == (5,)
+            rows = [grid_inner_product(a[i], b[i], 0.01, 0.75) for i in range(5)]
+            assert np.array_equal(block, rows)
+
+    def test_block_norm_rejects_mismatched_or_empty_levels(self):
+        with pytest.raises(ValueError, match="equally shaped"):
+            grid_inner_product(np.ones((2, 4)), np.ones((2, 5)), 0.1, 0.75)
+        with pytest.raises(ValueError, match="equally shaped"):
+            grid_inner_product(np.ones((1, 2, 4)), np.ones((1, 2, 4)), 0.1, 0.75)
+        with pytest.raises(ValueError, match="nonempty"):
+            grid_inner_product(np.ones(0), np.ones(0), 0.1, 0.75)
+
 
 class TestEmbedDirection:
     def test_indicator_embeds_to_covariance_slice(self):

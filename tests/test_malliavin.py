@@ -227,11 +227,11 @@ class TestBatchedReport:
         [
             (
                 reciprocal_drift(1.0),
-                "31d0d43e837e6cee1a35f47c1cd5d44bed362db055c53dd5b0a993d7efb0147f",
+                "cca6930a7fb96fce891b47e5bd9cfff80eb1e2329c89f220633a752e7f25f896",
             ),
             (
                 power_drift(1.0, 0.0, 1.5),
-                "4a211d6c878eb8c5f542db720e000b9161d9fafc02d492e745bed16e20075d5e",
+                "175dd1220653ded2faab8d41ba03bacb7eed1457bca829c01cdac30d4c20aa8a",
             ),
         ],
         ids=["closed-form", "newton"],

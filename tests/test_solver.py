@@ -517,6 +517,34 @@ class TestImplicitStepErrors:
         assert sol[0, 1] == 0.0
 
 
+class TestPositivityError:
+    # Both routes run on repulsive drifts that keep exact roots positive; the
+    # error fires only where rounding lands on 0 or below.
+
+    @pytest.mark.parametrize("later_step_raises", [False, True], ids=["plain", "later-error"])
+    def test_closed_form_step_rounding_to_zero(self, later_step_raises):
+        # step 2 jumps by -1e10: b^2 = 1e20 swamps 4 dt c = 1, so
+        # sqrt(b^2 + 4 dt c) rounds to |b| and x = (b + |b|) / 2 is exactly 0
+        drift = reciprocal_drift(1.0)
+        if later_step_raises:
+            # step 3 then has a negative coefficient; the earlier step is named
+            drift = replace(drift, inverse_coeff=lambda t: 1.0 if t <= 0.5 else -1.0)
+        drivers = np.zeros((2, 5))
+        drivers[0, 2:] = -1e10
+        with pytest.raises(solver.PositivityError, match=r"^nonpositive value after step 2$"):
+            solve_batch(1.0, drift, drivers, np.linspace(0.0, 1.0, 5))
+
+    def test_newton_final_correction_overshooting_zero(self):
+        # dt f = 1e-40 / x^2 with b = -5e-11 on step 2 puts the root near
+        # 1.4e-15, below the 1e-10 tolerance; the halving clamp stops at an
+        # iterate whose residual is within it, and the last correction -F/F'
+        # with F' ~ 1 carries it past 0
+        drift = power_drift(2e-40, 0.0, 2.0)
+        drivers = np.array([[0.0, 0.0, -1.0 - 5e-11]])
+        with pytest.raises(solver.PositivityError, match=r"^nonpositive value after step 2$"):
+            solve_batch(1.0, drift, drivers, np.array([0.0, 0.5, 1.0]))
+
+
 class TestComparison:
     def test_ordering_contraction_monotone(self):
         spec = FbmSpec(hurst=0.75, n_steps=512, seed=44)
