@@ -2,15 +2,17 @@
 
 One subcommand per verification suite; every run echoes the configuration keys
 its experiment reads into a structured text report, writes plot-ready CSV
-paths, and exits 0 only when every claim passes (not-applicable claims do not
-fail a run).  Identical configuration and seed produce byte-identical
-artifacts, independent of the path blocks Monte Carlo experiments stream in.
+paths, and exits 0 only when no claim fails (not-applicable and reported
+claims do not fail a run).  Identical configuration and seed produce
+byte-identical artifacts, independent of the path blocks Monte Carlo
+experiments stream in.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import operator
 import os
 import sys
 import time
@@ -145,19 +147,72 @@ class ExperimentConfig:
         )
 
 
+# Each comparator's test of its two sides: the value and the bound widened by
+# the slack, or for "|-|<=", |value - bound| and the slack.
+_COMPARATORS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "|-|<=": operator.le,
+}
+
+
 @dataclass(frozen=True)
 class Claim:
+    """``value <comparator> bound``, the bound widened by a stated ``slack``.
+
+    The slack is added to the bound of "<" and "<=" and taken from that of
+    ">" and ">="; "|-|<=" means |value - bound| <= slack.  The criterion line,
+    the outcome and the signed margin all derive from these fields, so a
+    report can be rechecked from its own lines.  The comparator "reported"
+    states a value and fails only a non-finite one; "not applicable" says why
+    in ``note``.
+    """
+
     name: str
     value: float
-    bound: float | None
-    criterion: str
-    passed: bool | None  # None = not applicable
+    comparator: str  # a key of _COMPARATORS, "reported" or "not applicable"
+    bound: float | None = None
+    slack: float = 0.0
+    note: str = ""
+
+    def _sides(self) -> tuple[float, float]:
+        if self.comparator == "|-|<=":
+            return abs(self.value - self.bound), self.slack
+        if ">" in self.comparator:
+            return self.value, self.bound - self.slack
+        return self.value, self.bound + self.slack
+
+    @property
+    def passed(self) -> bool | None:
+        """None for a reported or not-applicable claim, except False for a non-finite reported value."""
+        if self.comparator not in _COMPARATORS:
+            return False if self.comparator == "reported" and not math.isfinite(self.value) else None
+        return _COMPARATORS[self.comparator](*self._sides())
+
+    @property
+    def margin(self) -> float | None:
+        """Signed distance from failing: >= 0 (> 0 under "<" and ">") when a checked claim passes."""
+        if self.comparator not in _COMPARATORS:
+            return None
+        lhs, rhs = self._sides()
+        gap = lhs - rhs if ">" in self.comparator else rhs - lhs
+        return -abs(gap) if self.comparator == "==" else gap
+
+    @property
+    def criterion(self) -> str:
+        if self.comparator == "not applicable":
+            return f"not applicable: {self.note}"
+        if self.comparator == "|-|<=":
+            text = f"|value - bound| <= {_fmt(self.slack)}"
+        elif self.comparator in _COMPARATORS:
+            sign = "-" if ">" in self.comparator else "+"
+            text = f"value {self.comparator} bound" + (f" {sign} {_fmt(self.slack)}" if self.slack else "")
+        else:
+            text = "reported"
+        return f"{text} ({self.note})" if self.note else text
 
     @property
     def outcome(self) -> str:
-        if self.passed is None:
-            return "not applicable"
-        return "pass" if self.passed else "fail"
+        return self.comparator if self.passed is None else "pass" if self.passed else "fail"
 
 
 @dataclass(frozen=True)
@@ -169,16 +224,13 @@ class RunReport:
 
     @property
     def all_ok(self) -> bool:
-        return all(c.passed is not False for c in self.claims)
+        return self.tally[1] == 0
 
     @property
     def tally(self) -> tuple[int, int, int]:
-        """Counts of (pass, fail, not-applicable) claims.
-
-        ``count`` compares by equality, so numpy booleans are counted too.
-        """
-        outcomes = [c.passed for c in self.claims]
-        return outcomes.count(True), outcomes.count(False), outcomes.count(None)
+        """Counts of (pass, fail, not-applicable) claims; reported claims count in none."""
+        outcomes = [c.outcome for c in self.claims]
+        return outcomes.count("pass"), outcomes.count("fail"), outcomes.count("not applicable")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -323,15 +375,16 @@ def _exp_fbm_sample(cfg: ExperimentConfig, out_dir: Path):
     target = cfg.horizon ** (2.0 * cfg.hurst)
     var_hat = float(np.var(terminal, ddof=1)) if cfg.n_paths > 1 else 0.0
     if cfg.n_paths >= 100:
-        sq = terminal**2
-        se_var = float(np.sqrt((np.mean(sq**2) - np.mean(sq) ** 2) / cfg.n_paths))
-        criterion = "|value - bound| <= 3 standard errors of the variance estimate"
-        passed = abs(var_hat - target) <= 3.0 * se_var
+        # The terminal value is exactly N(0, T^2H), so the sample variance's
+        # standard error under that law is sqrt(2 / (n - 1)) T^2H.
+        ses = 3.0
+        slack = ses * math.sqrt(2.0 / (cfg.n_paths - 1)) * target
+        note = f"{_fmt(ses)} standard errors of the variance, sqrt(2/(n_paths-1)) T^(2H)"
+        claim = Claim("terminal_variance", var_hat, "|-|<=", target, slack, note)
     else:
-        criterion, passed = "not applicable: variance check needs n_paths >= 100", None
-    claims = [Claim("terminal_variance", var_hat, target, criterion, passed)]
-    artifacts = _write_paths_csv(out_dir, spec.times, values, cfg.wide)
-    return claims, artifacts
+        note = "variance check needs n_paths >= 100"
+        claim = Claim("terminal_variance", var_hat, "not applicable", target, note=note)
+    return [claim], _write_paths_csv(out_dir, spec.times, values, cfg.wide)
 
 
 def _exp_simulate(cfg: ExperimentConfig, out_dir: Path):
@@ -357,16 +410,11 @@ def _exp_simulate(cfg: ExperimentConfig, out_dir: Path):
     defects = solver.residual_defect(solutions[:n_defect], drift, np.concatenate(kept), times)
     worst_defect = float(np.max(defects))
     dt = float(times[1] - times[0])
+    note = f"trapezoid residual of the integral equation, first {n_defect} paths"
     claims = [
-        Claim("positivity_min_value", min_val, 0.0, "value > bound (strict)", min_val > 0.0),
-        Claim(
-            "integral_equation_defect",
-            worst_defect,
-            None,
-            "reported (trapezoid residual of the integral equation, first 16 paths)",
-            math.isfinite(worst_defect),
-        ),
-        Claim("grid_step", dt, None, "reported", True),
+        Claim("positivity_min_value", min_val, ">", 0.0),
+        Claim("integral_equation_defect", worst_defect, "reported", note=note),
+        Claim("grid_step", dt, "reported"),
     ]
     artifacts = _write_paths_csv(out_dir, times, solutions, cfg.wide)
     return claims, artifacts
@@ -386,21 +434,10 @@ def _exp_verify_bound(cfg: ExperimentConfig, out_dir: Path):
         n_passed=sum(a.n_passed for a in audits),
         worst_margin=float(np.min([a.worst_margin for a in audits])),
     )
+    note = "every path obeys the explicit bound"
     claims = [
-        Claim(
-            "supnorm_bound_pass_fraction",
-            report.pass_fraction,
-            1.0,
-            "value == bound (every path obeys the explicit bound)",
-            report.pass_fraction == 1.0,
-        ),
-        Claim(
-            "worst_log_margin",
-            report.worst_margin,
-            0.0,
-            "value >= bound",
-            report.worst_margin >= 0.0,
-        ),
+        Claim("supnorm_bound_pass_fraction", report.pass_fraction, "==", 1.0, note=note),
+        Claim("worst_log_margin", report.worst_margin, ">=", 0.0),
     ]
     return claims, []
 
@@ -425,24 +462,20 @@ def _exp_neg_moments(cfg: ExperimentConfig, out_dir: Path):
     )
     columns = np.concatenate(blocks)
     pairs = verify.pair_units(cfg.n_paths)
+    ses = 3.0
+    note = f"x0^-p plus {_fmt(ses)} standard errors over antithetic driver pairs"
     claims = []
     for p in cfg.p_orders:
         for j, t in enumerate(t_snapped):
             rep = verify.check_negative_moments(
                 columns[:, j], p=p, t=t, x0=cfg.x0, k=cfg.drift_k, hurst=cfg.hurst, units=pairs
             )
-            bound = rep.claim_bound
-            claims.append(
-                Claim(
-                    f"inverse_moment[p={_fmt(p)},t={_fmt(t)}]",
-                    rep.estimate,
-                    (bound + 3.0 * rep.std_error) if bound is not None else None,
-                    "value <= bound (x0^-p plus 3 standard errors over antithetic driver pairs)"
-                    if bound is not None
-                    else "not applicable: t above the claim threshold",
-                    rep.passed,
-                )
-            )
+            name = f"inverse_moment[p={_fmt(p)},t={_fmt(t)}]"
+            if rep.claim_bound is None:
+                claims.append(Claim(name, rep.estimate, "not applicable", note="t above the claim threshold"))
+            else:
+                threshold = rep.claim_bound + ses * rep.std_error
+                claims.append(Claim(name, rep.estimate, "<=", threshold, note=note))
     return claims, []
 
 
@@ -479,34 +512,16 @@ def _exp_scaling(cfg: ExperimentConfig, out_dir: Path):
     side_b = np.concatenate(
         verify.simulate_paths(spec_b, drift_b, x0_b, cfg.n_paths, _last_column)
     )
+    alpha = 0.01
     stat = verify.ks_statistic(side_a, side_b)
-    crit = verify.ks_critical_value(cfg.n_paths, cfg.n_paths, alpha=0.01)
+    crit = verify.ks_critical_value(cfg.n_paths, cfg.n_paths, alpha=alpha)
+    note = f"two-sample KS below the {alpha:.0%} critical value"
     claims = [
-        Claim(
-            "scaling_ks_statistic",
-            stat,
-            crit,
-            "value < bound (two-sample KS below the 1% critical value)",
-            stat < crit,
-        ),
-        Claim(
-            "drift_rescaling_exponent",
-            spec.exponent,
-            None,
-            "reported (H - n H - m - 1)",
-            True,
-        ),
+        Claim("scaling_ks_statistic", stat, "<", crit, note=note),
+        Claim("drift_rescaling_exponent", spec.exponent, "reported", note="H - n H - m - 1"),
     ]
     if cfg.drift == "bessel":
-        claims.append(
-            Claim(
-                "bessel_exponent_zero",
-                spec.exponent,
-                0.0,
-                "value == bound exactly",
-                spec.exponent == 0.0,
-            )
-        )
+        claims.append(Claim("bessel_exponent_zero", spec.exponent, "==", 0.0))
     return claims, []
 
 
@@ -532,26 +547,16 @@ def _exp_malliavin(cfg: ExperimentConfig, out_dir: Path):
         cfg.hurst,
         eps_list=cfg.eps_list,
     )
-    err = np.abs(report.analytic - report.extrapolated)
-    worst_rel = float(np.max(err / np.maximum(1e-300, np.abs(report.analytic))))
     norm_lo, norm_hi = float(np.min(report.norm_sq)), float(np.max(report.norm_sq))
     cap = cfg.t_check ** (2.0 * cfg.hurst)
+    tolerance = f"max({_fmt(malliavin.FD_ABS_TOL)}, {_fmt(malliavin.FD_REL_TOL)} |analytic|)"
+    note = f"worst over paths of |analytic - extrapolated| / {tolerance}"
+    rounding = 1e-12  # the norm's slack, relative to the cap
+    cap_note = f"t^{{2H}} plus {rounding:g} of it"
     claims = [
-        Claim(
-            "fd_vs_analytic_worst_rel_error",
-            worst_rel,
-            None,
-            "all paths within max(1e-3, 1% relative)",
-            bool(np.all(report.passed)),
-        ),
-        Claim("derivative_norm_sq_min", norm_lo, 0.0, "value > bound (strict)", norm_lo > 0.0),
-        Claim(
-            "derivative_norm_sq_max",
-            norm_hi,
-            cap,
-            "value <= bound (t^{2H})",
-            norm_hi <= cap * (1.0 + 1e-12),
-        ),
+        Claim("fd_vs_analytic_worst_rel_error", float(np.max(report.error_ratio)), "<=", 1.0, note=note),
+        Claim("derivative_norm_sq_min", norm_lo, ">", 0.0),
+        Claim("derivative_norm_sq_max", norm_hi, "<=", cap, cap * rounding, cap_note),
     ]
     return claims, []
 
@@ -583,14 +588,8 @@ def _exp_cir(cfg: ExperimentConfig, out_dir: Path):
     )
     y_min = float(np.min(y_mins))
     claims = [
-        Claim(
-            "young_residual_smooth_driver",
-            worst_resid,
-            5e-3,
-            "value <= bound",
-            worst_resid <= 5e-3,
-        ),
-        Claim("positivity_min_value", y_min, 0.0, "value > bound (strict)", y_min > 0.0),
+        Claim("young_residual_smooth_driver", worst_resid, "<=", 5e-3),
+        Claim("positivity_min_value", y_min, ">", 0.0),
     ]
     artifacts = _write_paths_csv(out_dir, y_path.times, y_path.values, True, stem="cir_smooth_path")
     return claims, artifacts
@@ -605,17 +604,12 @@ def _exp_moments(cfg: ExperimentConfig, out_dir: Path):
         cfg.fbm_spec(), drift, cfg.x0, cfg.n_paths, lambda d, s: np.abs(s).max(axis=1)
     )
     sups = np.concatenate(blocks)
-    report = verify.empirical_moment_stability(sups, cfg.p_orders)
-    claims = [
-        Claim(
-            f"moment_stability[p={_fmt(e.order)}]",
-            abs(e.first_half - e.second_half),
-            5.0 * e.std_error,
-            "value <= bound (half-batch estimates within 5 combined standard errors)",
-            e.passed,
-        )
-        for e in report.entries
-    ]
+    ses = 5.0
+    note = f"half-batch estimates within {_fmt(ses)} combined standard errors"
+    claims = []
+    for e in verify.empirical_moment_stability(sups, cfg.p_orders).entries:
+        gap = abs(e.first_half - e.second_half)
+        claims.append(Claim(f"moment_stability[p={_fmt(e.order)}]", gap, "<=", ses * e.std_error, note=note))
     return claims, []
 
 

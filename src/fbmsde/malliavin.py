@@ -37,9 +37,8 @@ __all__ = [
 ]
 
 
-# a row passes when analytic and extrapolated values differ by at most
-# max(_ABS_TOL, _REL_TOL * |analytic|)
-_ABS_TOL, _REL_TOL = 1e-3, 1e-2
+# a row's finite-difference tolerance: max(FD_ABS_TOL, FD_REL_TOL * |analytic|)
+FD_ABS_TOL, FD_REL_TOL = 1e-3, 1e-2
 
 
 class ExtrapolationWarning(UserWarning):
@@ -60,10 +59,10 @@ class DerivativeReport:
     norm_sq: np.ndarray
 
     @property
-    def passed(self) -> np.ndarray:
-        """Per row: |analytic - extrapolated| <= max(1e-3, 1e-2 |analytic|)."""
-        slack = np.maximum(_ABS_TOL, _REL_TOL * np.abs(self.analytic))
-        return np.abs(self.analytic - self.extrapolated) <= slack
+    def error_ratio(self) -> np.ndarray:
+        """Per row: |analytic - extrapolated| over its tolerance; the row is within it at <= 1."""
+        tolerance = np.maximum(FD_ABS_TOL, FD_REL_TOL * np.abs(self.analytic))
+        return np.abs(self.analytic - self.extrapolated) / tolerance
 
 
 def derivative_report(

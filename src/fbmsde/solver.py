@@ -130,7 +130,13 @@ def power_drift(k: float, time_exponent: float, singularity_exponent: float) -> 
 
 
 def bessel_drift(dimension: int, hurst: float) -> DriftSpec:
-    """Radial repulsion H(d-1) t^{2H-1} / x of the d-dimensional fractional radius."""
+    """The drift H(d-1) t^{2H-1} / x of the d-dimensional fractional radius's Itô–Skorohod equation.
+
+    For H > 1/2 the solution driven by one fBm does not have the law of that
+    radius: the radius's noise part is not an fBm (Hu & Nualart 2005).  Only
+    at H = 1/2, which this family excludes, is the equation the Bessel one
+    (``reciprocal_drift((d - 1) / 2)``), solved by the radius itself.
+    """
     if dimension < 2:
         raise ValueError("dimension must be at least 2")
     if not 0.5 < hurst < 1.0:
@@ -271,7 +277,8 @@ def _implicit_step(
     either F > 0 (step again) or F <= 0 (climb to the root).  Each row takes
     at least one Newton step, stops once |F| is within tolerance (a NaN
     residual never is), then takes one last step -F/F' with the slope it
-    holds, which moves it by at most that tolerance.
+    holds.  That step moves it by at most that tolerance and is clamped at
+    x / 2 like every candidate, so a root below the tolerance stays positive.
     """
     if drift.inverse_coeff is not None:
         c = drift.inverse_coeff(t)
@@ -283,6 +290,11 @@ def _implicit_step(
         return x - dt * np.asarray(drift.f(t, x), dtype=np.float64) - b
 
     positive = drift.positive_domain
+
+    def newton(x, res, slope):
+        cand = x - res / slope
+        return np.maximum(cand, 0.5 * x, out=cand) if positive else cand
+
     x = b + increment
     if positive:
         np.maximum(x, 0.5 * x_prev, out=x)
@@ -295,14 +307,11 @@ def _implicit_step(
         if done.all():
             break
         slope = 1.0 - dt * np.asarray(drift.dfdx(t, x), dtype=np.float64)
-        cand = x - res / slope
-        if positive:
-            np.maximum(cand, 0.5 * x, out=cand)
-        np.copyto(x, cand, where=~done)
+        np.copyto(x, newton(x, res, slope), where=~done)
         res = residual(x)
         new = (np.abs(res) <= tol) & ~done
         # with slope >= 1 the correction moves x by at most tol
-        np.copyto(x, x - res / slope, where=new & (slope >= 1.0))
+        np.copyto(x, newton(x, res, slope), where=new & (slope >= 1.0))
         done |= new
     if not done.all():
         raise SolverError(

@@ -222,10 +222,10 @@ def negative_moment_threshold(k: float, p: float, hurst: float) -> float:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """One Monte Carlo moment estimate against its claimed bound.
+    """One Monte Carlo moment estimate and its claimed bound.
 
-    ``passed`` is None when the claim does not apply (time above threshold):
-    a distinct not-applicable outcome, not a failure.
+    ``claim_bound`` is None when the claim does not apply (time above
+    threshold): a distinct not-applicable outcome, not a failure.
     """
 
     t: float
@@ -234,7 +234,6 @@ class MomentReport:
     std_error: float
     n_paths: int
     claim_bound: float | None
-    passed: bool | None
 
 
 def check_negative_moments(
@@ -247,7 +246,7 @@ def check_negative_moments(
     hurst: float,
     units: np.ndarray | None = None,
 ) -> MomentReport:
-    """Estimate E[X_t^{-p}] and compare with x0^{-p} + 3 standard errors.
+    """Estimate E[X_t^{-p}] with its standard error, beside the claimed bound x0^{-p}.
 
     The estimate is the mean over paths.  ``units`` labels each path with
     the independent unit it belongs to (an antithetic pair, say, as
@@ -256,8 +255,8 @@ def check_negative_moments(
     SE^2 = U/(U-1) sum_u (S_u - n_u mean)^2 / m^2, with S_u and n_u the sum
     and size of unit u: for one path per unit the usual per-path standard
     error, for pairs that of the pair means.  Fewer than two units give
-    SE 0.  Marked not applicable when t exceeds the threshold time; no claim
-    is made there.  p = 0 degenerates to the exact value 1.
+    SE 0.  No bound is claimed when t exceeds the threshold time.  p = 0
+    degenerates to the exact value 1.
     """
     xt = np.asarray(terminal_values, dtype=np.float64)
     m = xt.size
@@ -271,11 +270,8 @@ def check_negative_moments(
     n_units = sizes.size
     resid_sq = float(np.sum((sums - sizes * estimate) ** 2))
     std_error = math.sqrt(n_units / (n_units - 1) * resid_sq) / m if n_units > 1 else 0.0
-    if p > 0 and t > threshold:
-        return MomentReport(t, p, estimate, std_error, m, None, None)
-    bound = x0 ** (-p)
-    passed = estimate <= bound + 3.0 * std_error
-    return MomentReport(t, p, estimate, std_error, m, bound, passed)
+    bound = None if p > 0 and t > threshold else x0 ** (-p)
+    return MomentReport(t, p, estimate, std_error, m, bound)
 
 
 class HomogeneityError(ValueError):
@@ -367,20 +363,15 @@ class StabilityEntry:
     first_half: float
     second_half: float
     std_error: float
-    passed: bool
 
 
 @dataclass(frozen=True)
 class StabilityReport:
     entries: tuple[StabilityEntry, ...]
 
-    @property
-    def all_pass(self) -> bool:
-        return all(e.passed for e in self.entries)
-
 
 def empirical_moment_stability(sup_norms: np.ndarray, orders) -> StabilityReport:
-    """Half-batch agreement of E[sup-norm^p] within 5 combined standard errors.
+    """Half-batch estimates of E[sup-norm^p] and the standard error of their difference.
 
     A finiteness proxy: true integrability is not decidable from samples, but
     unstable or heavy-tail-dominated estimates disagree across halves.
@@ -395,7 +386,7 @@ def empirical_moment_stability(sup_norms: np.ndarray, orders) -> StabilityReport
         pa, pb = a**p, b**p
         m1, m2 = float(np.mean(pa)), float(np.mean(pb))
         se = math.sqrt((np.var(pa, ddof=1) + np.var(pb, ddof=1)) / half)
-        entries.append(StabilityEntry(p, m1, m2, se, abs(m1 - m2) <= 5.0 * se))
+        entries.append(StabilityEntry(p, m1, m2, se))
     return StabilityReport(tuple(entries))
 
 

@@ -273,7 +273,7 @@ def test_criterion_6_negative_moments():
         t = idx * dt
         assert t <= negative_moment_threshold(k, p, hurst)
         rep = check_negative_moments(sols[:, idx], p=p, t=t, x0=x0, k=k, hurst=hurst)
-        ok = ok and rep.passed is True
+        ok = ok and rep.estimate <= rep.claim_bound + 3.0 * rep.std_error
         details.append(f"p={p:g},t={t:.4f}: {rep.estimate:.4f}<=1+3*{rep.std_error:.4f}")
     _report(6, "negative moments", ok, "; ".join(details))
 

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import operator
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import fbmsde
-from fbmsde import cli, fraccalc, malliavin, solver, verify
+from fbmsde import cli, fbm, fraccalc, malliavin, solver, verify
 from fbmsde.cli import (
     Claim,
     ConfigError,
@@ -627,10 +629,163 @@ def test_sliced_csv_matches_unsliced_writer(tmp_path, wide, offset):
 
 
 def test_tally_counts_numpy_booleans():
-    outcomes = [True, np.True_, False, np.False_, None]
-    claims = tuple(Claim(f"c{i}", 0.0, None, "reported", p) for i, p in enumerate(outcomes))
+    # comparators on numpy floats give numpy booleans, which must be counted
+    one, two = np.float64(1.0), np.float64(2.0)
+    claims = (
+        Claim("a", one, "<", two),
+        Claim("b", one, "|-|<=", two, 1.0),
+        Claim("c", two, "<=", one),
+        Claim("d", one, "==", two),
+        Claim("e", one, "not applicable", note="why"),
+        Claim("f", one, "reported"),
+    )
+    assert all(isinstance(c.passed, np.bool_) for c in claims[:4])
     report = RunReport(ExperimentConfig(experiment="cir"), claims, (), 0.0)
     assert report.tally == (2, 2, 1)
+    assert not report.all_ok
+
+
+class TestClaim:
+    @pytest.mark.parametrize(
+        "claim, criterion, outcome, margin",
+        [
+            (Claim("a", 1.0, "<", 1.0), "value < bound", "fail", 0.0),
+            (Claim("a", 1.0, "<=", 1.0), "value <= bound", "pass", 0.0),
+            (Claim("a", 1.5, "<=", 1.0, 0.5, "why"), "value <= bound + 0.5 (why)", "pass", 0.0),
+            (Claim("a", 2.0, ">", 0.0), "value > bound", "pass", 2.0),
+            (Claim("a", 0.5, ">=", 1.0, 0.25), "value >= bound - 0.25", "fail", -0.25),
+            (Claim("a", 1.0, "==", 1.0), "value == bound", "pass", -0.0),
+            (Claim("a", 0.5, "|-|<=", 1.0, 0.25), "|value - bound| <= 0.25", "fail", -0.25),
+            (Claim("a", 1.25, "|-|<=", 1.0, 0.25), "|value - bound| <= 0.25", "pass", 0.0),
+            (Claim("a", 3.0, "reported", note="why"), "reported (why)", "reported", None),
+            (Claim("a", math.inf, "reported"), "reported", "fail", None),
+            (Claim("a", 3.0, "not applicable", 1.0, note="why"), "not applicable: why", "not applicable", None),
+        ],
+    )
+    def test_criterion_outcome_and_margin_derive_from_the_fields(self, claim, criterion, outcome, margin):
+        assert (claim.criterion, claim.outcome, claim.margin) == (criterion, outcome, margin)
+
+    @pytest.mark.parametrize("comparator", ["<", "<=", ">", ">=", "==", "|-|<="])
+    def test_nan_fails_every_comparator(self, comparator):
+        claim = Claim("a", math.nan, comparator, 0.0, 1.0 if comparator == "|-|<=" else 0.0)
+        assert claim.outcome == "fail" and math.isnan(claim.margin)
+
+
+# Every experiment at reduced size; together their claims state every
+# comparator, a reported value and a not-applicable claim.  The cheap runs
+# come first, so a check that stops at the first mismatch rarely reaches cir.
+_RECHECK_RUNS = {
+    "simulate": ["--n-paths", "4", "--n-steps", "16"],
+    "verify-bound": ["--n-paths", "4", "--n-steps", "16"],
+    "fbm-sample": ["--n-paths", "100", "--n-steps", "16"],
+    "neg-moments": ["--n-paths", "40", "--n-steps", "64"],
+    "moments": ["--n-paths", "8", "--n-steps", "16"],
+    "scaling": ["--n-paths", "1000", "--n-steps", "8", "--drift", "bessel"],
+    "malliavin": ["--n-paths", "4", "--n-steps", "64"],
+    "cir": ["--n-paths", "4", "--n-steps", "16"],
+}
+
+# The recheck's own reading of the printed comparators, independent of cli's.
+_RECHECK_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
+_CHECKED = re.compile(r"value (<=|<|>=|>|==) bound(?: ([+-]) (\S+))?(?: \(.*\))?")
+_WITHIN = re.compile(r"\|value - bound\| <= (\S+)(?: \(.*\))?")
+
+
+def _recheck(report: str) -> list[str]:
+    """Each claim whose printed outcome its printed value, bound and criterion do not give; and a wrong summary."""
+    lines = report.splitlines()
+    claims, wrong = [], []
+    for line in lines[lines.index("claims:") + 1 : lines.index("artifacts:")]:
+        key, _, text = line.strip().partition(": ")
+        if line.startswith("    "):
+            claims[-1][key] = text
+        else:
+            claims.append({"name": key.rstrip(":")})
+    for c in claims:
+        value, criterion = float(c["value"]), c["criterion"]
+        if criterion.startswith("not applicable: "):
+            expected = "not applicable"
+        elif criterion == "reported" or criterion.startswith("reported ("):
+            expected = "reported" if math.isfinite(value) else "fail"
+        elif m := _CHECKED.fullmatch(criterion):
+            op, sign, slack = m.groups()
+            bound = float(c["bound"]) + (0.0 if sign is None else float(sign + slack))
+            expected = "pass" if _RECHECK_OPS[op](value, bound) else "fail"
+        elif m := _WITHIN.fullmatch(criterion):
+            expected = "pass" if abs(value - float(c["bound"])) <= float(m[1]) else "fail"
+        else:
+            expected = f"an unreadable criterion {criterion!r}"
+        if c["outcome"] != expected:
+            wrong.append(f"{c['name']}: printed {c['outcome']}, recomputed {expected}")
+    outcomes = [c["outcome"] for c in claims]
+    counts = (outcomes.count("pass"), outcomes.count("fail"), outcomes.count("not applicable"))
+    if lines[-1] != "summary: {} pass, {} fail, {} not-applicable".format(*counts):
+        wrong.append(f"summary {lines[-1]!r} for outcomes {outcomes}")
+    return wrong
+
+
+def _recheck_runs(tmp_path: Path, stop_at_first: bool = False) -> tuple[list[str], set[str]]:
+    """The recheck's findings over ``_RECHECK_RUNS``, and every criterion form the reports state."""
+    wrong, forms = [], set()
+    for experiment, extra in _RECHECK_RUNS.items():
+        out = tmp_path / experiment
+        assert main([experiment, *extra, "--output-dir", str(out)]) in (0, 1)
+        report = (out / "report.txt").read_text()
+        wrong += [f"{experiment} {w}" for w in _recheck(report)]
+        for line in report.splitlines():
+            if line.startswith("    criterion: "):
+                criterion = line.split(": ", 1)[1]
+                forms.add(m[1] if (m := _CHECKED.fullmatch(criterion)) else criterion.split(" ")[0])
+        if wrong and stop_at_first:
+            break
+    return wrong, forms
+
+
+def test_every_report_rechecks_from_its_own_lines(tmp_path):
+    wrong, forms = _recheck_runs(tmp_path)
+    assert wrong == []
+    assert forms == {"<", "<=", ">", ">=", "==", "|value", "reported", "not"}
+
+
+@pytest.mark.parametrize(
+    "comparator, opposite",
+    [
+        ("<", operator.ge),
+        ("<=", operator.gt),
+        (">", operator.le),
+        (">=", operator.lt),
+        ("==", operator.ne),
+        ("|-|<=", operator.gt),
+    ],
+)
+def test_a_flipped_comparator_fails_the_recheck(tmp_path, monkeypatch, comparator, opposite):
+    monkeypatch.setitem(cli._COMPARATORS, comparator, opposite)
+    wrong, _ = _recheck_runs(tmp_path, stop_at_first=True)
+    assert wrong, f"flipping {comparator!r} left every report consistent"
+
+
+def test_terminal_variance_prints_its_null_law_threshold(tmp_path):
+    # the terminal value is N(0, T^2H): 3 standard errors of its sample
+    # variance are 3 sqrt(2 / (n - 1)) T^2H, at the default 200 paths
+    assert main(["fbm-sample", "--horizon", "2", "--output-dir", str(tmp_path)]) == 0
+    report = (tmp_path / "report.txt").read_text()
+    criterion = report.split("  terminal_variance:\n", 1)[1].split("criterion: ", 1)[1].split("\n", 1)[0]
+    assert criterion.startswith("|value - bound| <= ")
+    assert float(criterion.split()[4]) == 3.0 * math.sqrt(2.0 / 199) * 2.0 ** (2 * 0.75)
+
+
+def test_terminal_variance_fails_a_driver_scaled_by_the_brownian_exponent(tmp_path, monkeypatch):
+    # increments scaled by (horizon/n)**0.5 instead of **H: 16x the variance
+    # at H 0.75 on the default 256 steps
+    sample = fbm.sample_fbm_batch
+
+    def mis_scaled(spec, *args, **kwargs):
+        return sample(spec, *args, **kwargs) * (spec.horizon / spec.n_steps) ** (0.5 - spec.hurst)
+
+    monkeypatch.setattr(fbm, "sample_fbm_batch", mis_scaled)
+    assert main(["fbm-sample", "--output-dir", str(tmp_path)]) == 1
+    report = (tmp_path / "report.txt").read_text()
+    assert report.split("  terminal_variance:\n", 1)[1].split("outcome: ", 1)[1].startswith("fail")
 
 
 def test_report_summary_matches_stdout(tmp_path, capsys):
