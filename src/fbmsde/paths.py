@@ -21,6 +21,31 @@ class GridError(ValueError):
     """An operation was asked to work off the path's uniform grid."""
 
 
+def _check_uniform_grid(times: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``times`` is a strictly increasing uniform 1-d grid of 2+ points.
+
+    A step may differ from the mean step by 1e-15 + 1e-9 of it; an infinite
+    span, or a NaN anywhere, is not uniform.
+    """
+    if times.ndim != 1 or times.size < 2:
+        raise ValueError("a grid needs at least two points")
+    steps = np.diff(times)
+    if (steps <= 0).any():
+        raise ValueError("grid must be strictly increasing")
+    dt = (times[-1] - times[0]) / (times.size - 1)
+    # np.allclose(steps, dt, rtol=1e-9, atol=1e-15) at a third of the cost; an infinite
+    # span, which allclose let through on a two-point grid, is rejected
+    if not (np.isfinite(dt) and (np.abs(steps - dt) <= 1e-15 + 1e-9 * abs(dt)).all()):
+        raise ValueError("grid must be uniform")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``; the caller's own array keeps its flags."""
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class SamplePath:
     """A real function sampled on a uniform grid ``0 = t_0 < t_1 < ... < t_n``.
@@ -38,22 +63,11 @@ class SamplePath:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if times.ndim != 1 or values.ndim != 1 or times.size != values.size:
             raise ValueError("times and values must be 1-d arrays of equal length")
-        if times.size < 2:
-            raise ValueError("a path needs at least two grid points")
+        _check_uniform_grid(times)
         if times[0] != 0.0:
             raise ValueError("grid must start at 0")
-        steps = np.diff(times)
-        if (steps <= 0).any():
-            raise ValueError("grid must be strictly increasing")
-        dt = times[-1] / (times.size - 1)
-        # np.allclose(steps, dt, rtol=1e-9, atol=1e-15) at a third of the cost; an infinite
-        # horizon, which allclose let through on a two-point grid, is rejected
-        if not (np.isfinite(dt) and (np.abs(steps - dt) <= 1e-15 + 1e-9 * abs(dt)).all()):
-            raise ValueError("grid must be uniform")
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "times", _read_only(times))
+        object.__setattr__(self, "values", _read_only(values))
 
     @property
     def dt(self) -> float:
@@ -123,10 +137,8 @@ class StepFunction:
             raise ValueError("breakpoints must be nonnegative")
         if not np.all(np.isfinite(lv)):
             raise ValueError("levels must be finite")
-        bp.setflags(write=False)
-        lv.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "levels", lv)
+        object.__setattr__(self, "breakpoints", _read_only(bp))
+        object.__setattr__(self, "levels", _read_only(lv))
 
     @classmethod
     def indicator(cls, a: float, b: float) -> "StepFunction":

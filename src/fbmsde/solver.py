@@ -14,6 +14,11 @@ bracket: one step from any point lands at or left of the root, and from
 there it climbs to the root monotonically.  A step that does not converge,
 as for a drift that breaks the assumption, raises ``SolverError``.
 
+``solve_batch`` checks the grid once, then runs one step loop per route over
+the whole batch of paths.  Every row takes Newton's first iteration; from
+the second on, rows that have converged are frozen, so a row's result does
+not depend on the rows beside it.
+
 Also houses the drift assumption checker, the square-root-diffusion change of
 variables, and an a-posteriori residual for the integral equation.  The
 square-root equation y' = k + sqrt(y) phi' needs no drift type of its own:
@@ -28,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .paths import SamplePath
+from .paths import SamplePath, _check_uniform_grid
 
 __all__ = [
     "DriftSpec",
@@ -260,81 +265,24 @@ def check_drift_assumptions(
     return AssumptionReport(*(v is None for v in found), tuple(v for v in found if v is not None))
 
 
-def _implicit_step(
-    drift: DriftSpec,
-    t: float,
-    b: np.ndarray,
-    x_prev: np.ndarray,
-    dt: float,
-    increment,
-) -> np.ndarray:
-    """Solve F(x) = x - dt f(t, x) - b = 0 elementwise; unique root by monotonicity.
-
-    Newton starts from ``b + increment`` (the previous step's dt f, 0 on the
-    first step), at least x_prev / 2 on the positive domain.  A convex drift
-    makes F concave and increasing, so on the positive domain a candidate
-    needs only the clamp ``>= x / 2`` to stay positive: a clamped point has
-    either F > 0 (step again) or F <= 0 (climb to the root).  Each row takes
-    at least one Newton step, stops once |F| is within tolerance (a NaN
-    residual never is), then takes one last step -F/F' with the slope it
-    holds.  That step moves it by at most that tolerance and is clamped at
-    x / 2 like every candidate, so a root below the tolerance stays positive.
-    """
-    if drift.inverse_coeff is not None:
-        c = drift.inverse_coeff(t)
-        if c < 0:
-            raise SolverError(f"inverse coefficient negative at t={t}")
-        return 0.5 * (b + np.sqrt(b * b + 4.0 * dt * c))
-
-    def residual(x):
-        return x - dt * np.asarray(drift.f(t, x), dtype=np.float64) - b
-
-    positive = drift.positive_domain
-
-    def newton(x, res, slope):
-        cand = x - res / slope
-        return np.maximum(cand, 0.5 * x, out=cand) if positive else cand
-
-    x = b + increment
-    if positive:
-        np.maximum(x, 0.5 * x_prev, out=x)
-    res = residual(x)
-    tol = np.maximum(_NEWTON_TOL, _ROUNDING * (np.abs(x) + np.abs(b)))
-    # Every row takes at least one Newton step, then freezes at its own
-    # convergence: a frozen row's candidate is never read again.
-    done = np.zeros(x.shape, dtype=bool)
-    for _ in range(_MAX_NEWTON_ITERS):
-        if done.all():
-            break
-        slope = 1.0 - dt * np.asarray(drift.dfdx(t, x), dtype=np.float64)
-        np.copyto(x, newton(x, res, slope), where=~done)
-        res = residual(x)
-        new = (np.abs(res) <= tol) & ~done
-        # with slope >= 1 the correction moves x by at most tol
-        np.copyto(x, newton(x, res, slope), where=new & (slope >= 1.0))
-        done |= new
-    if not done.all():
-        raise SolverError(
-            f"implicit step did not converge at t={t}; max residual {np.max(np.abs(res)):.3e}"
-        )
-    return x
-
-
 def solve_batch(x0, drift: DriftSpec, driver_values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Drift-implicit Euler for a batch of paths sharing one grid.
+    """Drift-implicit Euler for a batch of paths sharing one uniform grid.
 
     ``driver_values`` is (n_paths, n_steps + 1); ``x0`` is a scalar or a
-    per-path vector.  Per-path results are independent of the batch
-    composition: each path's Newton iteration freezes at its own convergence.
-    On the positive domain a value <= 0 raises ``PositivityError`` naming
-    the first step that produced it: Newton checks after every step, the
-    closed-form route once over the solved block.
+    per-path vector.  A grid that is not uniform, or has fewer than two
+    points, raises ``ValueError``.  Per-path results are independent of the
+    batch composition: each path's Newton iteration freezes at its own
+    convergence.  On the positive domain a value <= 0 raises
+    ``PositivityError`` naming the first step that produced it: Newton
+    checks after every step, the closed-form route once over the solved
+    block.
     """
     drivers = np.atleast_2d(np.asarray(driver_values, dtype=np.float64))
     times = np.asarray(times, dtype=np.float64)
     n_paths, n_pts = drivers.shape
     if n_pts != times.size:
         raise ValueError("driver and grid sizes differ")
+    _check_uniform_grid(times)
     dt = float(times[1] - times[0])
     x0_vec = np.broadcast_to(np.asarray(x0, dtype=np.float64), (n_paths,)).copy()
     positive = drift.positive_domain
@@ -343,30 +291,91 @@ def solve_batch(x0, drift: DriftSpec, driver_values: np.ndarray, times: np.ndarr
 
     out = np.empty((n_paths, n_pts))
     out[:, 0] = x0_vec
-    x = x0_vec
-    newton = drift.inverse_coeff is None
-    increment = 0.0  # Newton's predictor: the last step's dt f(t, x)
+    steps = enumerate(times[1:].tolist(), start=1)
+    if drift.inverse_coeff is None:
+        _newton_steps(out, x0_vec, drivers, steps, dt, drift.f, drift.dfdx, positive)
+    else:
+        _closed_form_steps(out, x0_vec, drivers, steps, dt, drift.inverse_coeff, positive)
+    return out
+
+
+def _closed_form_steps(out, x, drivers, steps, dt, coeff, positive) -> None:
+    """Fill ``out[:, 1:]`` from ``x`` = x_0 with the root of x - dt c(t)/x = b each step.
+
+    The root is (b + sqrt(b^2 + 4 dt c)) / 2.  The step never divides by x,
+    so one check over the solved columns names the first nonpositive step,
+    even when a later step raised first.
+    """
     filled = 1  # columns of ``out`` written so far
     try:
-        for k, t in enumerate(times[1:].tolist(), start=1):
+        for k, t in steps:
             b = x + (drivers[:, k] - drivers[:, k - 1])
-            x = _implicit_step(drift, t, b, x, dt, increment)
-            if newton:
-                increment = x - b
-                # a nonpositive iterate would be fed to f on the next step
-                if positive and (x <= 0).any():
-                    raise PositivityError(f"nonpositive value after step {k}")
+            c = coeff(t)
+            if c < 0:
+                raise SolverError(f"inverse coefficient negative at t={t}")
+            x = 0.5 * (b + np.sqrt(b * b + 4.0 * dt * c))
             out[:, k] = x
             filled = k + 1
     finally:
-        # The closed-form step never divides by x, so one check over the
-        # solved columns names the first bad step, even when a later step
-        # raised first.
-        if positive and not newton:
+        if positive:
             bad = (out[:, 1:filled] <= 0).any(axis=0)
             if bad.any():
                 raise PositivityError(f"nonpositive value after step {int(bad.argmax()) + 1}") from None
-    return out
+
+
+def _newton_steps(out, x, drivers, steps, dt, f, dfdx, positive) -> None:
+    """Fill ``out[:, 1:]`` from ``x`` = x_0, solving F(x) = x - dt f(t, x) - b = 0 each step.
+
+    Newton starts from ``b`` plus the previous step's dt f (0 on the first
+    step), at least x_prev / 2 on the positive domain.  A convex drift makes
+    F concave and increasing, so on the positive domain a candidate needs
+    only the clamp ``>= x / 2`` to stay positive: a clamped point has either
+    F > 0 (step again) or F <= 0 (climb to the root).  Every row takes the
+    first iteration; from the second on, a row whose |F| is within tolerance
+    (a NaN residual never is) is frozen.  On converging a row takes one last
+    step -F/F' with the slope it holds, where F' >= 1: that step moves it by
+    at most the tolerance and is clamped at x / 2 like every candidate, so a
+    root below the tolerance stays positive.
+    """
+    asarray, maximum, copyto, count = np.asarray, np.maximum, np.copyto, np.count_nonzero
+    n_paths = x.size
+    increment = 0.0  # the last step's dt f(t, x)
+    for k, t in steps:
+        b = x + (drivers[:, k] - drivers[:, k - 1])
+        start = b + increment
+        x = maximum(start, 0.5 * x) if positive else start
+        res = x - dt * asarray(f(t, x), dtype=np.float64) - b
+        tol = maximum(_NEWTON_TOL, _ROUNDING * (np.abs(x) + np.abs(b)))
+        # the first iteration, taken by every row
+        slope = 1.0 - dt * asarray(dfdx(t, x), dtype=np.float64)
+        cand = x - res / slope
+        x = maximum(cand, 0.5 * x) if positive else cand
+        res = x - dt * asarray(f(t, x), dtype=np.float64) - b
+        done = np.abs(res) <= tol
+        cand = x - res / slope
+        copyto(x, maximum(cand, 0.5 * x) if positive else cand, where=done & (slope >= 1.0))
+        for _ in range(_MAX_NEWTON_ITERS - 1):
+            if count(done) == n_paths:
+                break
+            live = ~done
+            slope = 1.0 - dt * asarray(dfdx(t, x), dtype=np.float64)
+            cand = x - res / slope
+            copyto(x, maximum(cand, 0.5 * x) if positive else cand, where=live)
+            res = x - dt * asarray(f(t, x), dtype=np.float64) - b
+            new = (np.abs(res) <= tol) & live
+            cand = x - res / slope
+            copyto(x, maximum(cand, 0.5 * x) if positive else cand, where=new & (slope >= 1.0))
+            done |= new
+        else:
+            if count(done) < n_paths:
+                raise SolverError(
+                    f"implicit step did not converge at t={t}; max residual {np.max(np.abs(res)):.3e}"
+                )
+        increment = x - b
+        # a nonpositive iterate would be fed to f on the next step
+        if positive and count(x <= 0):
+            raise PositivityError(f"nonpositive value after step {k}")
+        out[:, k] = x
 
 
 def solve_pathwise(x0: float, drift: DriftSpec, driver: SamplePath) -> SamplePath:

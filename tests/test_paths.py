@@ -58,6 +58,25 @@ def test_values_read_only():
         p.values[0] = 5.0
 
 
+def test_callers_arrays_keep_their_flags():
+    # contiguous float64 inputs are viewed, not copied, and the views are read-only
+    t, v = np.linspace(0.0, 1.0, 5), np.zeros(5)
+    p = SamplePath(t, v)
+    assert t.flags.writeable and v.flags.writeable
+    assert not (p.times.flags.writeable or p.values.flags.writeable)
+    assert np.shares_memory(p.times, t) and np.shares_memory(p.values, v)
+    bp, lv = np.array([0.0, 0.5, 1.0]), np.array([2.0, -1.0])
+    f = StepFunction(bp, lv)
+    assert bp.flags.writeable and lv.flags.writeable
+    assert not (f.breakpoints.flags.writeable or f.levels.flags.writeable)
+
+
+@pytest.mark.parametrize("times", [[0.0], []])
+def test_one_point_grid_rejected(times):
+    with pytest.raises(ValueError, match="at least two points"):
+        SamplePath(np.array(times), np.zeros(len(times)))
+
+
 def test_step_function_shape_checks():
     with pytest.raises(ValueError):
         StepFunction(np.array([0.0, 0.5]), np.array([1.0, 2.0]))

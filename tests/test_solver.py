@@ -301,6 +301,32 @@ def test_domain_edges(family, hurst, x0):
             assert np.max(np.abs(resid)) <= solver._NEWTON_TOL
 
 
+def _bound_audit_block():
+    """The ``bound-audit`` benchmark's one block: 60 rows x 1,024 steps, H 0.75, seed 12345."""
+    spec = FbmSpec(0.75, n_steps=1024, seed=12345)
+    return power_drift(1.0, 1.0, 1.5), sample_fbm_batch(spec, 60), spec.times
+
+
+def _recording(drift):
+    """The drift with every call logged, in call order, as (name, t, x, value) in the returned list."""
+    log = []
+
+    def logged(name, fn):
+        def wrapped(t, x):
+            value = np.asarray(fn(t, x), dtype=np.float64)
+            log.append((name, t, np.array(x, dtype=np.float64), value))
+            return value
+
+        return wrapped
+
+    return replace(drift, f=logged("f", drift.f), dfdx=logged("dfdx", drift.dfdx)), log
+
+
+def _call_keys(log):
+    """Each logged call's name, time and argument bytes."""
+    return [(name, t, x.tobytes()) for name, t, x, _ in log]
+
+
 class TestBytePins:
     # A change to the solver's output bytes must be declared: update these
     # digests with it.  Pinned for numpy >= 2.0, whose FFT backend differs
@@ -324,6 +350,15 @@ class TestBytePins:
         sols = solve_batch(1.0, drift, sample_fbm_batch(spec, 8), spec.times)
         assert sols.shape == (8, 257)
         assert hashlib.sha256(sols.astype("<f8").tobytes()).hexdigest() == digest
+
+    def test_bound_audit_drift_calls_are_pinned(self):
+        # 3,990 f and dfdx calls over 1,024 steps: the 3.896484375 per step
+        # that the benchmark's solver.drift_evals_per_step reports on this block
+        drift, drivers, times = _bound_audit_block()
+        recorded, calls = _recording(drift)
+        solve_batch(1.0, recorded, drivers, times)
+        assert len(calls) == 3990
+        assert len(calls) / (times.size - 1) == 3.896484375
 
 
 def _bisection_roots(drift, t, b, dt, guess):
@@ -360,21 +395,6 @@ def _bisection_roots(drift, t, b, dt, guess):
         hi = np.where(open_rows & ~below, mid, hi)
 
 
-def _recording(drift, calls):
-    """The drift with every ``f`` and ``dfdx`` call logged as (t, x, value)."""
-
-    def logged(fn, log):
-        def wrapped(t, x):
-            value = np.asarray(fn(t, x), dtype=np.float64)
-            log.append((t, np.array(x, dtype=np.float64), value))
-            return value
-
-        return wrapped
-
-    calls["f"], calls["dfdx"] = [], []
-    return replace(drift, f=logged(drift.f, calls["f"]), dfdx=logged(drift.dfdx, calls["dfdx"]))
-
-
 def _non_newton_steps(calls, times, b_by_step):
     """Iterations whose next iterate is not the Newton candidate.
 
@@ -384,8 +404,8 @@ def _non_newton_steps(calls, times, b_by_step):
     count = 0
     for k in range(1, times.size):
         t, b = float(times[k]), b_by_step[k]
-        fs = [c for c in calls["f"] if c[0] == t]
-        ds = [c for c in calls["dfdx"] if c[0] == t]
+        fs = [c[1:] for c in calls if c[:2] == ("f", t)]
+        ds = [c[1:] for c in calls if c[:2] == ("dfdx", t)]
         # one f call at the start, then one dfdx and one f call per iteration
         assert len(fs) == len(ds) + 1
         for (_, x, fx), (_, xd, d), (_, nxt, _) in zip(fs, ds, fs[1:]):
@@ -411,8 +431,8 @@ def _oracle_grid_fallbacks(drift):
         drivers = sample_fbm_batch(spec, 64) * 5
         dt = float(spec.times[1] - spec.times[0])
         for x0 in (1e-6, 1e-2, 1.0, 10.0):
-            calls = {}
-            got = solve_batch(x0, _recording(drift, calls), drivers, spec.times)
+            recorded, calls = _recording(drift)
+            got = solve_batch(x0, recorded, drivers, spec.times)
             b = {k: got[:, k - 1] + (drivers[:, k] - drivers[:, k - 1]) for k in range(1, n + 1)}
             for k in range(1, n + 1):
                 root = _bisection_roots(drift, float(spec.times[k]), b[k], dt, got[:, k])
@@ -422,18 +442,28 @@ def _oracle_grid_fallbacks(drift):
     return fallbacks
 
 
+# the one whole-line drift on the oracle grid
+_WHOLE_LINE = DriftSpec(
+    "custom",
+    lambda t, x: -2.0 * x + np.sin(x),
+    lambda t, x: -2.0 + np.cos(x),
+    singularity_exponent=0.0,
+    lower_envelope=lambda t: 0.0,
+    upper_envelope=lambda t: 0.0,
+)
+
+# nonincreasing but concave in x near x = 1.5, so the step function F is not
+# concave there and Newton may overshoot the root
+_NONCONVEX = _drift(
+    lambda t, x: 1.0 / _arr(x) + 5.0 * (1.0 - np.tanh(_arr(x) - 2.0)),
+    lambda t, x: -1.0 / _arr(x) ** 2 - 5.0 / np.cosh(_arr(x) - 2.0) ** 2,
+    h=lambda t: 10.0,
+)
+
+
 def test_whole_line_drift_matches_the_oracle():
-    # the one whole-line drift on the oracle grid; no clamp applies there
-    assert _oracle_grid_fallbacks(
-        DriftSpec(
-            "custom",
-            lambda t, x: -2.0 * x + np.sin(x),
-            lambda t, x: -2.0 + np.cos(x),
-            singularity_exponent=0.0,
-            lower_envelope=lambda t: 0.0,
-            upper_envelope=lambda t: 0.0,
-        )
-    ) == 0
+    # no clamp applies on the whole line
+    assert _oracle_grid_fallbacks(_WHOLE_LINE) == 0
 
 
 @pytest.mark.parametrize("q", _POWERS, ids=lambda q: f"{q}-clamp")
@@ -443,16 +473,10 @@ def test_each_newton_guard_fires_on_the_oracle_grid(q):
 
 
 def test_nonconvex_drift_matches_the_oracle():
-    # nonincreasing but concave in x near x = 1.5, so the step function F is
-    # not concave there and Newton may overshoot the root; the clamp still
+    # Newton may overshoot the root of the nonconvex drift; the clamp still
     # keeps it positive and every step converges to the oracle's root
-    drift = _drift(
-        lambda t, x: 1.0 / _arr(x) + 5.0 * (1.0 - np.tanh(_arr(x) - 2.0)),
-        lambda t, x: -1.0 / _arr(x) ** 2 - 5.0 / np.cosh(_arr(x) - 2.0) ** 2,
-        h=lambda t: 10.0,
-    )
-    assert check_drift_assumptions(drift, 0.75).nonnegative_decreasing
-    assert _oracle_grid_fallbacks(drift) > 0
+    assert check_drift_assumptions(_NONCONVEX, 0.75).nonnegative_decreasing
+    assert _oracle_grid_fallbacks(_NONCONVEX) > 0
 
 
 @pytest.mark.parametrize("x0", [1e3, 1e5, 1e7])
@@ -545,6 +569,197 @@ class TestPositivityError:
         b = x[1] + (drivers[0, 2] - drivers[0, 1])
         assert x[2] > 0.0
         assert abs(x[2] - 0.5 * drift.f(1.0, x[2]) - b) <= solver._NEWTON_TOL
+
+
+# increasing in x, against the paper's first assumption: F' = 1 - dt df/dx
+# falls below 1, where a converged row takes no last correction
+_INCREASING = DriftSpec(
+    "custom",
+    lambda t, x: 0.8 * np.sin(x) + 0.3 * x,
+    lambda t, x: 0.8 * np.cos(x) + 0.3,
+    singularity_exponent=0.0,
+    lower_envelope=lambda t: 0.0,
+    upper_envelope=lambda t: 0.0,
+)
+
+
+def _reference_step(drift, t, b, x_prev, dt, increment):
+    """One implicit step, written as a function with two closures and a mask on every Newton iteration.
+
+    The bit-identity oracle for ``solve_batch``'s inlined step loops, kept
+    out of the package.
+    """
+    if drift.inverse_coeff is not None:
+        c = drift.inverse_coeff(t)
+        if c < 0:
+            raise solver.SolverError(f"inverse coefficient negative at t={t}")
+        return 0.5 * (b + np.sqrt(b * b + 4.0 * dt * c))
+
+    def residual(x):
+        return x - dt * np.asarray(drift.f(t, x), dtype=np.float64) - b
+
+    positive = drift.positive_domain
+
+    def newton(x, res, slope):
+        cand = x - res / slope
+        return np.maximum(cand, 0.5 * x, out=cand) if positive else cand
+
+    x = b + increment
+    if positive:
+        np.maximum(x, 0.5 * x_prev, out=x)
+    res = residual(x)
+    tol = np.maximum(solver._NEWTON_TOL, solver._ROUNDING * (np.abs(x) + np.abs(b)))
+    done = np.zeros(x.shape, dtype=bool)
+    for _ in range(solver._MAX_NEWTON_ITERS):
+        if done.all():
+            break
+        slope = 1.0 - dt * np.asarray(drift.dfdx(t, x), dtype=np.float64)
+        np.copyto(x, newton(x, res, slope), where=~done)
+        res = residual(x)
+        new = (np.abs(res) <= tol) & ~done
+        np.copyto(x, newton(x, res, slope), where=new & (slope >= 1.0))
+        done |= new
+    if not done.all():
+        raise solver.SolverError(
+            f"implicit step did not converge at t={t}; max residual {np.max(np.abs(res)):.3e}"
+        )
+    return x
+
+
+def _reference_solve(x0, drift, driver_values, times):
+    """``solve_batch`` as one ``_reference_step`` call per step, dt taken from the first step."""
+    drivers = np.atleast_2d(np.asarray(driver_values, dtype=np.float64))
+    times = np.asarray(times, dtype=np.float64)
+    n_paths, n_pts = drivers.shape
+    if n_pts != times.size:
+        raise ValueError("driver and grid sizes differ")
+    dt = float(times[1] - times[0])
+    x0_vec = np.broadcast_to(np.asarray(x0, dtype=np.float64), (n_paths,)).copy()
+    positive = drift.positive_domain
+    if positive and np.any(x0_vec <= 0):
+        raise ValueError("initial values must be strictly positive")
+    out = np.empty((n_paths, n_pts))
+    out[:, 0] = x0_vec
+    x = x0_vec
+    newton = drift.inverse_coeff is None
+    increment = 0.0
+    filled = 1
+    try:
+        for k, t in enumerate(times[1:].tolist(), start=1):
+            b = x + (drivers[:, k] - drivers[:, k - 1])
+            x = _reference_step(drift, t, b, x, dt, increment)
+            if newton:
+                increment = x - b
+                if positive and (x <= 0).any():
+                    raise solver.PositivityError(f"nonpositive value after step {k}")
+            out[:, k] = x
+            filled = k + 1
+    finally:
+        if positive and not newton:
+            bad = (out[:, 1:filled] <= 0).any(axis=0)
+            if bad.any():
+                raise solver.PositivityError(
+                    f"nonpositive value after step {int(bad.argmax()) + 1}"
+                ) from None
+    return out
+
+
+def _oracle_cases():
+    """(id, x0, drift, drivers, times) for every case the bit-identity oracle covers."""
+    drifts = [(f"power{q}", power_drift(1.0, 0.0, q)) for q in _POWERS]
+    drifts += [("whole-line", _WHOLE_LINE), ("nonconvex", _NONCONVEX), ("increasing", _INCREASING)]
+    for n in (8, 16, 64):
+        spec = FbmSpec(0.55, n_steps=n, seed=3)
+        drivers = 5 * sample_fbm_batch(spec, 64)
+        for name, drift in drifts:
+            for x0 in (1e-6, 1e-2, 1.0, 10.0):
+                yield f"{name}-n{n}-x0={x0}", x0, drift, drivers, spec.times
+    spec = FbmSpec(0.75, n_steps=256, seed=1)
+    drivers = 5 * sample_fbm_batch(spec, 64)
+    for x0 in (1e3, 1e5, 1e7):
+        yield f"far-x0={x0}", x0, power_drift(1.0, 0.0, 0.5), drivers, spec.times
+    spec = FbmSpec(0.75, n_steps=512, seed=17)
+    drivers = sample_fbm_batch(spec, 32)
+    for name, drift in (("reciprocal", reciprocal_drift(1.0)), ("bessel", bessel_drift(3, 0.75))):
+        for x0 in (1e-6, 1.0):
+            yield f"{name}-x0={x0}", x0, drift, drivers, spec.times
+    yield ("bound-audit", 1.0, *_bound_audit_block())
+
+
+def test_solve_batch_is_bit_identical_to_the_reference_step_loop():
+    cases = list(_oracle_cases())
+    assert len(cases) == 3 * 7 * 4 + 3 + 2 * 2 + 1
+    for name, x0, drift, drivers, times in cases:
+        want = _reference_solve(x0, drift, drivers, times)
+        assert solve_batch(x0, drift, drivers, times).tobytes() == want.tobytes(), name
+
+
+def test_newton_calls_the_drift_as_the_reference_does():
+    # every f and dfdx call, in order, at the same time and the same iterate
+    drift, drivers, times = _bound_audit_block()
+    got_drift, got = _recording(drift)
+    want_drift, want = _recording(drift)
+    solve_batch(1.0, got_drift, drivers, times)
+    _reference_solve(1.0, want_drift, drivers, times)
+    assert _call_keys(got) == _call_keys(want)
+
+
+@pytest.mark.parametrize(
+    "x0, drift, drivers, times",
+    [
+        (1.0, reciprocal_drift(1.0), np.zeros((2, 5)), np.linspace(0.0, 1.0, 4)),
+        (np.array([1.0, 0.0]), power_drift(1.0, 0.0, 1.5), np.zeros((2, 5)), np.linspace(0.0, 1.0, 5)),
+        (np.array([1.0, 5.0]), _newton_drift(lambda t, x: np.where(x < 2.0, 1.0 / x, np.nan)),
+         np.zeros((2, 17)), np.linspace(0.0, 1.0, 17)),
+        (1.0, _newton_drift(lambda t, x: -np.ones_like(x)), np.array([[0.0, -1.0]]), np.array([0.0, 1.0])),
+        (1.0, _newton_drift(lambda t, x: -(x**2) - 1.0, 0.0), np.array([[0.0, -1.0]]), np.array([0.0, 1.0])),
+        (1.0, _newton_drift(lambda t, x: x**2), np.array([[0.0, 0.0]]), np.array([0.0, 1.0])),
+        # zero drift on the positive domain from the least subnormal: the step lands on 0
+        (5e-324, _newton_drift(lambda t, x: np.zeros_like(x)), np.array([[0.0, -5e-324]]),
+         np.array([0.0, 1.0])),
+        (1.0, replace(reciprocal_drift(1.0), inverse_coeff=lambda t: 1.0 if t <= 0.5 else -1.0),
+         np.zeros((2, 5)), np.linspace(0.0, 1.0, 5)),
+        (1.0, reciprocal_drift(1.0), np.array([[0.0, 0.0, -1e10, -1e10, -1e10]] * 2),
+         np.linspace(0.0, 1.0, 5)),
+        (1.0, replace(reciprocal_drift(1.0), inverse_coeff=lambda t: 1.0 if t <= 0.5 else -1.0),
+         np.array([[0.0, 0.0, -1e10, -1e10, -1e10]] * 2), np.linspace(0.0, 1.0, 5)),
+        (1.0, replace(power_drift(1.0, 0.0, 1.5), f=lambda t, x: 1 / 0), np.zeros((1, 3)),
+         np.linspace(0.0, 1.0, 3)),
+    ],
+    ids=[
+        "sizes-differ", "nonpositive-x0", "nan-residual", "positive-below", "whole-line-below",
+        "above", "newton-lands-on-zero", "negative-coefficient", "closed-form-rounds-to-zero",
+        "closed-form-later-error", "drift-raises",
+    ],
+)
+def test_each_error_matches_the_reference(x0, drift, drivers, times):
+    # same exception, same message, after the same drift calls
+    want_drift, want_calls = _recording(drift)
+    got_drift, got_calls = _recording(drift)
+    # overflow warnings are silenced, so each run ends in its own exception
+    with np.errstate(all="ignore"):
+        with pytest.raises(Exception) as want:
+            _reference_solve(x0, want_drift, drivers, times)
+        with pytest.raises(Exception) as got:
+            solve_batch(x0, got_drift, drivers, times)
+    assert (type(got.value), str(got.value)) == (want.type, str(want.value))
+    assert _call_keys(got_calls) == _call_keys(want_calls)
+
+
+class TestGridCheck:
+    @pytest.mark.parametrize("drift", [reciprocal_drift(1.0), power_drift(1.0, 0.0, 1.5)],
+                             ids=["closed-form", "newton"])
+    def test_nonuniform_grid_rejected(self, drift):
+        # solved with dt = 0.1 on both steps, this returned 1.0916 and 1.1766
+        with pytest.raises(ValueError, match="grid must be uniform"):
+            solve_batch(1.0, drift, np.zeros((1, 3)), [0.0, 0.1, 1.0])
+
+    @pytest.mark.parametrize("drift", [reciprocal_drift(1.0), power_drift(1.0, 0.0, 1.5)],
+                             ids=["closed-form", "newton"])
+    def test_one_point_grid_rejected(self, drift):
+        # it used to raise IndexError from times[1]
+        with pytest.raises(ValueError, match="at least two points"):
+            solve_batch(1.0, drift, np.zeros((1, 1)), [0.0])
 
 
 class TestComparison:

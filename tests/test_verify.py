@@ -168,6 +168,13 @@ class TestPathBoundAudit:
         assert rep.pass_fraction == 1.0
         assert rep.worst_margin >= 0.0
 
+    def test_callers_arrays_stay_writeable(self):
+        # each per-path SamplePath holds a read-only view, not the caller's array
+        drift = reciprocal_drift(1.0)
+        times, drivers, sols = _whole_batch(FbmSpec(hurst=0.75, n_steps=64, seed=3), drift, 1.0, 4)
+        check_path_bound(drift, sols, drivers, times, beta=0.65, gamma=3.0)
+        assert times.flags.writeable and drivers.flags.writeable and sols.flags.writeable
+
     @pytest.mark.parametrize("driver", ["fbm_times_1e300", "sawtooth_of_1e307"])
     def test_huge_driver_passes_with_infinite_margin(self, driver):
         # an fBm driver scaled by 1e300 underflows the bound's window; the
