@@ -73,7 +73,6 @@ class ExperimentConfig:
     scale_t: float = 0.5
     threads: int = 1  # the only legal value; kept so command lines passing --threads 1 still run
     output_dir: str = "out"
-    wide: bool = False
 
     def validate(self) -> None:
         """Reject the config before any work; the library's own checks raise ConfigError too."""
@@ -233,14 +232,6 @@ class RunReport:
         return outcomes.count("pass"), outcomes.count("fail"), outcomes.count("not applicable")
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _parse_float(raw: str) -> float:
     # No config key admits NaN or an infinity; rejecting them here names the
     # config-file line, ahead of the same check in ``validate``.
@@ -256,7 +247,7 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
 
 # Each config key's type, read off the dataclass, and the parser for each type.
 _KINDS = get_type_hints(ExperimentConfig)
-_PARSERS = {int: int, float: _parse_float, str: str, bool: _parse_bool, tuple[float, ...]: _parse_floats}
+_PARSERS = {int: int, float: _parse_float, str: str, tuple[float, ...]: _parse_floats}
 
 
 def _parse_value(key: str, raw: str):
@@ -292,8 +283,6 @@ def parse_config(text: str) -> dict:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
@@ -320,19 +309,13 @@ def _write_time_major(path: Path, header: str, times: np.ndarray, values: np.nda
             fh.writelines(line % tuple(r) for r in rows)
 
 
-def _write_paths_csv(
-    out_dir: Path, times: np.ndarray, values: np.ndarray, wide: bool, stem: str = "path"
-) -> list[str]:
+def _write_paths_csv(out_dir: Path, times: np.ndarray, values: np.ndarray, stem: str = "path") -> list[str]:
+    """One time-major ``{stem}s.csv``: a line per grid time, a column per row of ``values``."""
     values = np.atleast_2d(values)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if wide:
-        header = "time," + ",".join(f"{stem}_{i:04d}" for i in range(values.shape[0]))
-        _write_time_major(out_dir / f"{stem}s.csv", header, times, values)
-        return [f"{stem}s.csv"]
-    names = [f"{stem}_{i:04d}.csv" for i in range(values.shape[0])]
-    for name, row in zip(names, values):
-        _write_time_major(out_dir / name, "time,value", times, row[None, :])
-    return names
+    header = "time," + ",".join(f"{stem}_{i:04d}" for i in range(values.shape[0]))
+    _write_time_major(out_dir / f"{stem}s.csv", header, times, values)
+    return [f"{stem}s.csv"]
 
 
 _REPORT_NAME = "report.txt"
@@ -384,7 +367,7 @@ def _exp_fbm_sample(cfg: ExperimentConfig, out_dir: Path):
     else:
         note = "variance check needs n_paths >= 100"
         claim = Claim("terminal_variance", var_hat, "not applicable", target, note=note)
-    return [claim], _write_paths_csv(out_dir, spec.times, values, cfg.wide)
+    return [claim], _write_paths_csv(out_dir, spec.times, values)
 
 
 def _exp_simulate(cfg: ExperimentConfig, out_dir: Path):
@@ -393,8 +376,8 @@ def _exp_simulate(cfg: ExperimentConfig, out_dir: Path):
     spec = cfg.fbm_spec()
     times = spec.times
     n_defect = min(cfg.n_paths, 16)
-    # The wide CSV is time-major, so every solution is kept; of the drivers,
-    # only the first n_defect rows, which the defect check reads.
+    # The CSV is time-major, so every solution is kept; of the drivers, only
+    # the first n_defect rows, which the defect check reads.
     kept = []
 
     def keep(d, s):
@@ -403,7 +386,7 @@ def _exp_simulate(cfg: ExperimentConfig, out_dir: Path):
             kept.append(d[:need].copy())
         return s
 
-    solutions = np.concatenate(verify.simulate_paths(spec, drift, cfg.x0, cfg.n_paths, keep))
+    solutions = verify.simulate_paths(spec, drift, cfg.x0, cfg.n_paths, keep)
     min_val = float(np.min(solutions))
     # numpy's max and min, here and in the runners below, pass a NaN on where
     # Python's would drop it, so a NaN claim value fails its claim
@@ -416,28 +399,23 @@ def _exp_simulate(cfg: ExperimentConfig, out_dir: Path):
         Claim("integral_equation_defect", worst_defect, "reported", note=note),
         Claim("grid_step", dt, "reported"),
     ]
-    artifacts = _write_paths_csv(out_dir, times, solutions, cfg.wide)
-    return claims, artifacts
+    return claims, _write_paths_csv(out_dir, times, solutions)
 
 
 def _exp_verify_bound(cfg: ExperimentConfig, out_dir: Path):
     """audit the explicit sup-norm bound path by path"""
     drift = cfg.drift_spec()
     spec = cfg.fbm_spec()
-    audits = verify.simulate_paths(
+    margins = verify.simulate_paths(
         spec, drift, cfg.x0, cfg.n_paths,
         lambda d, s: verify.check_path_bound(drift, s, d, spec.times, cfg.beta, cfg.gamma),
     )
-    report = replace(
-        audits[0],
-        n_paths=sum(a.n_paths for a in audits),
-        n_passed=sum(a.n_passed for a in audits),
-        worst_margin=float(np.min([a.worst_margin for a in audits])),
-    )
+    # a NaN margin is not >= 0, so it fails both claims
+    pass_fraction = np.count_nonzero(margins >= 0.0) / margins.size
     note = "every path obeys the explicit bound"
     claims = [
-        Claim("supnorm_bound_pass_fraction", report.pass_fraction, "==", 1.0, note=note),
-        Claim("worst_log_margin", report.worst_margin, ">=", 0.0),
+        Claim("supnorm_bound_pass_fraction", pass_fraction, "==", 1.0, note=note),
+        Claim("worst_log_margin", float(np.min(margins)), ">=", 0.0),
     ]
     return claims, []
 
@@ -457,10 +435,9 @@ def _exp_neg_moments(cfg: ExperimentConfig, out_dir: Path):
     idx = [int(round(t / dt)) for t in t_snapped]
     # Only the t_eval columns are read, so the solve stops at the last of them.
     # Rows 2i and 2i + 1 solve one driver and its negation: one unit per pair.
-    blocks = verify.simulate_paths(
+    columns = verify.simulate_paths(
         spec, drift, cfg.x0, cfg.n_paths, lambda d, s: s[:, idx], n_points=max(idx) + 1, antithetic=True
     )
-    columns = np.concatenate(blocks)
     pairs = verify.pair_units(cfg.n_paths)
     ses = 3.0
     note = f"x0^-p plus {_fmt(ses)} standard errors over antithetic driver pairs"
@@ -502,16 +479,12 @@ def _exp_scaling(cfg: ExperimentConfig, out_dir: Path):
         )
     x0_b, drift_b, spec = verify.scaling_transform(drift, a, cfg.hurst, cfg.x0)
     spec_a = cfg.fbm_spec(horizon=cfg.scale_t / a, n_steps=int(round(n_inner)))
-    side_a = a**cfg.hurst * np.concatenate(
-        verify.simulate_paths(spec_a, drift, cfg.x0, cfg.n_paths, _last_column)
-    )
+    side_a = a**cfg.hurst * verify.simulate_paths(spec_a, drift, cfg.x0, cfg.n_paths, _last_column)
     spec_b = replace(
         cfg.fbm_spec(horizon=cfg.scale_t, n_steps=cfg.n_steps),
         seed=cfg.seed ^ _SCALING_SEED_FLIP,
     )
-    side_b = np.concatenate(
-        verify.simulate_paths(spec_b, drift_b, x0_b, cfg.n_paths, _last_column)
-    )
+    side_b = verify.simulate_paths(spec_b, drift_b, x0_b, cfg.n_paths, _last_column)
     alpha = 0.01
     stat = verify.ks_statistic(side_a, side_b)
     crit = verify.ks_critical_value(cfg.n_paths, cfg.n_paths, alpha=alpha)
@@ -554,7 +527,7 @@ def _exp_malliavin(cfg: ExperimentConfig, out_dir: Path):
     rounding = 1e-12  # the norm's slack, relative to the cap
     cap_note = f"t^{{2H}} plus {rounding:g} of it"
     claims = [
-        Claim("fd_vs_analytic_worst_rel_error", float(np.max(report.error_ratio)), "<=", 1.0, note=note),
+        Claim("fd_vs_analytic_worst_error_ratio", float(np.max(report.error_ratio)), "<=", 1.0, note=note),
         Claim("derivative_norm_sq_min", norm_lo, ">", 0.0),
         Claim("derivative_norm_sq_max", norm_hi, "<=", cap, cap * rounding, cap_note),
     ]
@@ -584,15 +557,14 @@ def _exp_cir(cfg: ExperimentConfig, out_dir: Path):
     worst_resid = float(np.max(resids))
     # stochastic positivity run
     y_mins = verify.simulate_paths(
-        cfg.fbm_spec(), drift, x0, cfg.n_paths, lambda d, x: float(np.min(x**2 / 4.0))
+        cfg.fbm_spec(), drift, x0, cfg.n_paths, lambda d, x: np.min(x**2 / 4.0, axis=1)
     )
     y_min = float(np.min(y_mins))
     claims = [
         Claim("young_residual_smooth_driver", worst_resid, "<=", 5e-3),
         Claim("positivity_min_value", y_min, ">", 0.0),
     ]
-    artifacts = _write_paths_csv(out_dir, y_path.times, y_path.values, True, stem="cir_smooth_path")
-    return claims, artifacts
+    return claims, _write_paths_csv(out_dir, y_path.times, y_path.values, stem="cir_smooth_path")
 
 
 def _exp_moments(cfg: ExperimentConfig, out_dir: Path):
@@ -600,10 +572,9 @@ def _exp_moments(cfg: ExperimentConfig, out_dir: Path):
     if cfg.n_paths < 4:
         raise ConfigError("moments needs n_paths >= 4 for its two half-batch estimates")
     drift = cfg.drift_spec()
-    blocks = verify.simulate_paths(
+    sups = verify.simulate_paths(
         cfg.fbm_spec(), drift, cfg.x0, cfg.n_paths, lambda d, s: np.abs(s).max(axis=1)
     )
-    sups = np.concatenate(blocks)
     ses = 5.0
     note = f"half-batch estimates within {_fmt(ses)} combined standard errors"
     claims = []
@@ -623,8 +594,8 @@ _SOLVE_KEYS = ("drift", "x0")
 # family's keys of _DRIFT_KEYS too.  Only these keys are range-checked and
 # echoed in its report.
 _RUNNERS = {
-    "fbm-sample": (_exp_fbm_sample, ("wide",)),
-    "simulate": (_exp_simulate, (*_SOLVE_KEYS, "wide")),
+    "fbm-sample": (_exp_fbm_sample, ()),
+    "simulate": (_exp_simulate, _SOLVE_KEYS),
     "verify-bound": (_exp_verify_bound, (*_SOLVE_KEYS, "beta", "gamma")),
     "neg-moments": (_exp_neg_moments, (*_SOLVE_KEYS, "p_orders", "t_eval")),
     "scaling": (_exp_scaling, (*_SOLVE_KEYS, "scale_a", "scale_t")),
@@ -672,14 +643,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--config", type=str, default=None, help="flat key=value config file")
-    for key, kind in _KINDS.items():
-        if key == "experiment":
-            continue
-        flag = "--" + key.replace("_", "-")
-        if kind is bool:
-            flags.add_argument(flag, action="store_const", const=True, default=None)
-        else:
-            flags.add_argument(flag, type=str, default=None, metavar=key.upper())
+    for key in _KINDS:
+        if key != "experiment":
+            flags.add_argument("--" + key.replace("_", "-"), type=str, default=None, metavar=key.upper())
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="EXPERIMENT")
     for name, (runner, _) in _RUNNERS.items():
         sub.add_parser(name, help=runner.__doc__, parents=[flags])
@@ -698,14 +664,14 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
             )
         values.update(file_values)
     seed_given = "seed" in values
-    for key, kind in _KINDS.items():
+    for key in _KINDS:
         raw = getattr(args, key)
         if key == "experiment" or raw is None:
             continue
         if key == "seed":
             seed_given = True
         try:
-            values[key] = raw if kind is bool else _parse_value(key, raw)
+            values[key] = _parse_value(key, raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for --{key.replace('_', '-')}: {exc}") from exc
     if not seed_given and os.environ.get("SEED"):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from typing import TypeVar
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .paths import SamplePath
 from .solver import DriftSpec, scaled_drift, solve_batch
 
 __all__ = [
-    "BoundAuditReport",
     "MomentReport",
     "ScalingSpec",
     "StabilityReport",
@@ -152,17 +150,6 @@ def drift_sup_envelope(drift: DriftSpec, horizon: float) -> float:
     return float(np.max([float(drift.upper_envelope(float(t))) for t in ts]))
 
 
-@dataclass(frozen=True)
-class BoundAuditReport:
-    n_paths: int
-    n_passed: int
-    worst_margin: float  # min over paths of log(bound) - log(sup norm)
-
-    @property
-    def pass_fraction(self) -> float:
-        return self.n_passed / self.n_paths
-
-
 def check_path_bound(
     drift: DriftSpec,
     solutions: np.ndarray,
@@ -170,15 +157,17 @@ def check_path_bound(
     times: np.ndarray,
     beta: float,
     gamma: float,
-) -> BoundAuditReport:
-    """Audit sup |x| <= bound(driver seminorm) path by path.
+) -> np.ndarray:
+    """Each path's margin log(bound) - log(sup |x|) under the explicit sup-norm bound.
 
-    Both sides are grid quantities: the driver's Hölder seminorm is the exact
-    maximum over all grid pairs (a lower bound of the continuum seminorm,
-    making the right side conservative) and the solution sup is the grid
-    maximum.  Raises ``ValueError`` unless ``solutions`` and ``drivers``
-    share one shape with a column per grid time and hold only finite values
-    (``holder_seminorm`` rejects a non-finite driver).
+    One margin per row of ``solutions``, in row order; a path obeys the bound
+    where its margin is >= 0.  Both sides are grid quantities: the driver's
+    Hölder seminorm is the exact maximum over all grid pairs (a lower bound of
+    the continuum seminorm, making the right side conservative) and the
+    solution sup is the grid maximum.  Raises ``ValueError`` unless
+    ``solutions`` and ``drivers`` share one shape with a column per grid time
+    and hold only finite values (``holder_seminorm`` rejects a non-finite
+    driver).
     """
     solutions = np.atleast_2d(solutions)
     drivers = np.atleast_2d(drivers)
@@ -193,20 +182,14 @@ def check_path_bound(
     horizon = float(times[-1])
     k_sup = drift_sup_envelope(drift, horizon)
     c_ibp = ibp_constant(beta, gamma)
-    n_passed = 0
-    worst = math.inf
-    for sol_row, drv_row in zip(solutions, drivers):
-        driver = SamplePath(times, drv_row)
-        phi_norm = holder_seminorm(driver, 0.0, horizon, beta)
+    margins = np.empty(solutions.shape[0])
+    for i, (sol_row, drv_row) in enumerate(zip(solutions, drivers)):
+        phi_norm = holder_seminorm(SamplePath(times, drv_row), 0.0, horizon, beta)
         log_bound = log_supnorm_bound(
             float(sol_row[0]), gamma, beta, horizon, k_sup, phi_norm, c_ibp
         )
-        log_sup = math.log(float(np.max(np.abs(sol_row))))
-        margin = log_bound - log_sup
-        worst = min(worst, margin)
-        if margin >= 0.0:
-            n_passed += 1
-    return BoundAuditReport(solutions.shape[0], n_passed, worst)
+        margins[i] = log_bound - math.log(float(np.max(np.abs(sol_row))))
+    return margins
 
 
 def negative_moment_threshold(k: float, p: float, hurst: float) -> float:
@@ -390,8 +373,6 @@ def empirical_moment_stability(sup_norms: np.ndarray, orders) -> StabilityReport
     return StabilityReport(tuple(entries))
 
 
-_R = TypeVar("_R")
-
 # Bytes of driver increments sampled and solved per block: 1,024 rows at
 # n_steps = 1024.  Blocks much under 1,000 rows pay the solver's per-step
 # call overhead more often (512 rows were slower in process).
@@ -419,25 +400,26 @@ def simulate_paths(
     drift: DriftSpec,
     x0: float,
     n_paths: int,
-    reduce: Callable[[np.ndarray, np.ndarray], _R],
+    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
     n_points: int | None = None,
     *,
     antithetic: bool = False,
-) -> list[_R]:
-    """Sample drivers and solve the equation in path blocks; ``reduce`` each block.
+) -> np.ndarray:
+    """Sample drivers and solve the equation in path blocks; ``reduce``'s rows for every path.
 
-    Returns ``reduce(drivers, solutions)`` of each block, in row order.  Both
-    arrays hold the block's rows on the first ``n_points`` grid times
-    (default: all of ``spec.times``), and the solve stops there.  The scheme
-    is causal, so on given drivers those columns are bit-identical to a
-    full-horizon solve.  The drivers themselves are not the leading columns
-    of full-grid drivers: fBm restricted to [0, t] is fBm on the shorter
-    grid, so they are rows of ``_prefix_spec(spec, n_points)``, cut to
+    ``reduce(drivers, solutions)`` maps each block to an array with one row
+    per path of the block; the result is those arrays concatenated in row
+    order.  Both arguments hold the block's rows on the first ``n_points``
+    grid times (default: all of ``spec.times``), and the solve stops there.
+    The scheme is causal, so on given drivers those columns are bit-identical
+    to a full-horizon solve.  The drivers themselves are not the leading
+    columns of full-grid drivers: fBm restricted to [0, t] is fBm on the
+    shorter grid, so they are rows of ``_prefix_spec(spec, n_points)``, cut to
     ``n_points`` columns.  A block holds about ``_BLOCK_BYTES`` of the full
     grid's increments and an even number of rows, so memory stays flat in
     ``n_paths``.  Rows keep their keys whatever the blocks, so no result
-    depends on them.  ``reduce`` must not keep a view of its arguments, or
-    the blocks it views stay alive.
+    depends on them.  ``reduce`` must return a new array, not a view of its
+    arguments, or every block it views stays alive until the end.
 
     With ``antithetic``, path rows 2i and 2i + 1 are sampled row i and its
     negation (the fBm law is symmetric), so ``ceil(n_paths / 2)`` rows are
@@ -469,7 +451,9 @@ def simulate_paths(
             drivers = sample_fbm_batch(sampled, count, first_row=first_row)[:, :n_points]
         results.append(reduce(drivers, solve_batch(x0, drift, drivers, times)))
         del drivers  # freed before the next block is sampled
-    return results
+        if np.shape(results[-1])[:1] != (count,):
+            raise ValueError(f"reduce kept shape {np.shape(results[-1])} from a block of {count} paths")
+    return np.concatenate(results)
 
 
 def pair_units(n_paths: int) -> np.ndarray:

@@ -118,7 +118,6 @@ class TestCliProcess:
                 "fbm-sample",
                 "--n-paths", "200",
                 "--n-steps", "64",
-                "--wide",
                 "--output-dir", str(tmp_path),
             ]
         )
@@ -166,7 +165,6 @@ class TestCliProcess:
             "simulate",
             "--n-paths", "32",
             "--n-steps", "64",
-            "--wide",
             "--output-dir", str(out),
         ]
         assert main(args) == 0
@@ -181,8 +179,7 @@ class TestCliProcess:
         cfg_file.write_text("experiment = fbm-sample\nn_paths = 64\nn_steps = 32\nseed = 5\n")
         out = tmp_path / "out"
         code = main(
-            ["fbm-sample", "--config", str(cfg_file), "--seed", "9", "--wide",
-             "--output-dir", str(out)]
+            ["fbm-sample", "--config", str(cfg_file), "--seed", "9", "--output-dir", str(out)]
         )
         assert code == 0
         report = (out / "report.txt").read_text()
@@ -192,21 +189,30 @@ class TestCliProcess:
     def test_env_seed_is_last_resort(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEED", "321")
         out = tmp_path / "env"
-        assert main(["fbm-sample", "--n-paths", "16", "--n-steps", "32", "--wide",
-                     "--output-dir", str(out)]) == 0
+        assert main(["fbm-sample", "--n-paths", "16", "--n-steps", "32", "--output-dir", str(out)]) == 0
         assert "seed: 321" in (out / "report.txt").read_text()
         out2 = tmp_path / "flag"
-        assert main(["fbm-sample", "--n-paths", "16", "--n-steps", "32", "--wide",
-                     "--seed", "11", "--output-dir", str(out2)]) == 0
+        assert main(["fbm-sample", "--n-paths", "16", "--n-steps", "32", "--seed", "11",
+                     "--output-dir", str(out2)]) == 0
         assert "seed: 11" in (out2 / "report.txt").read_text()
 
-    def test_per_path_csv_files(self, tmp_path):
-        assert main(["fbm-sample", "--n-paths", "3", "--n-steps", "16",
-                     "--output-dir", str(tmp_path)]) == 0
-        for i in range(3):
-            lines = (tmp_path / f"path_{i:04d}.csv").read_text().splitlines()
-            assert lines[0] == "time,value"
-            assert len(lines) == 18
+    @pytest.mark.parametrize("experiment", ["fbm-sample", "simulate"])
+    def test_paths_are_one_time_major_csv(self, tmp_path, experiment):
+        assert main([experiment, "--n-paths", "3", "--n-steps", "16", "--output-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["paths.csv", "report.txt"]
+        lines = (tmp_path / "paths.csv").read_text().splitlines()
+        assert lines[0] == "time,path_0000,path_0001,path_0002"
+        assert len(lines) == 18 and all(line.count(",") == 3 for line in lines)
+
+    def test_wide_is_no_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--wide", "--output-dir", str(tmp_path / "flag")])
+        assert exc.value.code == 2 and "--wide" in capsys.readouterr().err
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("wide = true\n")
+        assert main(["simulate", "--config", str(cfg_file), "--output-dir", str(tmp_path / "file")]) == 2
+        assert "unknown key 'wide'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_experiment_mismatch_between_flag_and_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -225,7 +231,7 @@ def _run_in(cwd: Path, monkeypatch, argv: list) -> tuple:
 @pytest.mark.parametrize(
     "args, rows_at_64_steps",
     [
-        (["simulate", "--n-paths", "13", "--n-steps", "64", "--wide"], 4),
+        (["simulate", "--n-paths", "13", "--n-steps", "64"], 4),
         (["simulate", "--n-paths", "7", "--n-steps", "64"], 2),
         (["verify-bound", "--n-paths", "9", "--n-steps", "64"], 2),
         (["neg-moments", "--n-paths", "101", "--n-steps", "128"], 32),
@@ -269,9 +275,9 @@ def test_neg_moments_bound_takes_the_standard_error_over_pairs(tmp_path):
                  "--output-dir", str(tmp_path)]) == 0
     report = (tmp_path / "report.txt").read_text()
     spec, idx = fbmsde.FbmSpec(hurst=0.75, n_steps=128, seed=12345), [25, 51]
-    columns = np.concatenate(verify.simulate_paths(
+    columns = verify.simulate_paths(
         spec, solver.reciprocal_drift(1.0), 1.0, 100, lambda d, s: s[:, idx], n_points=52, antithetic=True
-    ))
+    )
     for j, i in enumerate(idx):
         inverse = 1.0 / columns[:, j]
         se_pairs = np.std(inverse.reshape(50, 2).mean(axis=1), ddof=1) / math.sqrt(50)
@@ -310,19 +316,24 @@ def test_nan_claim_value_fails_its_claim(tmp_path, monkeypatch, experiment):
 
 
 def test_nan_margin_in_a_later_block_fails(tmp_path, monkeypatch):
-    # verify-bound takes the least margin over blocks; Python's min kept the
-    # first block's margin over a NaN in a later one
+    # one path of the second block gets a NaN margin: Python's min would keep
+    # the finite margins around it, and a NaN is not a pass
     audit, calls = verify.check_path_bound, []
 
-    def nan_after_first(*args):
+    def nan_in_second_block(*args):
         calls.append(audit(*args))
-        return calls[-1] if len(calls) == 1 else dataclasses.replace(calls[-1], worst_margin=math.nan)
+        if len(calls) == 2:
+            calls[-1][1] = math.nan
+        return calls[-1]
 
-    monkeypatch.setattr(verify, "check_path_bound", nan_after_first)
+    monkeypatch.setattr(verify, "check_path_bound", nan_in_second_block)
     monkeypatch.setattr(verify, "_BLOCK_BYTES", 8 * 16 * 2)  # two rows a block at 16 steps
-    args = ["verify-bound", "--n-paths", "4", "--n-steps", "16", "--output-dir", str(tmp_path)]
-    assert main(args) == 1 and len(calls) == 2
-    assert "  worst_log_margin:\n    value: nan\n" in (tmp_path / "report.txt").read_text()
+    args = ["verify-bound", "--n-paths", "6", "--n-steps", "16", "--output-dir", str(tmp_path)]
+    assert main(args) == 1 and len(calls) == 3
+    report = (tmp_path / "report.txt").read_text()
+    for claim, value in (("worst_log_margin", "nan"), ("supnorm_bound_pass_fraction", _fmt(5 / 6))):
+        assert f"  {claim}:\n    value: {value}\n" in report
+        assert report.split(f"  {claim}:\n", 1)[1].split("outcome: ", 1)[1].startswith("fail")
 
 
 def test_run_experiment_returns_report(tmp_path):
@@ -458,7 +469,6 @@ _OTHER_VALUE = {
     "scale_a": "4",
     "scale_t": "0.25",
     "threads": "1",
-    "wide": None,  # a flag
 }
 
 
@@ -486,7 +496,7 @@ def test_keys_outside_the_table_change_no_artifact(tmp_path, monkeypatch, experi
     moved = []
     for key, value in _OTHER_VALUE.items():
         if key not in reads:
-            moved += ["--" + key.replace("_", "-")] + ([] if value is None else [value])
+            moved += ["--" + key.replace("_", "-"), value]
     # scaling needs 1000 paths; on 16 steps the scheme's finite differences
     # miss the continuous kernel by more than the malliavin tolerance
     size = {"scaling": ["--n-paths", "1000"], "malliavin": ["--n-paths", "2", "--n-steps", "256"]}
@@ -519,14 +529,12 @@ def test_every_subcommand_accepts_every_config_flag():
     )
     parser = cli._build_parser()
     keys = [f.name for f in fields(ExperimentConfig) if f.name != "experiment"]
-    argv = []
-    for key in keys:
-        argv += ["--" + key.replace("_", "-")] + ([] if key == "wide" else ["1"])
+    argv = [part for key in keys for part in ("--" + key.replace("_", "-"), "1")]
     for name in cli.EXPERIMENTS:
         args = parser.parse_args([name, "--config", "run.cfg", *argv])
         assert args.experiment == name and args.config == "run.cfg"
         for key in keys:
-            assert getattr(args, key) == (True if key == "wide" else "1"), (name, key)
+            assert getattr(args, key) == "1", (name, key)
 
 
 # Configs that would pass validation but fail inside the library (or check
@@ -574,30 +582,20 @@ def test_config_caused_errors_exit_2(tmp_path, capsys, name):
     assert not out.exists()
 
 
-def _per_value_csv(out_dir, times, values, wide, stem="path"):
+def _per_value_csv(out_dir, times, values, stem):
     """The CSV writer as it was before bulk formatting: one ``_fmt`` call per value."""
     values = np.atleast_2d(values)
-    names = []
-    if wide:
-        name = f"{stem}s.csv"
-        with open(out_dir / name, "w") as fh:
-            fh.write("time," + ",".join(f"{stem}_{i:04d}" for i in range(values.shape[0])) + "\n")
-            for j, t in enumerate(times):
-                fh.write(_fmt(float(t)) + "," + ",".join(_fmt(float(v)) for v in values[:, j]) + "\n")
-        names.append(name)
-    else:
-        for i, row in enumerate(values):
-            name = f"{stem}_{i:04d}.csv"
-            with open(out_dir / name, "w") as fh:
-                fh.write("time,value\n")
-                for t, v in zip(times, row):
-                    fh.write(f"{_fmt(float(t))},{_fmt(float(v))}\n")
-            names.append(name)
-    return names
+    name = f"{stem}s.csv"
+    with open(out_dir / name, "w") as fh:
+        fh.write("time," + ",".join(f"{stem}_{i:04d}" for i in range(values.shape[0])) + "\n")
+        for j, t in enumerate(times):
+            fh.write(_fmt(float(t)) + "," + ",".join(_fmt(float(v)) for v in values[:, j]) + "\n")
+    return [name]
 
 
-@pytest.mark.parametrize("wide", [True, False], ids=["wide", "long"])
-def test_bulk_csv_matches_per_value_writer(tmp_path, wide):
+# "wide" names the one layout: a line per grid time, a column per path
+@pytest.mark.parametrize("stem", ["path"], ids=["wide"])
+def test_bulk_csv_matches_per_value_writer(tmp_path, stem):
     times = np.linspace(0.0, 1.0, 7)
     values = np.array([
         [-0.0, 5e-324, 1e308, 0.1, 3.0, -2.0, 2.0**53],
@@ -605,15 +603,15 @@ def test_bulk_csv_matches_per_value_writer(tmp_path, wide):
     ])
     (tmp_path / "bulk").mkdir()
     (tmp_path / "ref").mkdir()
-    names = _write_paths_csv(tmp_path / "bulk", times, values, wide)
-    assert names == _per_value_csv(tmp_path / "ref", times, values, wide)
+    names = _write_paths_csv(tmp_path / "bulk", times, values)
+    assert names == _per_value_csv(tmp_path / "ref", times, values, stem)
     for name in names:
         assert (tmp_path / "bulk" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
-@pytest.mark.parametrize("wide", [True, False], ids=["wide", "long"])
+@pytest.mark.parametrize("stem", ["x"], ids=["wide"])
 @pytest.mark.parametrize("offset", [-1, 0, 1, cli._CSV_SLICE + 1])
-def test_sliced_csv_matches_unsliced_writer(tmp_path, wide, offset):
+def test_sliced_csv_matches_unsliced_writer(tmp_path, stem, offset):
     # grid sizes on both sides of the first slice boundary, and past the
     # second, against the writer that formats every value on its own
     n_times = cli._CSV_SLICE + offset
@@ -622,8 +620,8 @@ def test_sliced_csv_matches_unsliced_writer(tmp_path, wide, offset):
     values[0, -1] = -0.0
     (tmp_path / "sliced").mkdir()
     (tmp_path / "ref").mkdir()
-    names = _write_paths_csv(tmp_path / "sliced", times, values, wide, stem="x")
-    assert names == _per_value_csv(tmp_path / "ref", times, values, wide, stem="x")
+    names = _write_paths_csv(tmp_path / "sliced", times, values, stem=stem)
+    assert names == _per_value_csv(tmp_path / "ref", times, values, stem)
     for name in names:
         assert (tmp_path / "sliced" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 

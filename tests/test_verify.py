@@ -33,10 +33,15 @@ from fbmsde.verify import (
 )
 
 
-def _whole_batch(spec, drift, x0, n_paths):
-    """(times, drivers, solutions) of a whole batch, gathered from the blocks of ``simulate_paths``."""
-    blocks = simulate_paths(spec, drift, x0, n_paths, lambda d, s: (d, s))
-    return spec.times, np.concatenate([d for d, _ in blocks]), np.concatenate([s for _, s in blocks])
+def _both(d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Each path's driver and solution: a (rows, 2, points) block, for ``simulate_paths``."""
+    return np.stack([d, s], axis=1)
+
+
+def _whole_batch(spec, drift, x0, n_paths, **kwargs):
+    """(times, drivers, solutions) of a whole batch from ``simulate_paths``."""
+    both = simulate_paths(spec, drift, x0, n_paths, _both, **kwargs)
+    return spec.times, both[:, 0], both[:, 1]
 
 
 class TestWindowLength:
@@ -156,17 +161,34 @@ class TestPathBoundAudit:
         times = np.linspace(0.0, 1.0, n + 1)
         flat = np.zeros((1, n + 1))
         exact = np.sqrt(1.0 + 2.0 * times)[None, :]
-        rep = check_path_bound(reciprocal_drift(1.0), exact, flat, times, beta=0.65, gamma=3.0)
-        assert rep.pass_fraction == 1.0
+        margins = check_path_bound(reciprocal_drift(1.0), exact, flat, times, beta=0.65, gamma=3.0)
+        assert margins.shape == (1,) and margins[0] >= 0.0
 
     def test_fbm_batch_all_pass(self):
         drift = reciprocal_drift(1.0)
         times, drivers, sols = _whole_batch(
             FbmSpec(hurst=0.75, n_steps=256, seed=3), drift, 1.0, 50
         )
-        rep = check_path_bound(drift, sols, drivers, times, beta=0.65, gamma=3.0)
-        assert rep.pass_fraction == 1.0
-        assert rep.worst_margin >= 0.0
+        margins = check_path_bound(drift, sols, drivers, times, beta=0.65, gamma=3.0)
+        assert margins.shape == (50,) and np.all(margins >= 0.0)
+
+    def test_margins_are_each_rows_log_bound_over_its_sup(self):
+        # bit for bit the per-row formula, in row order, on a batch whose
+        # rows start at different x0
+        drift, beta, gamma = power_drift(1.0, 1.0, 1.5), 0.65, 3.0
+        times, drivers, sols = _whole_batch(FbmSpec(hurst=0.75, n_steps=64, seed=11), drift, 1.0, 5)
+        sols = sols * np.array([1.0, 0.5, 2.0, 3.0, 0.25])[:, None]
+        k_sup, c_ibp = verify.drift_sup_envelope(drift, 1.0), ibp_constant(beta, gamma)
+        expected = [
+            log_supnorm_bound(
+                sol[0], gamma, beta, 1.0, k_sup, holder_seminorm(SamplePath(times, drv), 0.0, 1.0, beta), c_ibp
+            )
+            - math.log(np.max(np.abs(sol)))
+            for drv, sol in zip(drivers, sols)
+        ]
+        margins = check_path_bound(drift, sols, drivers, times, beta=beta, gamma=gamma)
+        assert margins.tobytes() == np.array(expected).tobytes()
+        assert len(set(margins.tolist())) == 5
 
     def test_callers_arrays_stay_writeable(self):
         # each per-path SamplePath holds a read-only view, not the caller's array
@@ -189,9 +211,8 @@ class TestPathBoundAudit:
             drivers = np.broadcast_to(1e307 * (np.arange(times.size) % 2), drivers.shape)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = check_path_bound(drift, sols, drivers, times, beta=0.65, gamma=3.0)
-        assert rep.pass_fraction == 1.0
-        assert rep.worst_margin == math.inf
+            margins = check_path_bound(drift, sols, drivers, times, beta=0.65, gamma=3.0)
+        assert margins.tolist() == [math.inf, math.inf]
 
     @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
     def test_nonfinite_envelope_is_not_dropped(self, value):
@@ -204,9 +225,8 @@ class TestPathBoundAudit:
             with pytest.raises(ValueError, match="k_sup"):
                 check_path_bound(drift, sols, drivers, times, beta=0.65, gamma=3.0)
         else:
-            rep = check_path_bound(drift, sols, drivers, times, beta=0.65, gamma=3.0)
-            assert rep.pass_fraction == 1.0
-            assert rep.worst_margin == math.inf
+            margins = check_path_bound(drift, sols, drivers, times, beta=0.65, gamma=3.0)
+            assert margins.tolist() == [math.inf] * 4
 
     @pytest.mark.parametrize(
         "case, message",
@@ -345,11 +365,10 @@ class TestClusterStdError:
         spec, n_paths, idx = FbmSpec(hurst=0.75, n_steps=256, seed=31), 2000, [51, 102]
 
         def columns(antithetic: bool) -> np.ndarray:
-            blocks = simulate_paths(
+            return simulate_paths(
                 spec, reciprocal_drift(1.0), 1.0, n_paths, lambda d, s: s[:, idx],
                 n_points=103, antithetic=antithetic,
             )
-            return np.concatenate(blocks)
 
         independent, mirrored = columns(False), columns(True)
         for j in range(2):
@@ -452,7 +471,7 @@ def test_solve_horizon_keeps_leading_columns(drift):
     # scheme is causal, so stopping the solve early leaves the bits a
     # full-grid solve on the same drivers gives in those columns
     spec = FbmSpec(hurst=0.75, n_steps=128, seed=4)
-    ((d, s),) = simulate_paths(spec, drift, 1.0, 9, lambda d, s: (d, s), n_points=40)
+    _, d, s = _whole_batch(spec, drift, 1.0, 9, n_points=40)
     prefix = FbmSpec(hurst=0.75, horizon=0.5, n_steps=64, seed=4)
     assert np.array_equal(d, sample_fbm_batch(prefix, 9)[:, :40])
     drivers = sample_fbm_batch(spec, 9)
@@ -474,7 +493,7 @@ def test_solve_horizon_keeps_leading_columns(drift):
 )
 def test_drivers_are_rows_of_the_power_of_two_prefix(n_steps, n_points, n_pre, horizon):
     spec = FbmSpec(hurst=0.7, n_steps=n_steps, seed=31)
-    ((d, s),) = simulate_paths(spec, reciprocal_drift(1.0), 1.0, 5, lambda d, s: (d, s), n_points=n_points)
+    _, d, s = _whole_batch(spec, reciprocal_drift(1.0), 1.0, 5, n_points=n_points)
     prefix = FbmSpec(hurst=0.7, horizon=horizon, n_steps=n_pre, seed=31)
     assert d.tobytes() == sample_fbm_batch(prefix, 5)[:, :n_points].tobytes()
     assert s.shape == (5, n_points)
@@ -488,9 +507,7 @@ def test_prefix_drivers_have_the_fbm_law():
     # match fBm on the full grid, each within 4 standard errors
     hurst, n_points, n_rows = 0.75, 80, 20_000
     spec = FbmSpec(hurst=hurst, n_steps=256, seed=77)
-    tails = np.concatenate(
-        simulate_paths(spec, reciprocal_drift(1.0), 1.0, n_rows, lambda d, s: d[:, -3:].copy(), n_points=n_points)
-    )
+    tails = simulate_paths(spec, reciprocal_drift(1.0), 1.0, n_rows, lambda d, s: d[:, -3:].copy(), n_points=n_points)
     t, dt = spec.times[n_points - 1], spec.horizon / spec.n_steps
     sq = tails[:, -1] ** 2
     assert abs(sq.mean() - t ** (2 * hurst)) <= 4.0 * sq.std(ddof=1) / math.sqrt(n_rows)
@@ -506,18 +523,33 @@ def test_solve_horizon_outside_grid_rejected(n_points):
         simulate_paths(FbmSpec(0.75, n_steps=128), reciprocal_drift(1.0), 1.0, 2, np.min, n_points=n_points)
 
 
+@pytest.mark.parametrize(
+    "reduce",
+    [lambda d, s: np.min(s), lambda d, s: s[:1].copy(), lambda d, s: s.T.copy()],
+    ids=["scalar", "one_row", "a_row_per_time"],
+)
+def test_reduce_must_keep_a_row_per_path(reduce):
+    with pytest.raises(ValueError, match="reduce kept shape"):
+        simulate_paths(FbmSpec(0.75, n_steps=16), reciprocal_drift(1.0), 1.0, 3, reduce)
+
+
 class TestAntitheticDrivers:
     spec = FbmSpec(hurst=0.75, n_steps=128, seed=6)
 
-    def _blocks(self, n_paths: int, n_points: int | None = None) -> list:
-        return simulate_paths(
-            self.spec, reciprocal_drift(1.0), 1.0, n_paths, lambda d, s: (d.copy(), s.copy()),
-            n_points=n_points, antithetic=True,
-        )
+    def _rows(self, n_paths: int, n_points: int | None = None, sizes: list | None = None) -> tuple:
+        """(drivers, solutions) of every path; each block's row count is appended to ``sizes``."""
+        sizes = [] if sizes is None else sizes
+
+        def both(d, s):
+            sizes.append(len(d))
+            return _both(d, s)
+
+        rows = simulate_paths(self.spec, reciprocal_drift(1.0), 1.0, n_paths, both, n_points=n_points, antithetic=True)
+        return rows[:, 0], rows[:, 1]
 
     @pytest.mark.parametrize("n_paths", [8, 7])
     def test_odd_rows_are_the_negated_even_rows(self, n_paths):
-        ((d, s),) = self._blocks(n_paths, n_points=40)
+        d, s = self._rows(n_paths, n_points=40)
         # the even rows are the first ceil(n_paths / 2) rows of the prefix grid
         prefix = FbmSpec(hurst=0.75, horizon=0.5, n_steps=64, seed=6)
         assert d[0::2].tobytes() == sample_fbm_batch(prefix, (n_paths + 1) // 2)[:, :40].tobytes()
@@ -529,16 +561,18 @@ class TestAntitheticDrivers:
     def test_blocks_change_no_byte(self, monkeypatch, plain_rows, n_paths):
         # a plain block of 2 or 6 rows becomes a mirrored block of 4: every
         # block starts on an even sampled row
-        whole = self._blocks(n_paths)
+        one_block, blocks = [], []
+        whole = self._rows(n_paths, sizes=one_block)
         monkeypatch.setattr(verify, "_BLOCK_BYTES", 8 * self.spec.n_steps * plain_rows)
-        blocks = self._blocks(n_paths)
-        assert [len(d) for d, _ in blocks] == [4] * (n_paths // 4) + ([n_paths % 4] if n_paths % 4 else [])
+        rows = self._rows(n_paths, sizes=blocks)
+        assert one_block == [n_paths]
+        assert blocks == [4] * (n_paths // 4) + ([n_paths % 4] if n_paths % 4 else [])
         for k in (0, 1):
-            assert np.concatenate([b[k] for b in blocks]).tobytes() == whole[0][k].tobytes()
+            assert rows[k].tobytes() == whole[k].tobytes()
 
     def test_odd_n_paths_leaves_the_last_path_unmirrored(self, monkeypatch):
         monkeypatch.setattr(verify, "_BLOCK_BYTES", 8 * self.spec.n_steps * 4)
-        drivers = np.concatenate([d for d, _ in self._blocks(9)])
+        drivers, _ = self._rows(9)
         assert drivers.shape == (9, 129)
         assert drivers[8].tobytes() == sample_fbm_batch(self.spec, 6)[4].tobytes()
         assert not np.array_equal(drivers[8], -drivers[7])
