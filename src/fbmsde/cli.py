@@ -684,7 +684,10 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error (2) or --help (0)
+        return exc.code
     try:
         cfg = _assemble_config(args)
         report = run_experiment(cfg)

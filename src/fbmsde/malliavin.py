@@ -94,10 +94,10 @@ def derivative_report(
     rows = np.empty((n_paths, 1 + eps.size, n_pts))
     rows[:, 0] = drivers
     rows[:, 1:] = drivers[:, None, :] + eps[:, None] * h.values
-    sols = solve_batch(x0, drift, rows.reshape(-1, n_pts), times)
-    sols = sols.reshape(rows.shape)
-    quotients = (sols[:, 1:, j] - sols[:, :1, j]) / eps
-    base = sols[:, 0, : j + 1].copy()
+    sols = solve_batch(x0, drift, rows.reshape(-1, n_pts), times).T
+    sols = sols.reshape(n_pts, n_paths, 1 + eps.size)  # the solve's time-major buffer, no copy
+    quotients = (sols[j, :, 1:] - sols[j, :, :1]) / eps
+    base = sols[: j + 1, :, 0].T.copy()
     del rows, sols  # freed before the kernel block is built
 
     cum = cumulative_along_path(drift.dfdx, h.times[: j + 1], base)

@@ -17,7 +17,11 @@ as for a drift that breaks the assumption, raises ``SolverError``.
 ``solve_batch`` checks the grid once, then runs one step loop per route over
 the whole batch of paths.  Every row takes Newton's first iteration; from
 the second on, rows that have converged are frozen, so a row's result does
-not depend on the rows beside it.
+not depend on the rows beside it.  The steps work in one time-major buffer,
+a contiguous row per grid time that first holds the driver increments, and
+each step turns its row into the solution at that time in place.  The result
+of shape (n_paths, n_points) is that buffer's transpose: a row per path, with
+contiguous columns.
 
 Also houses the drift assumption checker, the square-root-diffusion change of
 variables, and an a-posteriori residual for the integral equation.  The
@@ -268,14 +272,16 @@ def check_drift_assumptions(
 def solve_batch(x0, drift: DriftSpec, driver_values: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Drift-implicit Euler for a batch of paths sharing one uniform grid.
 
-    ``driver_values`` is (n_paths, n_steps + 1); ``x0`` is a scalar or a
-    per-path vector.  A grid that is not uniform, or has fewer than two
-    points, raises ``ValueError``.  Per-path results are independent of the
-    batch composition: each path's Newton iteration freezes at its own
-    convergence.  On the positive domain a value <= 0 raises
-    ``PositivityError`` naming the first step that produced it: Newton
-    checks after every step, the closed-form route once over the solved
-    block.
+    ``driver_values`` is (n_paths, n_steps + 1) in any memory layout; ``x0``
+    is a scalar or a per-path vector.  The result has the same shape, a row
+    per path, and is the transpose of the time-major buffer the steps fill:
+    its columns, one per grid time, are contiguous.  A grid that is not
+    uniform, or has fewer than two points, raises ``ValueError``.  Per-path
+    results are independent of the batch composition: each path's Newton
+    iteration freezes at its own convergence.  On the positive domain a
+    value <= 0 raises ``PositivityError`` naming the first step that
+    produced it: Newton checks after every step, the closed-form route once
+    over the solved block.
     """
     drivers = np.atleast_2d(np.asarray(driver_values, dtype=np.float64))
     times = np.asarray(times, dtype=np.float64)
@@ -284,47 +290,57 @@ def solve_batch(x0, drift: DriftSpec, driver_values: np.ndarray, times: np.ndarr
         raise ValueError("driver and grid sizes differ")
     _check_uniform_grid(times)
     dt = float(times[1] - times[0])
-    x0_vec = np.broadcast_to(np.asarray(x0, dtype=np.float64), (n_paths,)).copy()
+    x0_vec = np.broadcast_to(np.asarray(x0, dtype=np.float64), (n_paths,))
     positive = drift.positive_domain
     if positive and np.any(x0_vec <= 0):
         raise ValueError("initial values must be strictly positive")
 
-    out = np.empty((n_paths, n_pts))
-    out[:, 0] = x0_vec
+    # time-major: row k holds the driver increment into step k until the step
+    # overwrites it with x_k
+    sol = np.empty((n_pts, n_paths))
+    np.subtract(drivers[:, 1:].T, drivers[:, :-1].T, out=sol[1:])
+    sol[0] = x0_vec
     steps = enumerate(times[1:].tolist(), start=1)
     if drift.inverse_coeff is None:
-        _newton_steps(out, x0_vec, drivers, steps, dt, drift.f, drift.dfdx, positive)
+        _newton_steps(sol, steps, dt, drift.f, drift.dfdx, positive)
     else:
-        _closed_form_steps(out, x0_vec, drivers, steps, dt, drift.inverse_coeff, positive)
-    return out
+        _closed_form_steps(sol, steps, dt, drift.inverse_coeff, positive)
+    return sol.T
 
 
-def _closed_form_steps(out, x, drivers, steps, dt, coeff, positive) -> None:
-    """Fill ``out[:, 1:]`` from ``x`` = x_0 with the root of x - dt c(t)/x = b each step.
+def _closed_form_steps(sol, steps, dt, coeff, positive) -> None:
+    """Turn each increment row ``sol[k]`` into x_k, the root of x - dt c(t)/x = b.
 
-    The root is (b + sqrt(b^2 + 4 dt c)) / 2.  The step never divides by x,
-    so one check over the solved columns names the first nonpositive step,
-    even when a later step raised first.
+    b = x_{k-1} + increment, and the root is (b + sqrt(b^2 + 4 dt c)) / 2,
+    computed in place in the row with one scratch vector.  The step never
+    divides by x, so one check over the solved rows names the first
+    nonpositive step, even when a later step raised first.
     """
-    filled = 1  # columns of ``out`` written so far
+    add, multiply, sqrt = np.add, np.multiply, np.sqrt
+    x = sol[0]
+    scratch = np.empty_like(x)
+    filled = 1  # rows of ``sol`` solved so far
     try:
         for k, t in steps:
-            b = x + (drivers[:, k] - drivers[:, k - 1])
+            b = add(x, sol[k], out=sol[k])
             c = coeff(t)
             if c < 0:
                 raise SolverError(f"inverse coefficient negative at t={t}")
-            x = 0.5 * (b + np.sqrt(b * b + 4.0 * dt * c))
-            out[:, k] = x
+            multiply(b, b, out=scratch)
+            add(scratch, 4.0 * dt * c, out=scratch)
+            sqrt(scratch, out=scratch)
+            add(b, scratch, out=b)
+            x = multiply(0.5, b, out=b)
             filled = k + 1
     finally:
         if positive:
-            bad = (out[:, 1:filled] <= 0).any(axis=0)
+            bad = (sol[1:filled] <= 0).any(axis=1)
             if bad.any():
                 raise PositivityError(f"nonpositive value after step {int(bad.argmax()) + 1}") from None
 
 
-def _newton_steps(out, x, drivers, steps, dt, f, dfdx, positive) -> None:
-    """Fill ``out[:, 1:]`` from ``x`` = x_0, solving F(x) = x - dt f(t, x) - b = 0 each step.
+def _newton_steps(sol, steps, dt, f, dfdx, positive) -> None:
+    """Turn each increment row ``sol[k]`` into x_k, solving F(x) = x - dt f(t, x) - b = 0.
 
     Newton starts from ``b`` plus the previous step's dt f (0 on the first
     step), at least x_prev / 2 on the positive domain.  A convex drift makes
@@ -338,10 +354,11 @@ def _newton_steps(out, x, drivers, steps, dt, f, dfdx, positive) -> None:
     root below the tolerance stays positive.
     """
     asarray, maximum, copyto, count = np.asarray, np.maximum, np.copyto, np.count_nonzero
+    x = sol[0]
     n_paths = x.size
     increment = 0.0  # the last step's dt f(t, x)
     for k, t in steps:
-        b = x + (drivers[:, k] - drivers[:, k - 1])
+        b = x + sol[k]
         start = b + increment
         x = maximum(start, 0.5 * x) if positive else start
         res = x - dt * asarray(f(t, x), dtype=np.float64) - b
@@ -375,7 +392,7 @@ def _newton_steps(out, x, drivers, steps, dt, f, dfdx, positive) -> None:
         # a nonpositive iterate would be fed to f on the next step
         if positive and count(x <= 0):
             raise PositivityError(f"nonpositive value after step {k}")
-        out[:, k] = x
+        sol[k] = x
 
 
 def solve_pathwise(x0: float, drift: DriftSpec, driver: SamplePath) -> SamplePath:

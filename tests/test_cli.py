@@ -205,14 +205,23 @@ class TestCliProcess:
         assert len(lines) == 18 and all(line.count(",") == 3 for line in lines)
 
     def test_wide_is_no_option(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--wide", "--output-dir", str(tmp_path / "flag")])
-        assert exc.value.code == 2 and "--wide" in capsys.readouterr().err
+        assert main(["simulate", "--wide", "--output-dir", str(tmp_path / "flag")]) == 2
+        assert "--wide" in capsys.readouterr().err
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("wide = true\n")
         assert main(["simulate", "--config", str(cfg_file), "--output-dir", str(tmp_path / "file")]) == 2
         assert "unknown key 'wide'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_flag_without_its_value_returns_2(self, tmp_path, capsys):
+        # argparse's usage errors come back as main's return value, like every other usage error
+        assert main(["simulate", "--output-dir", str(tmp_path / "out"), "--n-paths"]) == 2
+        assert "--n-paths" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_returns_0(self, capsys):
+        assert main(["simulate", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ")
 
     def test_experiment_mismatch_between_flag_and_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -760,6 +769,31 @@ def test_a_flipped_comparator_fails_the_recheck(tmp_path, monkeypatch, comparato
     monkeypatch.setitem(cli._COMPARATORS, comparator, opposite)
     wrong, _ = _recheck_runs(tmp_path, stop_at_first=True)
     assert wrong, f"flipping {comparator!r} left every report consistent"
+
+
+# Every experiment that solves, and Newton runs of two that reduce along the
+# time axis.
+_SOLVING_RUNS = [[e, *a] for e, a in _RECHECK_RUNS.items() if e != "fbm-sample"] + [
+    ["simulate", "--n-paths", "5", "--n-steps", "16", "--drift", "power", "--singularity-exponent", "0.5"],
+    ["verify-bound", "--n-paths", "5", "--n-steps", "16", "--drift", "power", "--singularity-exponent", "1.5"],
+]
+
+
+@pytest.mark.parametrize("args", _SOLVING_RUNS, ids=["-".join(a[:1] + a[6::2]) for a in _SOLVING_RUNS])
+def test_no_artifact_depends_on_the_solution_layout(args, tmp_path, monkeypatch):
+    # solve_batch returns Fortran-ordered rows; C-ordered copies of them must
+    # give the same bytes, or some consumer sums in an order its layout sets
+    solve, calls = solver.solve_batch, []
+
+    def c_ordered(*solve_args):
+        calls.append(solve_args)
+        return np.ascontiguousarray(solve(*solve_args))
+
+    as_returned = _run_in(tmp_path / "as-returned", monkeypatch, args)
+    for module in (solver, verify, malliavin):
+        monkeypatch.setattr(module, "solve_batch", c_ordered)
+    assert as_returned[0] in (0, 1)
+    assert _run_in(tmp_path / "c-ordered", monkeypatch, args) == as_returned and calls
 
 
 def test_terminal_variance_prints_its_null_law_threshold(tmp_path):

@@ -694,6 +694,39 @@ def test_solve_batch_is_bit_identical_to_the_reference_step_loop():
         assert solve_batch(x0, drift, drivers, times).tobytes() == want.tobytes(), name
 
 
+_ROUTES = pytest.mark.parametrize(
+    "drift", [reciprocal_drift(1.0), power_drift(1.0, 0.0, 1.5)], ids=["closed-form", "newton"]
+)
+
+
+@_ROUTES
+def test_solve_batch_reads_drivers_in_any_layout(drift):
+    # the increments are read through transposed views of the drivers, which
+    # ufuncs must take whatever the drivers' strides
+    spec = FbmSpec(0.75, n_steps=256, seed=7)
+    fine, step = sample_fbm_batch(spec, 6), 4
+    times = spec.times[::step]
+    drivers = np.ascontiguousarray(fine[:, ::step])
+    want = solve_batch(1.0, drift, drivers, times)
+    views = {
+        "fortran": np.asfortranarray(drivers),
+        "strided": fine[:, ::step],
+        "transposed": np.ascontiguousarray(drivers.T).T,
+    }
+    for name, view in views.items():
+        assert solve_batch(1.0, drift, view, times).tobytes() == want.tobytes(), name
+    assert solve_batch(1.0, drift, drivers[None, 0], times).tobytes() == want[:1].tobytes()
+
+
+@_ROUTES
+def test_solve_batch_returns_its_time_major_buffer_transposed(drift):
+    # a copy back to path-major rows would make the transpose non-contiguous
+    spec = FbmSpec(0.75, n_steps=64, seed=7)
+    for n_paths in (1, 5):
+        sols = solve_batch(1.0, drift, sample_fbm_batch(spec, n_paths), spec.times)
+        assert sols.shape == (n_paths, 65) and sols.T.flags.c_contiguous
+
+
 def test_newton_calls_the_drift_as_the_reference_does():
     # every f and dfdx call, in order, at the same time and the same iterate
     drift, drivers, times = _bound_audit_block()
