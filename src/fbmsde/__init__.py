@@ -6,17 +6,12 @@ from .fbm import (
     FbmSpec,
     embed_direction,
     grid_inner_product,
-    hurst_covariance,
     inner_product,
-    sample_fbm,
     sample_fbm_batch,
 )
 from .fraccalc import (
     default_ibp_order,
-    frac_deriv_left,
-    frac_deriv_right,
     holder_seminorm,
-    sup_norm,
     young_integral,
 )
 from .solver import (
@@ -31,7 +26,6 @@ from .solver import (
     residual_defect,
     scaled_drift,
     solve_batch,
-    solve_pathwise,
 )
 from .verify import (
     HomogeneityError,

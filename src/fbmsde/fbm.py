@@ -33,8 +33,6 @@ from .paths import SamplePath, StepFunction
 __all__ = [
     "FbmSpec",
     "FbmSamplingError",
-    "hurst_covariance",
-    "sample_fbm",
     "sample_fbm_batch",
     "inner_product",
     "grid_inner_product",
@@ -87,16 +85,6 @@ class FbmSpec:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
 
-def hurst_covariance(s: float, t: float, hurst: float) -> float:
-    """Covariance R(s, t) = (t^{2H} + s^{2H} - |t-s|^{2H}) / 2."""
-    if s < 0 or t < 0:
-        raise ValueError("times must be nonnegative")
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
-    h2 = 2.0 * hurst
-    return 0.5 * (t**h2 + s**h2 - abs(t - s) ** h2)
-
-
 def _fgn_autocovariance(hurst: float, n_lags: int) -> np.ndarray:
     """Autocovariance of unit-step fractional Gaussian noise at lags 0 .. n_lags - 1."""
     k = np.arange(n_lags, dtype=np.float64)
@@ -125,14 +113,6 @@ def _philox_state(pair: int, seed: int) -> dict:
     """The state ``Philox(key=[pair, seed])`` starts in: counter zero, empty buffer."""
     ctr = {"counter": [0, 0, 0, 0], "key": [pair, seed]}
     return dict(bit_generator="Philox", state=ctr, buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0)
-
-
-def sample_fbm(spec: FbmSpec) -> SamplePath:
-    """Draw one fractional Brownian path with the exact grid law: row 0 of a 1-path batch.
-
-    Identical spec (including seed) yields a bit-identical path.
-    """
-    return SamplePath(spec.times, sample_fbm_batch(spec, 1)[0], holder_hint=spec.hurst)
 
 
 def sample_fbm_batch(spec: FbmSpec, n_paths: int, first_row: int = 0) -> np.ndarray:

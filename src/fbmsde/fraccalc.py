@@ -1,10 +1,12 @@
 """Hölder-space numerics and compensated fractional derivatives.
 
-Supplies the sup norm and Hölder seminorm on grid paths, the left and right
-compensated Riemann-Liouville derivatives, and the pathwise product integral
-of y against a rough driver phi evaluated through fractional integration by
-parts.  The tests check that integral against a plain left-point
-Riemann-Stieltjes sum.
+Supplies the Hölder seminorm on grid paths and the pathwise product integral
+of y against a rough driver phi, evaluated through fractional integration by
+parts: the integral of the left compensated Riemann-Liouville derivative of y
+times the right one of phi.  The two derivatives are computed only inside
+that integral, by the private tails below.  The tests check the integral
+against a plain left-point Riemann-Stieltjes sum, and the derivatives, read
+from the same tails, against closed forms.
 
 The singular tail integrals are computed by product integration: each grid
 cell contributes the exact integral of its local quadratic reconstruction
@@ -33,10 +35,7 @@ import numpy as np
 from .paths import GridError, SamplePath
 
 __all__ = [
-    "sup_norm",
     "holder_seminorm",
-    "frac_deriv_left",
-    "frac_deriv_right",
     "young_integral",
     "default_ibp_order",
     "OrderValidityWarning",
@@ -53,12 +52,6 @@ _SNAP = 1e-12
 
 class OrderValidityWarning(UserWarning):
     """The fractional order lies outside the admissible window for the inputs."""
-
-
-def sup_norm(x: SamplePath, s: float, t: float) -> float:
-    """Maximum of |x| over the grid points inside [s, t]."""
-    i, j = x.slice_indices(s, t)
-    return float(np.max(np.abs(x.values[i : j + 1])))
 
 
 @functools.lru_cache(maxsize=32)
@@ -277,40 +270,6 @@ def _check_inputs(order: float, path: SamplePath) -> None:
         raise ValueError(f"fractional order must lie in (0, 1), got {order}")
     if path.times.size < 3:
         raise GridError("the quadratic reconstruction needs a grid of at least 3 points")
-
-
-def frac_deriv_left(y: SamplePath, s: float, u: float, order: float) -> float:
-    """Left compensated fractional derivative of order ``order`` at u on [s, u].
-
-    Value: [ y(u) (u-s)^{-order}
-             + order * integral_s^u (y(u)-y(r)) (u-r)^{-order-1} dr ] / Gamma(1-order).
-    """
-    _check_inputs(order, y)
-    i_s = y.index_of(s)
-    if u <= s:
-        raise ValueError("u must exceed s")
-    if u > y.horizon + 1e-12:
-        raise GridError(f"u={u} beyond the grid span")
-    u, y_u = _interp3(y.times, y.values, u)
-    tail = _left_tail(y.times, y.values, i_s, u, y_u, order)
-    return (y_u * (u - s) ** (-order) + order * tail) / math.gamma(1.0 - order)
-
-
-def frac_deriv_right(phi: SamplePath, u: float, t: float, order: float) -> float:
-    """Right compensated fractional derivative of order ``1 - order`` at u on [u, t].
-
-    Real-valued convention (see module docstring):
-    -[ (phi(u)-phi(t)) (t-u)^{order-1}
-       + (1-order) * integral_u^t (phi(u)-phi(r)) (r-u)^{order-2} dr ] / Gamma(order).
-    Vanishes for constant phi and tends to 0 as u -> t on Hölder paths.
-    """
-    _check_inputs(order, phi)
-    i_t = phi.index_of(t)
-    if u >= t:
-        raise ValueError("u must be below t")
-    if u < -1e-12:
-        raise GridError("u below the grid span")
-    return _right_value(phi.times, phi.values, u, i_t, order)
 
 
 def default_ibp_order(beta_driver: float, beta_integrand: float) -> float:

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .paths import SamplePath, _check_uniform_grid
+from .paths import _check_uniform_grid
 
 __all__ = [
     "DriftSpec",
@@ -49,7 +49,6 @@ __all__ = [
     "bessel_drift",
     "scaled_drift",
     "check_drift_assumptions",
-    "solve_pathwise",
     "solve_batch",
     "eval_along_path",
     "cumulative_along_path",
@@ -304,22 +303,23 @@ def solve_batch(x0, drift: DriftSpec, driver_values: np.ndarray, times: np.ndarr
     if drift.inverse_coeff is None:
         _newton_steps(sol, steps, dt, drift.f, drift.dfdx, positive)
     else:
-        _closed_form_steps(sol, steps, dt, drift.inverse_coeff, positive)
+        _closed_form_steps(sol, drivers, steps, dt, drift.inverse_coeff, positive)
     return sol.T
 
 
-def _closed_form_steps(sol, steps, dt, coeff, positive) -> None:
+def _closed_form_steps(sol, drivers, steps, dt, coeff, positive) -> None:
     """Turn each increment row ``sol[k]`` into x_k, the root of x - dt c(t)/x = b.
 
     b = x_{k-1} + increment, and the root is (b + sqrt(b^2 + 4 dt c)) / 2,
-    computed in place in the row with one scratch vector.  The step never
-    divides by x, so one check over the solved rows names the first
-    nonpositive step, even when a later step raised first.
+    computed in place in the row with one scratch vector.  That form cancels
+    when b < 0, which ``_resolve_small_roots`` mends after the loop, path by
+    path.  The step never divides by x, so one check over the solved rows
+    names the first nonpositive step, even when a later step raised first.
     """
     add, multiply, sqrt = np.add, np.multiply, np.sqrt
     x = sol[0]
     scratch = np.empty_like(x)
-    filled = 1  # rows of ``sol`` solved so far
+    coeffs = []  # c(t_k) of each solved step k = 1, 2, ...
     try:
         for k, t in steps:
             b = add(x, sol[k], out=sol[k])
@@ -331,12 +331,44 @@ def _closed_form_steps(sol, steps, dt, coeff, positive) -> None:
             sqrt(scratch, out=scratch)
             add(b, scratch, out=b)
             x = multiply(0.5, b, out=b)
-            filled = k + 1
+            coeffs.append(c)
     finally:
         if positive:
-            bad = (sol[1:filled] <= 0).any(axis=1)
-            if bad.any():
-                raise PositivityError(f"nonpositive value after step {int(bad.argmax()) + 1}") from None
+            _resolve_small_roots(sol, drivers, dt, coeffs)
+
+
+def _resolve_small_roots(sol, drivers, dt, coeffs) -> None:
+    """Re-solve each path that had a step with b <= 0 without cancellation, then check positivity.
+
+    The root satisfies x^2 = b x + dt c, so x_k^2 <= dt c_k flags every
+    solved step with b_k <= 0, and x_k = 0 too.  The scan tests it as
+    x_k <= sqrt(dt c_k), the same on x >= 0, which needs no temporary but the
+    flags.  When b < 0 and b^2 swamps 4 dt c, (b + sqrt(b^2 + 4 dt c)) / 2
+    rounds towards 0, while the same root as 2 dt c / (sqrt(b^2 + 4 dt c) - b)
+    keeps its digits.  A flagged path is solved again from x0 on its own
+    increments, by that form where b < 0 and by the loop's form, bit for bit,
+    elsewhere.  A value <= 0 left after that raises ``PositivityError`` naming
+    its step; no unflagged path holds one.
+    """
+    n = len(coeffs)
+    solved = sol[1 : n + 1]
+    flagged = (solved <= np.sqrt(dt * np.array(coeffs))[:, None]).any(axis=0)
+    if not flagged.any():
+        return
+    paths = np.flatnonzero(flagged)
+    increments = drivers[paths, 1 : n + 1] - drivers[paths, :n]
+    x = sol[0, paths]
+    for k, c in enumerate(coeffs, start=1):
+        b = x + increments[:, k - 1]
+        root = np.sqrt(b * b + 4.0 * dt * c)
+        neg = b < 0
+        x = np.empty_like(b)
+        x[~neg] = 0.5 * (b[~neg] + root[~neg])
+        x[neg] = 2.0 * dt * c / (root[neg] - b[neg])
+        sol[k, paths] = x
+    bad = (solved[:, paths] <= 0).any(axis=1)
+    if bad.any():
+        raise PositivityError(f"nonpositive value after step {int(bad.argmax()) + 1}") from None
 
 
 def _newton_steps(sol, steps, dt, f, dfdx, positive) -> None:
@@ -393,12 +425,6 @@ def _newton_steps(sol, steps, dt, f, dfdx, positive) -> None:
         if positive and count(x <= 0):
             raise PositivityError(f"nonpositive value after step {k}")
         sol[k] = x
-
-
-def solve_pathwise(x0: float, drift: DriftSpec, driver: SamplePath) -> SamplePath:
-    """Solve one path of x' = f(t, x) + phi'; strictly positive for repulsive drifts."""
-    values = solve_batch(x0, drift, driver.values[None, :], driver.times)[0]
-    return SamplePath(driver.times, values, holder_hint=driver.holder_hint)
 
 
 def eval_along_path(fn: Callable, times: np.ndarray, values: np.ndarray) -> np.ndarray:

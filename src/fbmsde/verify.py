@@ -22,7 +22,6 @@ from .solver import DriftSpec, scaled_drift, solve_batch
 __all__ = [
     "MomentReport",
     "ScalingSpec",
-    "StabilityReport",
     "HomogeneityError",
     "ibp_constant",
     "admissible_order_window",
@@ -348,12 +347,7 @@ class StabilityEntry:
     std_error: float
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    entries: tuple[StabilityEntry, ...]
-
-
-def empirical_moment_stability(sup_norms: np.ndarray, orders) -> StabilityReport:
+def empirical_moment_stability(sup_norms: np.ndarray, orders) -> tuple[StabilityEntry, ...]:
     """Half-batch estimates of E[sup-norm^p] and the standard error of their difference.
 
     A finiteness proxy: true integrability is not decidable from samples, but
@@ -370,7 +364,7 @@ def empirical_moment_stability(sup_norms: np.ndarray, orders) -> StabilityReport
         m1, m2 = float(np.mean(pa)), float(np.mean(pb))
         se = math.sqrt((np.var(pa, ddof=1) + np.var(pb, ddof=1)) / half)
         entries.append(StabilityEntry(p, m1, m2, se))
-    return StabilityReport(tuple(entries))
+    return tuple(entries)
 
 
 # Bytes of driver increments sampled and solved per block: 1,024 rows at

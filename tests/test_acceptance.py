@@ -11,12 +11,8 @@ import numpy as np
 import pytest
 
 from fbmsde.cli import main as cli_main
-from fbmsde.fbm import FbmSpec, hurst_covariance, sample_fbm_batch
-from fbmsde.fraccalc import (
-    frac_deriv_left,
-    frac_deriv_right,
-    young_integral,
-)
+from fbmsde.fbm import FbmSpec, sample_fbm_batch
+from fbmsde.fraccalc import young_integral
 from fbmsde.malliavin import derivative_report
 from fbmsde.paths import SamplePath, StepFunction
 from fbmsde.solver import (
@@ -25,7 +21,6 @@ from fbmsde.solver import (
     power_drift,
     reciprocal_drift,
     solve_batch,
-    solve_pathwise,
 )
 from fbmsde.verify import (
     check_negative_moments,
@@ -40,6 +35,7 @@ from fbmsde.verify import (
 )
 
 from drifts import zero_drift
+from oracles import frac_deriv_left, frac_deriv_right, hurst_covariance, solve_pathwise
 # the Cholesky reference sampler lives with the fbm tests, and the
 # Riemann-Stieltjes oracle of young_integral with the fraccalc tests
 from test_fbm import cholesky_rows

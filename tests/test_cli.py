@@ -1,6 +1,7 @@
 """Config parsing, report determinism, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import operator
@@ -779,7 +780,12 @@ _SOLVING_RUNS = [[e, *a] for e, a in _RECHECK_RUNS.items() if e != "fbm-sample"]
 ]
 
 
-@pytest.mark.parametrize("args", _SOLVING_RUNS, ids=["-".join(a[:1] + a[6::2]) for a in _SOLVING_RUNS])
+def _run_id(args: list) -> str:
+    """The experiment, then the value of each flag after the run size: ``verify-bound-power-1.5``."""
+    return "-".join(args[:1] + args[6::2])
+
+
+@pytest.mark.parametrize("args", _SOLVING_RUNS, ids=map(_run_id, _SOLVING_RUNS))
 def test_no_artifact_depends_on_the_solution_layout(args, tmp_path, monkeypatch):
     # solve_batch returns Fortran-ordered rows; C-ordered copies of them must
     # give the same bytes, or some consumer sums in an order its layout sets
@@ -794,6 +800,45 @@ def test_no_artifact_depends_on_the_solution_layout(args, tmp_path, monkeypatch)
         monkeypatch.setattr(module, "solve_batch", c_ordered)
     assert as_returned[0] in (0, 1)
     assert _run_in(tmp_path / "c-ordered", monkeypatch, args) == as_returned and calls
+
+
+# SHA-256 of report.txt and of every CSV of each recheck run and of the two
+# Newton runs.  A refactor must leave these bytes alone; a change that moves
+# them on purpose re-takes the digests and says so.  The fBm bits come from
+# numpy's FFT, which changed in numpy 2.0, so they hold on numpy >= 2.0 only.
+_ARTIFACT_RUNS = [[e, *a] for e, a in _RECHECK_RUNS.items()] + _SOLVING_RUNS[-2:]
+_ARTIFACT_SHA256 = {
+    "simulate": {
+        "paths.csv": "daffaa7f924b4286be8b39fbcb8ac72bd875e60be0e45ba0b7db1b3fb4f7641d",
+        "report.txt": "893157017e76a883af070f1c5e831acb4efee6cad5f5bf80b2a8443a43e802ce",
+    },
+    "verify-bound": {"report.txt": "54ee688f880ea3e2c4cf073b9c9103e23cdf6187175778ec6808ff32e272382f"},
+    "fbm-sample": {
+        "paths.csv": "f24b8c8f1308af12c9e295eac4d41cc969cd664b74044e43d2f7106c93c89a69",
+        "report.txt": "e293de65316ab8c119aef7b8aeb45037ce1a86b0e1dab00ad7d784121e7f4a17",
+    },
+    "neg-moments": {"report.txt": "cc726c58b1c72133a8d4389aa40025d239cc1c7e674ccb6aa52f3bc0332c3920"},
+    "moments": {"report.txt": "e6038da564fb43cf9a6a3ac0aea31ac1a7e4dbd19afe1366b9ea989a21b52596"},
+    "scaling-bessel": {"report.txt": "f66f74c38a2be507990bb187c731f394e1fd197f94f32c49af4de6dbc49b0d34"},
+    "malliavin": {"report.txt": "a0175d1c31dc9d48d654cffb20863c4acb6fbf2b77145d601f3c2e93773bc315"},
+    "cir": {
+        "cir_smooth_paths.csv": "64fc8967d27e9f4480173f5d1b4aab0482ecff18d6fb0e263f3be790a3cb4386",
+        "report.txt": "e536d6bf95eda0bdd9d95317de611c3d897911a6a4ef1c049cc2d6a900661935",
+    },
+    "simulate-power-0.5": {
+        "paths.csv": "40cb85b1f384f5f5b203efafba020a470b4d2a210f2ffc8f79a4b133aa634f64",
+        "report.txt": "3bdbab0f2af157941cd9f7b4c99f60b2ba2e7f4af5e5b23dc918dac260116d76",
+    },
+    "verify-bound-power-1.5": {"report.txt": "af8f24084de85b11e10f6c836dd55460ca405cb093e14a779944c0c60cea8c19"},
+}
+
+
+@pytest.mark.parametrize("args", _ARTIFACT_RUNS, ids=map(_run_id, _ARTIFACT_RUNS))
+def test_artifacts_are_pinned(args, tmp_path, monkeypatch):
+    code, files = _run_in(tmp_path / "run", monkeypatch, args)
+    assert code == 0
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    assert digests == _ARTIFACT_SHA256[_run_id(args)]
 
 
 def test_terminal_variance_prints_its_null_law_threshold(tmp_path):

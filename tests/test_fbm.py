@@ -13,13 +13,13 @@ from fbmsde.fbm import (
     _philox_state,
     embed_direction,
     grid_inner_product,
-    hurst_covariance,
     inner_product,
-    sample_fbm,
     sample_fbm_batch,
 )
 from fbmsde.fraccalc import holder_seminorm
 from fbmsde.paths import StepFunction
+
+from oracles import hurst_covariance, sample_fbm
 
 
 class TestCovariance:

@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 
 from fbmsde import fraccalc
-from fbmsde.fbm import FbmSpec, sample_fbm, sample_fbm_batch
+from fbmsde.fbm import FbmSpec, sample_fbm_batch
 from fbmsde.fraccalc import (
     OrderValidityWarning,
     default_ibp_order,
-    frac_deriv_left,
-    frac_deriv_right,
     holder_seminorm,
-    sup_norm,
     young_integral,
 )
 from fbmsde.paths import GridError, SamplePath
+
+from oracles import frac_deriv_left, frac_deriv_right, sample_fbm, sup_norm
 
 
 def _path(fn, n, horizon=1.0, hint=1.0):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fbmsde.fbm import FbmSpec, hurst_covariance, inner_product, sample_fbm, sample_fbm_batch
+from fbmsde.fbm import FbmSpec, inner_product, sample_fbm_batch
 from fbmsde.malliavin import ExtrapolationWarning, derivative_report
 from fbmsde.paths import SamplePath, StepFunction
 from fbmsde.solver import (
@@ -16,10 +16,10 @@ from fbmsde.solver import (
     power_drift,
     reciprocal_drift,
     solve_batch,
-    solve_pathwise,
 )
 
 from drifts import zero_drift
+from oracles import hurst_covariance, sample_fbm, solve_pathwise
 
 
 def _flat_driver(n, horizon=1.0):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fbmsde.fbm import FbmSpec, sample_fbm, sample_fbm_batch
+from fbmsde.fbm import FbmSpec, sample_fbm_batch
 from fbmsde.fraccalc import holder_seminorm, young_integral
 from fbmsde import solver
 from fbmsde.paths import SamplePath
@@ -23,10 +23,10 @@ from fbmsde.solver import (
     residual_defect,
     scaled_drift,
     solve_batch,
-    solve_pathwise,
 )
 
 from drifts import zero_drift
+from oracles import sample_fbm, solve_pathwise
 
 
 def _flat_driver(n, horizon=1.0):
@@ -541,22 +541,42 @@ class TestImplicitStepErrors:
         assert sol[0, 1] == 0.0
 
 
+def _zero_coefficient_at_half(later: float) -> DriftSpec:
+    """c(t)/x with c = 1 before t = 0.5, c = 0 at it and ``later`` after: there x = max(b, 0)."""
+    coeff = lambda t: 1.0 if t < 0.5 else 0.0 if t == 0.5 else later
+    return replace(reciprocal_drift(1.0), inverse_coeff=coeff)
+
+
 class TestPositivityError:
     # Both routes run on repulsive drifts that keep exact roots positive; the
-    # error fires only where rounding lands on 0 or below.
+    # error fires only where the root is 0 or rounding lands on 0 or below.
 
     @pytest.mark.parametrize("later_step_raises", [False, True], ids=["plain", "later-error"])
     def test_closed_form_step_rounding_to_zero(self, later_step_raises):
-        # step 2 jumps by -1e10: b^2 = 1e20 swamps 4 dt c = 1, so
-        # sqrt(b^2 + 4 dt c) rounds to |b| and x = (b + |b|) / 2 is exactly 0
-        drift = reciprocal_drift(1.0)
-        if later_step_raises:
-            # step 3 then has a negative coefficient; the earlier step is named
-            drift = replace(drift, inverse_coeff=lambda t: 1.0 if t <= 0.5 else -1.0)
+        # step 2 jumps by -1e10 on a 4-step grid (dt 0.25)
         drivers = np.zeros((2, 5))
         drivers[0, 2:] = -1e10
+        times = np.linspace(0.0, 1.0, 5)
+        if not later_step_raises:
+            # b^2 = 1e20 swamps 4 dt c = 1, so (b + sqrt(b^2 + 4 dt c)) / 2
+            # rounds to exactly 0; the root is dt c / |b| to a relative 1e-20
+            x = solve_batch(1.0, reciprocal_drift(1.0), drivers, times)[0]
+            assert x[2] == pytest.approx(0.25 / (1e10 - x[1]), rel=1e-12)
+        # with c = 0 at step 2 the root really is 0; in the later-error case
+        # step 3's coefficient is negative, and the earlier step is named
+        drift = _zero_coefficient_at_half(-1.0 if later_step_raises else 1.0)
         with pytest.raises(solver.PositivityError, match=r"^nonpositive value after step 2$"):
-            solve_batch(1.0, drift, drivers, np.linspace(0.0, 1.0, 5))
+            solve_batch(1.0, drift, drivers, times)
+
+    def test_stable_form_is_taken_only_where_b_is_negative(self):
+        # c = 0 on step 1, where b = 1: there 2 dt c / (sqrt(b^2 + 4 dt c) - b)
+        # would be 0 / 0; step 2's jump of -1e10 sends the path to the stable form
+        drift = replace(reciprocal_drift(1.0), inverse_coeff=lambda t: 0.0 if t == 0.25 else 1.0)
+        drivers = np.zeros((1, 5))
+        drivers[0, 2:] = -1e10
+        x = solve_batch(1.0, drift, drivers, np.linspace(0.0, 1.0, 5))[0]
+        assert x[1] == 1.0
+        assert x[2] == pytest.approx(0.25 / (1e10 - 1.0), rel=1e-12)
 
     def test_newton_final_correction_overshooting_zero(self):
         # dt f = 1e-40 / x^2 with b = -5e-11 on step 2 puts the root near
@@ -593,7 +613,13 @@ def _reference_step(drift, t, b, x_prev, dt, increment):
         c = drift.inverse_coeff(t)
         if c < 0:
             raise solver.SolverError(f"inverse coefficient negative at t={t}")
-        return 0.5 * (b + np.sqrt(b * b + 4.0 * dt * c))
+        root = np.sqrt(b * b + 4.0 * dt * c)
+        # (b + root) / 2 cancels where b < 0; there the root is 2 dt c / (root - b)
+        neg = b < 0
+        x = np.empty_like(b)
+        x[~neg] = 0.5 * (b[~neg] + root[~neg])
+        x[neg] = 2.0 * dt * c / (root[neg] - b[neg])
+        return x
 
     def residual(x):
         return x - dt * np.asarray(drift.f(t, x), dtype=np.float64) - b
@@ -752,10 +778,10 @@ def test_newton_calls_the_drift_as_the_reference_does():
          np.array([0.0, 1.0])),
         (1.0, replace(reciprocal_drift(1.0), inverse_coeff=lambda t: 1.0 if t <= 0.5 else -1.0),
          np.zeros((2, 5)), np.linspace(0.0, 1.0, 5)),
-        (1.0, reciprocal_drift(1.0), np.array([[0.0, 0.0, -1e10, -1e10, -1e10]] * 2),
+        (1.0, _zero_coefficient_at_half(1.0), np.array([[0.0, 0.0, -1e10, -1e10, -1e10]] * 2),
          np.linspace(0.0, 1.0, 5)),
-        (1.0, replace(reciprocal_drift(1.0), inverse_coeff=lambda t: 1.0 if t <= 0.5 else -1.0),
-         np.array([[0.0, 0.0, -1e10, -1e10, -1e10]] * 2), np.linspace(0.0, 1.0, 5)),
+        (1.0, _zero_coefficient_at_half(-1.0), np.array([[0.0, 0.0, -1e10, -1e10, -1e10]] * 2),
+         np.linspace(0.0, 1.0, 5)),
         (1.0, replace(power_drift(1.0, 0.0, 1.5), f=lambda t, x: 1 / 0), np.zeros((1, 3)),
          np.linspace(0.0, 1.0, 3)),
     ],

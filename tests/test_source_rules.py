@@ -1,6 +1,6 @@
 """Source rules for the library: errors are never swallowed, validation never uses assert,
-every exported name exists, the package imports only exported names, and nothing runs
-concurrently."""
+every exported name exists and is used by the package, the package imports only exported
+names, and nothing runs concurrently."""
 
 import ast
 from pathlib import Path
@@ -27,17 +27,23 @@ def _violations(tree: ast.AST) -> list[str]:
     return found
 
 
+def _defines(node: ast.stmt) -> set[str]:
+    """The names a top-level statement defines: a def's or class's name, or an assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
 def _missing_exports(tree: ast.Module) -> list[str]:
     """Names in the module's ``__all__`` that no top-level def, class or assignment defines."""
     defined, exported = set(), []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined.add(node.name)
-        elif isinstance(node, ast.Assign):
-            names = {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-            defined |= names
-            if "__all__" in names:
-                exported = ast.literal_eval(node.value)
+        names = _defines(node)
+        defined |= names
+        if "__all__" in names:
+            exported = ast.literal_eval(node.value)
     return [name for name in exported if name not in defined]
 
 
@@ -50,6 +56,43 @@ def _all_of(module: str) -> list[str]:
         ):
             return ast.literal_eval(node.value)
     return []
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Every name an ``ast.Name`` or ``ast.Attribute`` under ``node`` reads or writes."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _unreferenced_exports(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` for each name in a module's ``__all__`` that no code of the package references.
+
+    A reference is an ``ast.Name`` or an ``ast.Attribute`` of that name in any
+    module, outside the name's own top-level definition and the export lists:
+    ``__all__`` itself, and the package's imports, which are aliases, not names.
+    """
+    exported = {
+        module: ast.literal_eval(node.value)
+        for module, tree in trees.items()
+        for node in tree.body
+        if "__all__" in _defines(node)
+    }
+    # (module, names the statement defines, names it references) per top-level statement
+    uses = [
+        (module, _defines(node), _references(node))
+        for module, tree in trees.items()
+        for node in tree.body
+        if "__all__" not in _defines(node)
+    ]
+    return sorted(
+        f"{module}.{name}"
+        for module, names in exported.items()
+        for name in names
+        if not any(name in used and not (at == module and name in defined) for at, defined, used in uses)
+    )
 
 
 def _unexported_imports(init: ast.Module, all_of) -> list[str]:
@@ -96,6 +139,30 @@ def test_every_export_is_defined(path):
 def test_export_rule_catches_a_deleted_definition():
     source = "Z = 1\n__all__ = ['f', 'C', 'Z', 'gone']\ndef f(): pass\nclass C: pass\n"
     assert _missing_exports(ast.parse(source)) == ["gone"]
+
+
+# Public names no library code uses yet, each with the reason it stays public.
+_UNUSED_EXPORTS = {
+    "fbm.inner_product": "perfbench/child.py traces malliavin.inner_product by name, "
+    "so malliavin imports it (an import is no reference) until the tracer drops it",
+    "solver.check_drift_assumptions": "the audit of the paper's drift hypotheses, "
+    "meant for every report that uses a drift; only the tests call it so far",
+}
+
+
+def test_every_export_is_used_by_the_package():
+    # a public function only the tests call belongs with them, as an oracle
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert _unreferenced_exports(trees) == sorted(_UNUSED_EXPORTS)
+
+
+def test_usage_rule_catches_an_unreferenced_name():
+    # g is called and f read as an attribute elsewhere; h only calls itself and is re-exported
+    trees = {
+        "a": ast.parse("__all__ = ['f', 'g', 'h']\ndef f():\n    return g()\ndef g(): pass\ndef h():\n    return h()\n"),
+        "b": ast.parse("from . import a\nfrom .a import h\nx = a.f\n"),
+    }
+    assert _unreferenced_exports(trees) == ["a.h"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
