@@ -232,12 +232,13 @@ def check_negative_moments(
 
     The estimate is the mean over paths.  ``units`` labels each path with
     the independent unit it belongs to (an antithetic pair, say, as
-    ``pair_units`` gives), numbered 0 .. U-1; without labels every path is
-    its own unit.  The standard error is the cluster one over the U units,
-    SE^2 = U/(U-1) sum_u (S_u - n_u mean)^2 / m^2, with S_u and n_u the sum
-    and size of unit u: for one path per unit the usual per-path standard
-    error, for pairs that of the pair means.  Fewer than two units give
-    SE 0.  No bound is claimed when t exceeds the threshold time.  p = 0
+    ``pair_units`` gives), numbered 0 .. U-1 with no number skipped
+    (``ValueError``: an empty unit would still count in U); without labels
+    every path is its own unit.  The standard error is the cluster one over
+    the U units, SE^2 = U/(U-1) sum_u (S_u - n_u mean)^2 / m^2, with S_u and
+    n_u the sum and size of unit u: for one path per unit the usual per-path
+    standard error, for pairs that of the pair means.  Fewer than two units
+    give SE 0.  No bound is claimed when t exceeds the threshold time.  p = 0
     degenerates to the exact value 1.
     """
     xt = np.asarray(terminal_values, dtype=np.float64)
@@ -249,6 +250,8 @@ def check_negative_moments(
     if np.shape(units) != xt.shape:
         raise ValueError(f"units has shape {np.shape(units)}, the values {xt.shape}")
     sums, sizes = np.bincount(units, samples), np.bincount(units)
+    if not np.all(sizes):
+        raise ValueError(f"units skip the labels {np.flatnonzero(sizes == 0).tolist()}: number them 0 .. U-1")
     n_units = sizes.size
     resid_sq = float(np.sum((sums - sizes * estimate) ** 2))
     std_error = math.sqrt(n_units / (n_units - 1) * resid_sq) / m if n_units > 1 else 0.0
@@ -412,15 +415,19 @@ def simulate_paths(
     ``n_points`` columns.  A block holds about ``_BLOCK_BYTES`` of the full
     grid's increments and an even number of rows, so memory stays flat in
     ``n_paths``.  Rows keep their keys whatever the blocks, so no result
-    depends on them.  ``reduce`` must return a new array, not a view of its
-    arguments, or every block it views stays alive until the end.
+    depends on them.  ``reduce`` may not return a view of ``drivers``
+    (``ValueError``): with ``antithetic`` the next block overwrites them.
+    A view of ``solutions`` is allowed but keeps its whole block alive until
+    the end, so a reduction should return a new array unless it keeps every
+    solution anyway (as ``simulate`` does).
 
     With ``antithetic``, path rows 2i and 2i + 1 are sampled row i and its
     negation (the fBm law is symmetric), so ``ceil(n_paths / 2)`` rows are
     sampled; an odd ``n_paths`` leaves the last path unmirrored.  Each pair
     is one independent unit, not two (``pair_units`` labels them).  Blocks
     then hold a multiple of 4 rows, so each block's first sampled row stays
-    even.
+    even.  The mirrored drivers of every block are the leading rows of one
+    buffer, sized for the first block, that lives for the whole call.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -434,17 +441,22 @@ def simulate_paths(
     rows = unit * max(1, _BLOCK_BYTES // (8 * spec.n_steps) // unit)
     sampled = _prefix_spec(spec, n_points)
 
+    # every mirrored block is the leading rows of one buffer, so its pages
+    # are faulted in once per call, not once per block
+    mirrored = np.empty((min(rows, n_paths), n_points)) if antithetic else None
     results = []
     for first_row in range(0, n_paths, rows):
         count = min(rows, n_paths - first_row)
         if antithetic:
-            drivers = np.empty((count, n_points))
+            drivers = mirrored[:count]
             drivers[0::2] = sample_fbm_batch(sampled, (count + 1) // 2, first_row=first_row // 2)[:, :n_points]
             np.negative(drivers[: count - 1 : 2], out=drivers[1::2])
         else:
             drivers = sample_fbm_batch(sampled, count, first_row=first_row)[:, :n_points]
         results.append(reduce(drivers, solve_batch(x0, drift, drivers, times)))
-        del drivers  # freed before the next block is sampled
+        if np.may_share_memory(results[-1], drivers):
+            raise ValueError("reduce returned a view of its drivers; return a new array")
+        del drivers  # the sampler's block is freed before the next one is sampled
         if np.shape(results[-1])[:1] != (count,):
             raise ValueError(f"reduce kept shape {np.shape(results[-1])} from a block of {count} paths")
     return np.concatenate(results)

@@ -360,6 +360,17 @@ class TestClusterStdError:
         with pytest.raises(ValueError, match="units"):
             check_negative_moments(np.ones(4), p=1.0, t=0.2, x0=1.0, k=1.0, hurst=0.75, units=np.zeros(3))
 
+    def test_skipped_labels_are_rejected(self):
+        # labelled [0, 0, 2, 2] the same two pairs would count as three units,
+        # one of them empty, and the standard error would silently shrink
+        values = 1.0 / np.array([1.0, 2.0, 3.0, 4.0])
+        kwargs = dict(p=1.0, t=0.2, x0=1.0, k=1.0, hurst=0.75)
+        rep = check_negative_moments(values, units=np.array([0, 0, 1, 1]), **kwargs)
+        assert rep.std_error > 0.0
+        for units in ([0, 0, 2, 2], [1, 1, 2, 2], [0, 1, 3, 3]):
+            with pytest.raises(ValueError, match="units skip the labels"):
+                check_negative_moments(values, units=np.array(units), **kwargs)
+
     def test_mirrored_pairs_do_not_raise_the_standard_error(self):
         # 2,000 solved paths each way at H 0.75, 256 steps: the pair SE was
         # 0.45-0.50x (t 0.2) and 0.55-0.66x (t 0.4) the independent SE over
@@ -588,17 +599,54 @@ class TestAntitheticDrivers:
 
 def test_streamed_reduction_memory_is_flat_in_n_paths(monkeypatch):
     # a neg-moments-style reduction keeps two columns per block, so its
-    # traced peak is set by one block, not by n_paths
+    # traced peak is set by one block, not by n_paths; the mirrored drivers'
+    # buffer, kept for the whole call, stays one block too
     spec, drift, rows = FbmSpec(hurst=0.75, n_steps=256, seed=8), reciprocal_drift(1.0), 64
     monkeypatch.setattr(verify, "_BLOCK_BYTES", 8 * spec.n_steps * rows)
 
-    def peak(n_blocks: int) -> int:
+    def peak(n_blocks: int, antithetic: bool) -> int:
         tracemalloc.start()
         try:
-            simulate_paths(spec, drift, 1.0, n_blocks * rows, lambda d, s: s[:, [51, 102]], n_points=103)
+            simulate_paths(
+                spec, drift, 1.0, n_blocks * rows, lambda d, s: s[:, [51, 102]], n_points=103, antithetic=antithetic
+            )
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    peak(1)  # fill the eigenvalue cache first
-    assert peak(8) <= 1.3 * peak(2)
+    for antithetic in (False, True):
+        peak(1, antithetic)  # fill the eigenvalue cache first
+        assert peak(8, antithetic) <= 1.3 * peak(2, antithetic)
+
+
+def test_mirrored_blocks_share_one_drivers_buffer(monkeypatch):
+    # blocks of 4, 4 and 3 paths: the odd last block is the leading rows of
+    # the same buffer, with its last row unmirrored
+    spec = FbmSpec(hurst=0.75, n_steps=128, seed=6)
+    one_block = _whole_batch(spec, reciprocal_drift(1.0), 1.0, 11, antithetic=True)
+    monkeypatch.setattr(verify, "_BLOCK_BYTES", 8 * spec.n_steps * 4)
+    blocks = []
+
+    def keep(d, s):
+        blocks.append(d)
+        return _both(d, s)
+
+    rows = simulate_paths(spec, reciprocal_drift(1.0), 1.0, 11, keep, antithetic=True)
+    assert [len(d) for d in blocks] == [4, 4, 3]
+    assert all(d.base is blocks[0].base and d.ctypes.data == blocks[0].ctypes.data for d in blocks)
+    assert blocks[0].base.shape == (4, 129)
+    # each block overwrote the one before, but the rows they gave are intact
+    assert blocks[2].tobytes() == rows[8:, 0].tobytes()
+    for k in (0, 1):
+        assert rows[:, k].tobytes() == one_block[k + 1].tobytes()
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("reduce", [lambda d, s: d, lambda d, s: d[:, -1]], ids=["whole", "a_column"])
+def test_reduce_may_not_return_a_view_of_its_drivers(reduce, antithetic):
+    spec = FbmSpec(0.75, n_steps=16)
+    with pytest.raises(ValueError, match="view of its drivers"):
+        simulate_paths(spec, reciprocal_drift(1.0), 1.0, 5, reduce, antithetic=antithetic)
+    # a view of the solutions is allowed: it only keeps its block alive
+    last = simulate_paths(spec, reciprocal_drift(1.0), 1.0, 5, lambda d, s: s[:, -1], antithetic=antithetic)
+    assert last.shape == (5,)
