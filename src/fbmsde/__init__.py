@@ -10,7 +10,6 @@ from .fbm import (
     sample_fbm_batch,
 )
 from .fraccalc import (
-    default_ibp_order,
     holder_seminorm,
     young_integral,
 )

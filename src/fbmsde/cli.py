@@ -27,12 +27,15 @@ from .paths import GridError, SamplePath, StepFunction
 
 __all__ = ["ExperimentConfig", "Claim", "RunReport", "ConfigError", "parse_config", "run_experiment", "main"]
 
-# The drift families and the keys each one reads; an experiment that reads
-# "drift" reads the keys of the family chosen.
-_DRIFT_KEYS = {
-    "reciprocal": ("drift_k",),
-    "power": ("drift_k", "time_exponent", "singularity_exponent"),
-    "bessel": ("bessel_dimension",),
+# Each drift family's constructor on ``solver``, which checks its arguments,
+# and the config keys it takes, in argument order; an experiment that reads
+# "drift" reads the keys of the family chosen.  The constructor is looked up
+# by name when the drift is built, so a wrapper installed on ``solver`` (the
+# benchmark's drift-call counter) is the one called.
+_DRIFTS = {
+    "reciprocal": (solver.reciprocal_drift.__name__, ("drift_k",)),
+    "power": (solver.power_drift.__name__, ("drift_k", "time_exponent", "singularity_exponent")),
+    "bessel": (solver.bessel_drift.__name__, ("bessel_dimension", "hurst")),
 }
 
 # XORed into the seed of the scaling experiment's comparison batch.  Sampler
@@ -94,17 +97,13 @@ class ExperimentConfig:
             raise ConfigError(f"threads must be 1 (every block is solved on one thread), got {self.threads}")
         if self.method != "circulant_embedding":
             raise ConfigError(f"method must be circulant_embedding (the only sampler), got {self.method!r}")
+        if "drift" in _RUNNERS[self.experiment][1]:
+            self.drift_spec()  # the family's constructor checks the keys it takes
         # The range checks below bind only the keys the experiment reads.
         reads = _keys_read(self.experiment, self.drift)
-        for key in ("n_paths", "drift_k", "singularity_exponent", "x0", "y0", "cir_k", "scale_a"):
+        for key in ("n_paths", "x0", "y0", "cir_k", "scale_a"):
             if key in reads and getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
-        if "drift" in reads and self.drift not in _DRIFT_KEYS:
-            raise ConfigError(f"drift must be one of {tuple(_DRIFT_KEYS)}, got {self.drift!r}")
-        if "time_exponent" in reads and self.time_exponent < 0:
-            raise ConfigError("time_exponent must be nonnegative")
-        if "bessel_dimension" in reads and self.bessel_dimension < 2:
-            raise ConfigError("bessel_dimension must be at least 2")
         if "p_orders" in reads and (not self.p_orders or any(p < 0 for p in self.p_orders)):
             raise ConfigError("p_orders must contain nonnegative values")
         if "p_orders" in reads and len(set(self.p_orders)) < len(self.p_orders):
@@ -119,23 +118,21 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must lie in (0, horizon]")
         if "beta" in reads:
             try:
-                lo, hi = verify.admissible_order_window(self.beta, self.gamma)
+                verify.admissible_order_window(self.beta, self.gamma)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            if lo >= hi:
-                raise ConfigError(
-                    f"empty pairing-order window for beta={self.beta}, gamma={self.gamma}; "
-                    f"need gamma > beta/(2 beta - 1) = {self.beta / (2 * self.beta - 1):.4g}"
-                )
             if not self.beta < self.hurst:
                 raise ConfigError(f"beta must lie in (1/2, hurst), got {self.beta}")
 
     def drift_spec(self) -> solver.DriftSpec:
-        if self.drift == "reciprocal":
-            return solver.reciprocal_drift(self.drift_k)
-        if self.drift == "power":
-            return solver.power_drift(self.drift_k, self.time_exponent, self.singularity_exponent)
-        return solver.bessel_drift(self.bessel_dimension, self.hurst)
+        """The chosen family's drift; an unknown family, or a key its constructor rejects, is a ConfigError."""
+        if self.drift not in _DRIFTS:
+            raise ConfigError(f"drift must be one of {tuple(_DRIFTS)}, got {self.drift!r}")
+        constructor, keys = _DRIFTS[self.drift]
+        try:
+            return getattr(solver, constructor)(*(getattr(self, key) for key in keys))
+        except ValueError as exc:
+            raise ConfigError(f"{self.drift} drift: {exc}") from exc
 
     def fbm_spec(self, horizon: float | None = None, n_steps: int | None = None) -> fbm.FbmSpec:
         return fbm.FbmSpec(
@@ -376,21 +373,15 @@ def _exp_simulate(cfg: ExperimentConfig, out_dir: Path):
     spec = cfg.fbm_spec()
     times = spec.times
     n_defect = min(cfg.n_paths, 16)
-    # The CSV is time-major, so every solution is kept; of the drivers, only
-    # the first n_defect rows, which the defect check reads.
-    kept = []
-
-    def keep(d, s):
-        need = n_defect - sum(map(len, kept))
-        if need > 0:
-            kept.append(d[:need].copy())
-        return s
-
-    solutions = verify.simulate_paths(spec, drift, cfg.x0, cfg.n_paths, keep)
+    # The CSV is time-major, so every solution is kept.  The defect check reads
+    # the first n_defect drivers, drawn again: sampler rows are keyed by index,
+    # so these are the rows the solve streamed.
+    solutions = verify.simulate_paths(spec, drift, cfg.x0, cfg.n_paths, lambda d, s: s)
     min_val = float(np.min(solutions))
     # numpy's max and min, here and in the runners below, pass a NaN on where
     # Python's would drop it, so a NaN claim value fails its claim
-    defects = solver.residual_defect(solutions[:n_defect], drift, np.concatenate(kept), times)
+    drivers = fbm.sample_fbm_batch(spec, n_defect)
+    defects = solver.residual_defect(solutions[:n_defect], drift, drivers, times)
     worst_defect = float(np.max(defects))
     dt = float(times[1] - times[0])
     note = f"trapezoid residual of the integral equation, first {n_defect} paths"
@@ -543,11 +534,11 @@ def _exp_cir(cfg: ExperimentConfig, out_dir: Path):
     # deterministic smooth-driver residual check of the change of variables
     n_smooth = max(cfg.n_steps, 1000)
     smooth = SamplePath.from_function(
-        lambda t: 0.3 * np.sin(2.0 * np.pi * t / cfg.horizon), cfg.horizon, n_smooth, holder_hint=1.0
+        lambda t: 0.3 * np.sin(2.0 * np.pi * t / cfg.horizon), cfg.horizon, n_smooth
     )
     x = solver.solve_batch(x0, drift, smooth.values[None, :], smooth.times)[0]
-    y_path = SamplePath(smooth.times, x**2 / 4.0, holder_hint=1.0)
-    sqrt_y = SamplePath(y_path.times, np.sqrt(y_path.values), holder_hint=1.0)
+    y_path = SamplePath(smooth.times, x**2 / 4.0)
+    sqrt_y = SamplePath(y_path.times, np.sqrt(y_path.values))
     resids = []
     for frac in (0.25, 0.5, 0.75, 1.0):
         t = _snap_down(frac * cfg.horizon, y_path.dt)
@@ -591,7 +582,7 @@ _SOLVE_KEYS = ("drift", "x0")
 # The experiments in subcommand order: each one's runner, whose docstring is
 # its help text, and the keys it reads beyond the shared ones (a key one of its
 # validation checks reads counts); one that reads "drift" reads the chosen
-# family's keys of _DRIFT_KEYS too.  Only these keys are range-checked and
+# family's keys of _DRIFTS too.  Only these keys are range-checked and
 # echoed in its report.
 _RUNNERS = {
     "fbm-sample": (_exp_fbm_sample, ()),
@@ -611,7 +602,7 @@ EXPERIMENTS = tuple(_RUNNERS)
 def _keys_read(experiment: str, drift: str) -> tuple[str, ...]:
     """The config keys ``experiment`` reads at drift family ``drift``, in dataclass order."""
     keys = _RUNNERS[experiment][1]
-    reads = {*_SHARED_KEYS, *keys, *(_DRIFT_KEYS.get(drift, ()) if "drift" in keys else ())}
+    reads = {*_SHARED_KEYS, *keys, *(_DRIFTS[drift][1] if "drift" in keys else ())}
     return tuple(key for key in _KINDS if key in reads)
 
 

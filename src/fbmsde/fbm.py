@@ -231,4 +231,4 @@ def embed_direction(phi: StepFunction, hurst: float, times: np.ndarray) -> Sampl
     b = phi.breakpoints[1:][:, None]
     weights = _rect_weight(a, b, np.zeros_like(t), t, h2)
     values = phi.levels @ weights
-    return SamplePath(np.asarray(times, dtype=np.float64), values, holder_hint=hurst)
+    return SamplePath(np.asarray(times, dtype=np.float64), values)

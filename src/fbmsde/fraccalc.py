@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -37,8 +36,6 @@ from .paths import GridError, SamplePath
 __all__ = [
     "holder_seminorm",
     "young_integral",
-    "default_ibp_order",
-    "OrderValidityWarning",
 ]
 
 # Lags the exact scan handles per vectorised step.
@@ -48,10 +45,6 @@ _LAG_BLOCK = 64
 _ENDPOINT_SPLITS = 32
 
 _SNAP = 1e-12
-
-
-class OrderValidityWarning(UserWarning):
-    """The fractional order lies outside the admissible window for the inputs."""
 
 
 @functools.lru_cache(maxsize=32)
@@ -272,16 +265,6 @@ def _check_inputs(order: float, path: SamplePath) -> None:
         raise GridError("the quadratic reconstruction needs a grid of at least 3 points")
 
 
-def default_ibp_order(beta_driver: float, beta_integrand: float) -> float:
-    """Midpoint of the admissible order window (1 - beta_driver, beta_integrand)."""
-    if 1.0 - beta_driver >= beta_integrand:
-        raise ValueError(
-            "empty order window: need beta_driver + beta_integrand > 1 "
-            f"(got {beta_driver}, {beta_integrand})"
-        )
-    return 0.5 * (1.0 - beta_driver + beta_integrand)
-
-
 def _pairing_nodes(times: np.ndarray, i_s: int, i_t: int) -> np.ndarray:
     dt = times[1] - times[0]
     s, t = times[i_s], times[i_t]
@@ -297,9 +280,10 @@ def young_integral(y: SamplePath, phi: SamplePath, s: float, t: float, order: fl
 
     Evaluates integral_s^t D^order_left y(u) * D^{1-order}_right phi(u) du on
     the shared grid with both endpoint cells refined, integrating the left
-    factor's (u-s)^{-order} singularity in closed form per cell.  Valid when
-    the order lies strictly between 1 - beta(phi) and beta(y); a warning is
-    issued when the paths' ``holder_hint`` exponents contradict that window.
+    factor's (u-s)^{-order} singularity in closed form per cell.  The pairing
+    converges when the order lies strictly between 1 - beta(phi) and beta(y),
+    the Hölder exponents of the driver and the integrand.  The caller chooses
+    it; the sup-norm bound's window is ``verify.admissible_order_window``.
     """
     _check_inputs(order, y)
     if y.times.size != phi.times.size or not np.array_equal(y.times, phi.times):
@@ -307,20 +291,6 @@ def young_integral(y: SamplePath, phi: SamplePath, s: float, t: float, order: fl
     i_s, i_t = y.index_of(s), y.index_of(t)
     if i_t <= i_s:
         raise ValueError("need s < t on the grid")
-    if phi.holder_hint is not None and order <= 1.0 - phi.holder_hint:
-        warnings.warn(
-            f"order {order} <= 1 - driver exponent {phi.holder_hint}; "
-            "the pairing may not converge",
-            OrderValidityWarning,
-            stacklevel=2,
-        )
-    if y.holder_hint is not None and order >= y.holder_hint:
-        warnings.warn(
-            f"order {order} >= integrand exponent {y.holder_hint}; "
-            "the pairing may not converge",
-            OrderValidityWarning,
-            stacklevel=2,
-        )
     a = order
     gamma_left = math.gamma(1.0 - a)
     times = y.times

@@ -48,15 +48,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SamplePath:
-    """A real function sampled on a uniform grid ``0 = t_0 < t_1 < ... < t_n``.
-
-    ``holder_hint`` is an optional exponent the path is expected to satisfy;
-    it is advisory (used for validity warnings), never enforced.
-    """
+    """A real function sampled on a uniform grid ``0 = t_0 < t_1 < ... < t_n``."""
 
     times: np.ndarray
     values: np.ndarray
-    holder_hint: float | None = None
 
     def __post_init__(self) -> None:
         times = np.ascontiguousarray(self.times, dtype=np.float64)
@@ -106,14 +101,10 @@ class SamplePath:
 
     @classmethod
     def from_function(
-        cls,
-        fn: Callable[[np.ndarray], np.ndarray],
-        horizon: float,
-        n_steps: int,
-        holder_hint: float | None = None,
+        cls, fn: Callable[[np.ndarray], np.ndarray], horizon: float, n_steps: int
     ) -> "SamplePath":
         times = np.linspace(0.0, horizon, n_steps + 1)
-        return cls(times, np.asarray(fn(times), dtype=np.float64), holder_hint)
+        return cls(times, np.asarray(fn(times), dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)

@@ -121,8 +121,12 @@ def reciprocal_drift(k: float) -> DriftSpec:
 
 def power_drift(k: float, time_exponent: float, singularity_exponent: float) -> DriftSpec:
     """f(t, x) = k t^p x^{-q}, convex in x; satisfies the growth envelope only for q <= 1."""
-    if k <= 0 or time_exponent < 0 or singularity_exponent <= 0:
-        raise ValueError("need k > 0, time_exponent >= 0, singularity_exponent > 0")
+    if k <= 0:
+        raise ValueError("k must be positive")
+    if time_exponent < 0:
+        raise ValueError("time_exponent must be nonnegative")
+    if singularity_exponent <= 0:
+        raise ValueError("singularity_exponent must be positive")
     p, q = time_exponent, singularity_exponent
     return DriftSpec(
         family="power",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fbm import FbmSpec, sample_fbm_batch
-from .fraccalc import default_ibp_order, holder_seminorm
+from .fraccalc import holder_seminorm
 from .paths import SamplePath
 from .solver import DriftSpec, scaled_drift, solve_batch
 
@@ -43,14 +43,22 @@ __all__ = [
 def admissible_order_window(beta: float, gamma: float) -> tuple[float, float]:
     """Open window (1 - beta, beta(1 - 1/gamma)) of valid pairing orders.
 
-    Empty unless gamma > beta / (2 beta - 1); the bound machinery cannot be
-    assembled outside it.
+    The fractional integration by parts behind the sup-norm bound holds only
+    at an order inside it.  Raises ``ValueError`` when it is empty, that is
+    unless gamma > beta / (2 beta - 1); the bound machinery cannot be
+    assembled there.
     """
     if not 0.5 < beta < 1.0:
         raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
     if gamma <= 2.0:
         raise ValueError(f"gamma must exceed 2, got {gamma}")
-    return 1.0 - beta, beta * (1.0 - 1.0 / gamma)
+    lo, hi = 1.0 - beta, beta * (1.0 - 1.0 / gamma)
+    if lo >= hi:
+        raise ValueError(
+            f"empty pairing-order window for beta={beta}, gamma={gamma}; "
+            f"need gamma > beta/(2 beta - 1) = {beta / (2 * beta - 1):.4g}"
+        )
+    return lo, hi
 
 
 def _beta_fn(x: float, y: float) -> float:
@@ -67,11 +75,11 @@ def ibp_constant(beta: float, gamma: float, order: float | None = None) -> float
     """
     lo, hi = admissible_order_window(beta, gamma)
     if order is None:
-        order = default_ibp_order(beta, beta * (1.0 - 1.0 / gamma))
+        order = 0.5 * (lo + hi)
     if not lo < order < hi:
         raise ValueError(f"order {order} outside the admissible window ({lo}, {hi})")
     a = order
-    beta_int = beta * (1.0 - 1.0 / gamma)
+    beta_int = hi  # the integrand's Hölder exponent, the window's top
     gamma_1ma = math.gamma(1.0 - a)
     c_left = max(1.0 / gamma_1ma, a / ((beta_int - a) * gamma_1ma))
     c_right = (1.0 + (1.0 - a) / (a + beta - 1.0)) / math.gamma(a)

@@ -29,13 +29,13 @@ def hurst_covariance(s: float, t: float, hurst: float) -> float:
 
 def sample_fbm(spec: FbmSpec) -> SamplePath:
     """One fractional Brownian path with the exact grid law: row 0 of a 1-path batch."""
-    return SamplePath(spec.times, sample_fbm_batch(spec, 1)[0], holder_hint=spec.hurst)
+    return SamplePath(spec.times, sample_fbm_batch(spec, 1)[0])
 
 
 def solve_pathwise(x0: float, drift: DriftSpec, driver: SamplePath) -> SamplePath:
     """Solve one path of x' = f(t, x) + phi': row 0 of a one-row ``solve_batch``."""
     values = solve_batch(x0, drift, driver.values[None, :], driver.times)[0]
-    return SamplePath(driver.times, values, holder_hint=driver.holder_hint)
+    return SamplePath(driver.times, values)
 
 
 def sup_norm(x: SamplePath, s: float, t: float) -> float:

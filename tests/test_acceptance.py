@@ -110,8 +110,8 @@ def test_criterion_2_pairing_oracle_equivalence():
         y_fn = lambda t: a1 * np.sin(w1 * t) + a2 * t**2
         p_fn = lambda t: b1 * np.cos(w2 * t) + b2 * t
         got = young_integral(
-            SamplePath.from_function(y_fn, 1.0, n, holder_hint=1.0),
-            SamplePath.from_function(p_fn, 1.0, n, holder_hint=1.0),
+            SamplePath.from_function(y_fn, 1.0, n),
+            SamplePath.from_function(p_fn, 1.0, n),
             0.0,
             1.0,
             orders[i % 3],
@@ -127,7 +127,7 @@ def test_criterion_2_pairing_oracle_equivalence():
         ok = ok and rel <= 1e-4
 
     # monomial closed forms for the compensated derivatives
-    lin = SamplePath.from_function(lambda t: t, 1.0, 2048, holder_hint=1.0)
+    lin = SamplePath.from_function(lambda t: t, 1.0, 2048)
     worst_mono = 0.0
     for order in orders:
         for u in (0.25, 0.625, 1.0):
@@ -357,11 +357,11 @@ def test_criterion_9_cir():
     drift = reciprocal_drift(2.0 * k)
     # smooth-driver residual of the original integral equation at dt = 1e-3
     driver = SamplePath.from_function(
-        lambda t: 0.3 * np.sin(2.0 * np.pi * t), 1.0, 1000, holder_hint=1.0
+        lambda t: 0.3 * np.sin(2.0 * np.pi * t), 1.0, 1000
     )
     x_smooth = solve_pathwise(cir_transform(1.0), drift, driver)
-    y = SamplePath(driver.times, x_smooth.values**2 / 4.0, holder_hint=1.0)
-    sq = SamplePath(y.times, np.sqrt(y.values), holder_hint=1.0)
+    y = SamplePath(driver.times, x_smooth.values**2 / 4.0)
+    sq = SamplePath(y.times, np.sqrt(y.values))
     worst = 0.0
     for t in (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0):
         idx = y.index_of(t)

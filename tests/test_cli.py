@@ -408,10 +408,13 @@ _REJECTED = [
 ]
 
 
-# The first drift family that reads each family key (the last write wins, so
-# the families are walked in reverse), and the experiments that read each key
-# beyond the shared ones, under some family, from the tables.
-_FAMILY = {key: f for f, keys in reversed(cli._DRIFT_KEYS.items()) for key in keys}
+# The first drift family that reads each family key beyond the shared ones
+# (the last write wins, so the families are walked in reverse), and the
+# experiments that read each key beyond the shared ones, under some family,
+# from the tables.
+_FAMILY = {
+    key: f for f, (_, keys) in reversed(cli._DRIFTS.items()) for key in keys if key not in cli._SHARED_KEYS
+}
 _READERS = {
     key: [e for e, (_, keys) in cli._RUNNERS.items() if key in keys or (key in _FAMILY and "drift" in keys)]
     for key in cli._KINDS
@@ -451,10 +454,38 @@ _FAMILY_UNREAD = [(f, v) for f, v in _UNREAD if _key(f) in _FAMILY]
 def test_drift_family_value_ignored_by_other_families(tmp_path, flag, value):
     # e.g. simulate --time-exponent -1 runs at the reciprocal drift, which never reads it
     experiment = _READERS[_key(flag)][0]
-    for family, keys in cli._DRIFT_KEYS.items():
+    for family, (_, keys) in cli._DRIFTS.items():
         if _key(flag) not in keys:
             args = [experiment, "--drift", family, "--n-paths", "8", "--n-steps", "16", flag, value]
             assert main([*args, "--output-dir", str(tmp_path / family)]) == 0
+
+
+def test_unknown_drift_family_is_rejected_by_drift_spec():
+    # an unknown family is an error, not the last family's drift
+    with pytest.raises(ConfigError, match="drift must be one of"):
+        ExperimentConfig(experiment="simulate", drift="cubic").drift_spec()
+
+
+def test_drift_spec_names_the_family_its_constructor_rejects():
+    cfg = ExperimentConfig(experiment="simulate", drift="power", singularity_exponent=0.0)
+    message = "^power drift: singularity_exponent must be positive$"
+    with pytest.raises(ConfigError, match=message):
+        cfg.drift_spec()
+    with pytest.raises(ConfigError, match=message):
+        cfg.validate()
+
+
+def test_drift_spec_calls_the_constructor_bound_on_solver_now(monkeypatch):
+    # the benchmark's tracer replaces the constructors on ``solver`` after import
+    calls, original = [], solver.bessel_drift
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "bessel_drift", counted)
+    drift = ExperimentConfig(experiment="simulate", drift="bessel", bessel_dimension=3, hurst=0.7).drift_spec()
+    assert calls == [(3, 0.7)] and drift.family == "bessel"
 
 
 # A legal value other than the default for every key besides the shared ones;
@@ -488,7 +519,7 @@ _TABLE_RUNS = [(e, None) for e in cli.EXPERIMENTS] + [
     (e, family)
     for e, (_, keys) in cli._RUNNERS.items()
     if "drift" in keys and e != "neg-moments"
-    for family in cli._DRIFT_KEYS
+    for family in cli._DRIFTS
     if family != ExperimentConfig.drift
 ]
 

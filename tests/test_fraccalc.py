@@ -8,19 +8,14 @@ import pytest
 
 from fbmsde import fraccalc
 from fbmsde.fbm import FbmSpec, sample_fbm_batch
-from fbmsde.fraccalc import (
-    OrderValidityWarning,
-    default_ibp_order,
-    holder_seminorm,
-    young_integral,
-)
+from fbmsde.fraccalc import holder_seminorm, young_integral
 from fbmsde.paths import GridError, SamplePath
 
 from oracles import frac_deriv_left, frac_deriv_right, sample_fbm, sup_norm
 
 
-def _path(fn, n, horizon=1.0, hint=1.0):
-    return SamplePath.from_function(fn, horizon, n, holder_hint=hint)
+def _path(fn, n, horizon=1.0):
+    return SamplePath.from_function(fn, horizon, n)
 
 
 def _per_lag_seminorm(x, s, t, beta, divisors=None):
@@ -83,7 +78,7 @@ class TestNorms:
 
     def test_seminorm_fbm_stable_under_refinement(self):
         fine = sample_fbm(FbmSpec(hurst=0.75, n_steps=1024, seed=13))
-        coarse = SamplePath(fine.times[::4], fine.values[::4], holder_hint=0.75)
+        coarse = SamplePath(fine.times[::4], fine.values[::4])
         s_fine = holder_seminorm(fine, 0.0, 1.0, 0.7)
         s_coarse = holder_seminorm(coarse, 0.0, 1.0, 0.7)
         assert s_coarse <= s_fine < 2.0 * s_coarse
@@ -377,13 +372,6 @@ class TestYoungIntegral:
             oracle = riemann_stieltjes(_path(y_fn, n_oracle), _path(p_fn, n_oracle), 0.0, 1.0)
             assert abs(got - oracle) <= 1e-4 * (1.0 + abs(oracle))
 
-    def test_validity_warning(self):
-        n = 256
-        y = _path(lambda t: t, n, hint=1.0)
-        phi = sample_fbm(FbmSpec(hurst=0.75, n_steps=n, seed=2))
-        with pytest.warns(OrderValidityWarning):
-            young_integral(y, phi, 0.0, 1.0, 0.2)  # 0.2 <= 1 - 0.75
-
     def test_grid_mismatch_rejected(self):
         y = _path(lambda t: t, 128)
         phi = _path(np.sin, 256)
@@ -508,8 +496,3 @@ class TestRiemannStieltjes:
         assert diffs[0] / diffs[1] >= 2.0 * 0.9
         assert diffs[1] / diffs[2] >= 2.0 * 0.9
 
-
-def test_default_ibp_order_window():
-    assert default_ibp_order(0.75, 0.65) == pytest.approx(0.45)
-    with pytest.raises(ValueError):
-        default_ibp_order(0.55, 0.4)

@@ -36,7 +36,7 @@ def _flat_driver(n, horizon=1.0):
 def _solve_cir(y0, k, driver):
     """Y of y' = k + sqrt(y) phi' as x^2/4, where x' = 2k/x + phi' starts at 2 sqrt(y0)."""
     x = solve_pathwise(cir_transform(y0), reciprocal_drift(2.0 * k), driver)
-    return SamplePath(x.times, x.values**2 / 4.0, holder_hint=x.holder_hint)
+    return SamplePath(x.times, x.values**2 / 4.0)
 
 
 class TestAssumptionChecker:
@@ -854,7 +854,7 @@ class TestResidualDefect:
         defects = []
         for step in (4, 2, 1):
             times = fine.times[::step]
-            driver = SamplePath(times, fine.values[::step], holder_hint=0.75)
+            driver = SamplePath(times, fine.values[::step])
             sol = solve_pathwise(1.0, drift, driver)
             defects.append(residual_defect(sol.values, drift, driver.values, times))
         assert defects[0] >= 2.0 * defects[1] * 0.7
@@ -940,10 +940,10 @@ class TestCir:
     def test_young_residual_smooth_driver(self):
         k = 0.5
         driver = SamplePath.from_function(
-            lambda t: 0.3 * np.sin(2 * np.pi * t), 1.0, 1000, holder_hint=1.0
+            lambda t: 0.3 * np.sin(2 * np.pi * t), 1.0, 1000
         )
         y = _solve_cir(1.0, k, driver)
-        sq = SamplePath(y.times, np.sqrt(y.values), holder_hint=1.0)
+        sq = SamplePath(y.times, np.sqrt(y.values))
         for t in (0.25, 0.5, 1.0):
             idx = y.index_of(t)
             stieltjes = young_integral(sq, driver, 0.0, t, 0.5)
@@ -965,7 +965,7 @@ def test_bessel_solution_seminorm_grid_stable():
     norms = []
     for step in (4, 1):
         times = fine_driver.times[::step]
-        driver = SamplePath(times, fine_driver.values[::step], holder_hint=hurst)
+        driver = SamplePath(times, fine_driver.values[::step])
         sol = solve_pathwise(1.0, drift, driver)
         norms.append(holder_seminorm(sol, 0.0, 1.0, hurst - 0.05))
     assert norms[1] < 2.0 * norms[0]

@@ -104,12 +104,18 @@ class TestIbpConstant:
 
     def test_degenerate_window_rejected(self):
         # beta = 0.6, gamma = 3 sits exactly on the empty-window boundary
-        lo, hi = admissible_order_window(0.6, 3.0)
-        assert lo >= hi
-        with pytest.raises(ValueError):
+        # gamma = beta / (2 beta - 1), where both ends are 0.4
+        with pytest.raises(ValueError, match=r"need gamma > beta/\(2 beta - 1\) = 3"):
+            admissible_order_window(0.6, 3.0)
+        with pytest.raises(ValueError, match="empty pairing-order window"):
             ibp_constant(0.6, 3.0)
         # gamma = 4 opens the window
         assert ibp_constant(0.6, 4.0) > 0.0
+
+    @pytest.mark.parametrize("beta,gamma", [(0.75, 3.0), (0.65, 3.0), (0.6, 4.0), (0.999, 2.001)])
+    def test_default_order_is_the_window_midpoint(self, beta, gamma):
+        lo, hi = admissible_order_window(beta, gamma)
+        assert ibp_constant(beta, gamma) == ibp_constant(beta, gamma, 0.5 * (lo + hi))
 
     def test_order_outside_window_rejected(self):
         with pytest.raises(ValueError):
@@ -269,10 +275,10 @@ class TestPairingBound:
         )
         windows = [(0.0, 1.0), (0.25, 0.75), (0.5, 1.0)]
         for drv_row, sol_row in zip(drivers, sols):
-            driver = SamplePath(times, drv_row, holder_hint=hurst)
+            driver = SamplePath(times, drv_row)
             phi_norm = holder_seminorm(driver, 0.0, 1.0, beta)
-            y_path = SamplePath(times, sol_row**gamma, holder_hint=hurst)
-            integrand = SamplePath(times, sol_row ** (gamma - 1.0), holder_hint=hurst)
+            y_path = SamplePath(times, sol_row**gamma)
+            integrand = SamplePath(times, sol_row ** (gamma - 1.0))
             for s, t in windows:
                 got = abs(young_integral(integrand, driver, s, t, order))
                 y_sup = sup_norm(y_path, s, t) ** (1.0 - 1.0 / gamma)
