@@ -29,7 +29,6 @@ from .solver import (
 from .verify import (
     HomogeneityError,
     MomentReport,
-    ScalingSpec,
     check_negative_moments,
     check_path_bound,
     empirical_moment_stability,
@@ -39,7 +38,6 @@ from .verify import (
     log_supnorm_bound,
     negative_moment_threshold,
     pair_units,
-    scaling_spec,
     scaling_transform,
     simulate_paths,
     window_length,

@@ -27,7 +27,7 @@ import numpy as np
 
 # inner_product is not called here; perfbench's tracer wraps it under this name
 from .fbm import embed_direction, grid_inner_product, inner_product  # noqa: F401
-from .paths import StepFunction
+from .paths import GridError, StepFunction
 from .solver import DriftSpec, cumulative_along_path, solve_batch
 
 __all__ = [
@@ -79,7 +79,8 @@ def derivative_report(
 
     ``drivers`` is (n_paths, n_steps + 1) on the grid ``times``.  Rows whose
     quotients are not first order in eps report their smallest-eps quotient,
-    under one ``ExtrapolationWarning`` per call.
+    under one ``ExtrapolationWarning`` per call.  ``t`` must be a grid time of
+    at least one step, or ``GridError`` is raised before any solve.
     """
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=np.float64)
     if eps.size < 1 or np.any(eps <= 0) or np.any(np.diff(eps) == 0):
@@ -89,6 +90,8 @@ def derivative_report(
         raise ValueError("drivers must be a 2-d array (n_paths, n_steps + 1)")
     h = embed_direction(phi, hurst, times)
     j = h.index_of(t)
+    if j == 0:  # the kernel on [0, t] would have no cell
+        raise GridError(f"t={t} must be at least one grid step dt={h.dt}")
     # rows [d, d + e_1 h, ..., d + e_E h] per driver, in one solve
     n_paths, n_pts = drivers.shape
     rows = np.empty((n_paths, 1 + eps.size, n_pts))

@@ -72,10 +72,6 @@ class SamplePath:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    @property
-    def n_steps(self) -> int:
-        return self.times.size - 1
-
     def index_of(self, t: float) -> int:
         """Grid index of time ``t``; raises GridError if t is off the grid."""
         dt = self.dt
@@ -135,9 +131,3 @@ class StepFunction:
     def indicator(cls, a: float, b: float) -> "StepFunction":
         """The indicator of the interval [a, b]."""
         return cls(np.array([a, b]), np.array([1.0]))
-
-    def __call__(self, t: float) -> float:
-        bp = self.breakpoints
-        if t < bp[0] or t >= bp[-1]:
-            return 0.0
-        return float(self.levels[np.searchsorted(bp, t, side="right") - 1])

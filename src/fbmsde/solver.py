@@ -50,7 +50,6 @@ __all__ = [
     "scaled_drift",
     "check_drift_assumptions",
     "solve_batch",
-    "eval_along_path",
     "cumulative_along_path",
     "residual_defect",
     "cir_transform",
@@ -431,26 +430,23 @@ def _newton_steps(sol, steps, dt, f, dfdx, positive) -> None:
         sol[k] = x
 
 
-def eval_along_path(fn: Callable, times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """fn(t_i, x_i) along a path or a block of rows, for a drift callable ``f`` or ``dfdx``.
-
-    ``fn`` is called once with the whole time and value arrays; a scalar
-    result is broadcast, any other shape than ``values.shape`` raises
-    ``ValueError``.
-    """
-    out = np.asarray(fn(times, values), dtype=np.float64)
-    if out.ndim == 0:
-        out = np.full(values.shape, float(out))
-    elif out.shape != values.shape:
-        raise ValueError(
-            f"drift callable returned shape {out.shape} along a path of shape {values.shape}"
-        )
-    return out
-
-
 def cumulative_along_path(fn: Callable, times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Trapezoidal cumulative integral of fn(s, x_s) from 0 to each grid time, along the last axis."""
-    v = eval_along_path(fn, times, values)
+    """Trapezoidal cumulative integral of fn(s, x_s) from 0 to each grid time, along the last axis.
+
+    ``fn``, a drift callable ``f`` or ``dfdx``, is called once with the whole
+    time and value arrays; a scalar result is broadcast, any other shape than
+    ``values.shape`` raises ``ValueError``.  Every cell is ``times[1] -
+    times[0]`` wide, so ``times`` must be a uniform grid of 2+ points, or
+    ``ValueError`` is raised.
+    """
+    _check_uniform_grid(times)
+    v = np.asarray(fn(times, values), dtype=np.float64)
+    if v.ndim == 0:
+        v = np.full(values.shape, float(v))
+    elif v.shape != values.shape:
+        raise ValueError(
+            f"drift callable returned shape {v.shape} along a path of shape {values.shape}"
+        )
     out = np.zeros(v.shape)
     np.cumsum(0.5 * (v[..., 1:] + v[..., :-1]) * (times[1] - times[0]), axis=-1, out=out[..., 1:])
     return out

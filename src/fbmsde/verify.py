@@ -21,7 +21,6 @@ from .solver import DriftSpec, scaled_drift, solve_batch
 
 __all__ = [
     "MomentReport",
-    "ScalingSpec",
     "HomogeneityError",
     "ibp_constant",
     "admissible_order_window",
@@ -30,7 +29,6 @@ __all__ = [
     "check_path_bound",
     "negative_moment_threshold",
     "check_negative_moments",
-    "scaling_spec",
     "scaling_transform",
     "ks_statistic",
     "ks_critical_value",
@@ -271,17 +269,6 @@ class HomogeneityError(ValueError):
     """The drift does not satisfy its declared homogeneity relation."""
 
 
-@dataclass(frozen=True)
-class ScalingSpec:
-    """Scaling data: f(st, yx) = s^m y^n f(t, x) and the drift-rescaling exponent."""
-
-    a: float
-    m: float
-    n_hom: float
-    hurst: float
-    exponent: float
-
-
 def _validate_homogeneity(drift: DriftSpec, m: float, n_hom: float) -> None:
     rng = np.random.default_rng(1234)
     for _ in range(40):
@@ -296,32 +283,27 @@ def _validate_homogeneity(drift: DriftSpec, m: float, n_hom: float) -> None:
             )
 
 
-def scaling_spec(drift: DriftSpec, a: float, hurst: float) -> ScalingSpec:
-    """Exponent H - n H - m - 1 of the drift rescaling, validated numerically.
+def scaling_transform(
+    drift: DriftSpec, a: float, hurst: float, x0: float
+) -> tuple[float, DriftSpec, float]:
+    """Initial value and drift of the equation whose law matches a^H X_{t/a}, and the exponent.
 
-    The (p, q, n) encoding keeps m = p + q H symbolic in H, so drifts whose
-    exponent cancels algebraically (the radial-repulsion family) come out as
-    an exact floating-point zero.
+    The drift is rescaled by a to the exponent H - n H - m - 1, validated
+    numerically against the drift's declared homogeneity.  The (p, q, n)
+    encoding keeps m = p + q H symbolic in H, so drifts whose exponent
+    cancels algebraically (the radial-repulsion family) come out as an exact
+    floating-point zero.
     """
     if a <= 0:
         raise ValueError("a must be positive")
     if drift.homogeneity is None:
         raise HomogeneityError(f"drift family {drift.family!r} declares no homogeneity")
     p, q, n_hom = drift.homogeneity
-    m = p + q * hurst
-    _validate_homogeneity(drift, m, n_hom)
+    _validate_homogeneity(drift, p + q * hurst, n_hom)
     exponent = hurst * (1.0 - n_hom - q) - (p + 1.0)
-    return ScalingSpec(a, m, n_hom, hurst, exponent)
-
-
-def scaling_transform(
-    drift: DriftSpec, a: float, hurst: float, x0: float
-) -> tuple[float, DriftSpec, ScalingSpec]:
-    """Initial value and drift of the equation whose law matches a^H X_{t/a}."""
-    spec = scaling_spec(drift, a, hurst)
-    factor = a**spec.exponent
+    factor = a**exponent
     new_drift = drift if factor == 1.0 else scaled_drift(drift, factor)
-    return a**hurst * x0, new_drift, spec
+    return a**hurst * x0, new_drift, exponent
 
 
 def ks_statistic(samples_a: np.ndarray, samples_b: np.ndarray) -> float:

@@ -29,7 +29,6 @@ from fbmsde.verify import (
     ks_statistic,
     log_supnorm_bound,
     negative_moment_threshold,
-    scaling_spec,
     scaling_transform,
     simulate_paths,
 )
@@ -295,7 +294,7 @@ def test_criterion_7_scaling():
     ok = stat < crit
 
     bessel_zero = all(
-        scaling_spec(bessel_drift(2, h), aa, h).exponent == 0.0
+        scaling_transform(bessel_drift(2, h), aa, h, 1.0)[2] == 0.0
         for h in (0.6, 0.75, 0.9)
         for aa in (0.5, 2.0, 3.0)
     )

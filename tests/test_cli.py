@@ -468,11 +468,27 @@ def test_unknown_drift_family_is_rejected_by_drift_spec():
 
 def test_drift_spec_names_the_family_its_constructor_rejects():
     cfg = ExperimentConfig(experiment="simulate", drift="power", singularity_exponent=0.0)
-    message = "^power drift: singularity_exponent must be positive$"
+    message = (
+        r"^power drift: singularity_exponent must be positive "
+        r"\(config: drift_k = 1, time_exponent = 1, singularity_exponent = 0\)$"
+    )
     with pytest.raises(ConfigError, match=message):
         cfg.drift_spec()
     with pytest.raises(ConfigError, match=message):
         cfg.validate()
+
+
+_FAMILY_REJECTED = [(f, v) for f, v in _REJECTED if _key(f) in _FAMILY]
+
+
+@pytest.mark.parametrize("flag,value", _FAMILY_REJECTED, ids=[f"{f}={v}" for f, v in _FAMILY_REJECTED])
+def test_rejected_family_key_is_named_by_its_config_key(tmp_path, capsys, flag, value):
+    # --drift-k 0 names drift_k, not the constructor's argument k; a non-finite
+    # value is rejected by the parser, which names the flag
+    out = tmp_path / "out"
+    assert main(["simulate", "--drift", _FAMILY[_key(flag)], flag, value, "--output-dir", str(out)]) == 2
+    assert (flag if value == "nan" else _key(flag)) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_drift_spec_calls_the_constructor_bound_on_solver_now(monkeypatch):

@@ -359,19 +359,6 @@ class TestYoungIntegral:
         want = math.sin(1.0) ** 2 / 2.0
         assert abs(got - want) <= 1e-5 * abs(want)
 
-    @pytest.mark.parametrize("order", [0.3, 0.45, 0.6])
-    def test_random_smooth_pairs_match_oracle(self, order):
-        rng = np.random.default_rng(2024)
-        n, n_oracle = 1024, 1 << 17
-        for _ in range(7):
-            a1, a2, b1, b2 = rng.uniform(-1, 1, size=4)
-            w1, w2 = rng.uniform(1, 5, size=2)
-            y_fn = lambda t: a1 * np.sin(w1 * t) + a2 * t**2
-            p_fn = lambda t: b1 * np.cos(w2 * t) + b2 * t
-            got = young_integral(_path(y_fn, n), _path(p_fn, n), 0.0, 1.0, order)
-            oracle = riemann_stieltjes(_path(y_fn, n_oracle), _path(p_fn, n_oracle), 0.0, 1.0)
-            assert abs(got - oracle) <= 1e-4 * (1.0 + abs(oracle))
-
     def test_grid_mismatch_rejected(self):
         y = _path(lambda t: t, 128)
         phi = _path(np.sin, 256)

@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fbmsde import malliavin
 from fbmsde.fbm import FbmSpec, inner_product, sample_fbm_batch
 from fbmsde.malliavin import ExtrapolationWarning, derivative_report
-from fbmsde.paths import SamplePath, StepFunction
+from fbmsde.paths import GridError, SamplePath, StepFunction
 from fbmsde.solver import (
     bessel_drift,
     cumulative_along_path,
@@ -259,6 +260,20 @@ class TestBatchedReport:
                 1.0,
                 StepFunction.indicator(0.0, 0.5),
                 0.75,
+            )
+
+    def test_time_below_one_step_rejected_before_solving(self, monkeypatch):
+        # the kernel on [0, 0] has no cell; this raised IndexError after the solve
+        spec = FbmSpec(0.75, 1.0, 64, 1)
+        drivers = sample_fbm_batch(spec, 2)
+
+        def no_solve(*args):
+            raise AssertionError("solved before the grid check")
+
+        monkeypatch.setattr(malliavin, "solve_batch", no_solve)
+        with pytest.raises(GridError, match=r"^t=0.0 must be at least one grid step dt=0.015625$"):
+            derivative_report(
+                1.0, reciprocal_drift(1.0), drivers, spec.times, 0.0, StepFunction.indicator(0, 0.5), 0.75
             )
 
     @pytest.mark.parametrize("eps_list", [(0.05, 0.025, 0.025), (0.05, 0.05)])

@@ -22,7 +22,7 @@ def test_uniformity_tolerance_edge(shift, uniform):
     times = np.linspace(0.0, 1.0, 11)
     times[5] += shift
     if uniform:
-        assert SamplePath(times, np.zeros(11)).n_steps == 10
+        assert SamplePath(times, np.zeros(11)).dt == 0.1
     else:
         with pytest.raises(ValueError, match="grid must be uniform"):
             SamplePath(times, np.zeros(11))
@@ -82,13 +82,13 @@ def test_step_function_shape_checks():
         StepFunction(np.array([0.0, 0.5]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         StepFunction(np.array([0.5, 0.2]), np.array([1.0]))
-    f = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([2.0, -1.0]))
-    assert f(0.25) == 2.0
-    assert f(0.75) == -1.0
-    assert f(1.5) == 0.0
+    with pytest.raises(ValueError):
+        StepFunction(np.array([-0.5, 0.5]), np.array([1.0]))
+    with pytest.raises(ValueError):
+        StepFunction(np.array([0.0, 0.5]), np.array([np.nan]))
 
 
 def test_indicator():
     ind = StepFunction.indicator(0.0, 0.4)
-    assert ind(0.2) == 1.0
-    assert ind(0.5) == 0.0
+    assert np.array_equal(ind.breakpoints, [0.0, 0.4])
+    assert np.array_equal(ind.levels, [1.0])

@@ -17,7 +17,7 @@ from fbmsde.solver import (
     bessel_drift,
     check_drift_assumptions,
     cir_transform,
-    eval_along_path,
+    cumulative_along_path,
     power_drift,
     reciprocal_drift,
     residual_defect,
@@ -878,6 +878,8 @@ class TestResidualDefect:
 
 
 class TestEvalAlongPath:
+    """``cumulative_along_path`` evaluates its callable along the path, on a grid it checks."""
+
     def test_drift_error_propagates(self):
         def scalar_time_only(t, x):
             if np.ndim(t):
@@ -900,14 +902,15 @@ class TestEvalAlongPath:
     def test_shape_checked_and_scalar_broadcast(self):
         times = np.linspace(0.0, 1.0, 9)
         values = np.ones(9)
-        assert np.array_equal(eval_along_path(lambda t, x: 2.0, times, values), np.full(9, 2.0))
+        # f = 2 integrates to 2t
+        assert np.array_equal(cumulative_along_path(lambda t, x: 2.0, times, values), 2.0 * times)
         with pytest.raises(ValueError, match="shape"):
-            eval_along_path(lambda t, x: np.ones(3), times, values)
+            cumulative_along_path(lambda t, x: np.ones(3), times, values)
 
     def test_nonfinite_start_propagates(self):
         times = np.linspace(0.0, 1.0, 3)
-        got = eval_along_path(lambda t, x: x, times, np.array([np.inf, 3.0, 2.0]))
-        assert np.array_equal(got, [np.inf, 3.0, 2.0])
+        got = cumulative_along_path(lambda t, x: x, times, np.array([np.inf, 3.0, 2.0]))
+        assert np.array_equal(got, [0.0, np.inf, np.inf])
         # a drift that is NaN at t = 0 gives a NaN defect, not a patched one
         drift = replace(
             reciprocal_drift(1.0), f=lambda t, x: np.where(t > 0.0, 1.0 / _arr(x), np.nan)
@@ -915,6 +918,18 @@ class TestEvalAlongPath:
         driver = _flat_driver(16)
         sol = solve_pathwise(1.0, reciprocal_drift(1.0), driver)
         assert np.isnan(residual_defect(sol.values, drift, driver.values, driver.times))
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [([0.0, 0.1, 1.0], "grid must be uniform"), ([0.0], "at least two points")],
+    )
+    def test_grid_checked(self, times, message):
+        # every cell is times[1] - times[0] wide: [0, 0.1, 1] at f = 1 gave [0, 0.1, 0.2]
+        times = np.array(times)
+        with pytest.raises(ValueError, match=message):
+            cumulative_along_path(lambda t, x: 1.0, times, np.ones(times.size))
+        with pytest.raises(ValueError, match=message):
+            residual_defect(np.ones(times.size), reciprocal_drift(1.0), np.zeros(times.size), times)
 
 
 class TestCir:

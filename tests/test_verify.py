@@ -26,7 +26,6 @@ from fbmsde.verify import (
     log_supnorm_bound,
     negative_moment_threshold,
     pair_units,
-    scaling_spec,
     scaling_transform,
     simulate_paths,
     window_length,
@@ -402,21 +401,27 @@ class TestClusterStdError:
 
 class TestScaling:
     def test_identity_at_unit_factor(self):
-        x0p, drift_p, spec = scaling_transform(power_drift(1.0, 1.0, 1.0), 1.0, 0.75, 1.0)
+        x0p, drift_p, _ = scaling_transform(power_drift(1.0, 1.0, 1.0), 1.0, 0.75, 1.0)
         assert x0p == 1.0
-        assert spec.a == 1.0
         assert float(drift_p.f(0.5, np.asarray(2.0))) == pytest.approx(0.25)
 
     @pytest.mark.parametrize("hurst", [0.6, 0.75, 0.9])
     def test_bessel_exponent_exactly_zero(self, hurst):
         for a in (0.5, 2.0, 7.0):
-            spec = scaling_spec(bessel_drift(2, hurst), a, hurst)
-            assert spec.exponent == 0.0
+            drift = bessel_drift(2, hurst)
+            _, drift_b, exponent = scaling_transform(drift, a, hurst, 1.0)
+            assert exponent == 0.0
+            assert drift_b is drift
 
     def test_power_exponent(self):
-        spec = scaling_spec(power_drift(1.0, 1.0, 1.0), 2.0, 0.75)
+        _, _, exponent = scaling_transform(power_drift(1.0, 1.0, 1.0), 2.0, 0.75, 1.0)
         # H + alpha H - gamma_time - 1 with alpha = 1, gamma_time = 1
-        assert spec.exponent == pytest.approx(0.75 + 0.75 - 1.0 - 1.0)
+        assert exponent == pytest.approx(0.75 + 0.75 - 1.0 - 1.0)
+
+    @pytest.mark.parametrize("a", [0.0, -2.0])
+    def test_nonpositive_factor_rejected(self, a):
+        with pytest.raises(ValueError, match="a must be positive"):
+            scaling_transform(power_drift(1.0, 1.0, 1.0), a, 0.75, 1.0)
 
     def test_homogeneity_violation_detected(self):
         drift = DriftSpec(
@@ -429,7 +434,7 @@ class TestScaling:
             homogeneity=(0.0, 0.0, -1.0),
         )
         with pytest.raises(HomogeneityError):
-            scaling_spec(drift, 2.0, 0.75)
+            scaling_transform(drift, 2.0, 0.75, 1.0)
 
     def test_undeclared_homogeneity_rejected(self):
         drift = DriftSpec(
@@ -441,7 +446,7 @@ class TestScaling:
             upper_envelope=lambda t: 1.0,
         )
         with pytest.raises(HomogeneityError):
-            scaling_spec(drift, 2.0, 0.75)
+            scaling_transform(drift, 2.0, 0.75, 1.0)
 
 
 class TestKolmogorovSmirnov:
