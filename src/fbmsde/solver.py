@@ -5,22 +5,32 @@ making the drift implicit: combined with a nonincreasing-in-x drift the step
 equation is strictly monotone, has a unique positive root whenever the drift
 blows up at 0, and the scheme inherits the repulsion that keeps the continuum
 solution positive.  Drifts of the form c(t)/x get a closed-form quadratic
-step; everything else goes through Newton, started from b plus the previous
-step's drift increment dt f.  A nonincreasing drift (the paper's first
-assumption, audited by ``check_drift_assumptions``) gives the step function
-F(x) = x - dt f(t, x) - b a slope F' >= 1, so its root is unique.  A drift
-convex in x (the power family) also makes F concave, so Newton needs no
-bracket: one step from any point lands at or left of the root, and from
-there it climbs to the root monotonically.  A step that does not converge,
-as for a drift that breaks the assumption, raises ``SolverError``.
+step; everything else goes through Newton.  A nonincreasing drift (the
+paper's first assumption, audited by ``check_drift_assumptions``) gives the
+step function F(x) = x - dt f(t, x) - b a slope F' >= 1, so its root is
+unique.  A drift convex in x (the power family) also makes F concave, so
+Newton needs no bracket: one step from any point lands at or left of the
+root, and from there it climbs to the root monotonically.
 
-``solve_batch`` checks the grid once, then runs one step loop per route over
-the whole batch of paths.  Every row takes Newton's first iteration; from
-the second on, rows that have converged are frozen, so a row's result does
-not depend on the rows beside it.  The steps work in one time-major buffer,
-a contiguous row per grid time that first holds the driver increments, and
-each step turns its row into the solution at that time in place.  The result
-of shape (n_paths, n_points) is that buffer's transpose: a row per path, with
+Newton solves ``_WINDOW`` = 32 steps at a time.  The residuals of a window's
+steps have a lower bidiagonal Jacobian, 1 - dt f' >= 1 on the diagonal and
+-1 below it, so one Newton sweep over the window is an affine recurrence in
+time, which a doubling scan solves in log2 32 = 5 vectorised passes
+(Blelloch, CMU-CS-90-190, 1990; Lim, Zhu, Selfridge & Kasim, ICLR 2024).  A
+sweep starts from the previous step's drift increment dt f per step and
+clamps every candidate at x / 2 on the positive domain.  A row stops when
+every step of its window meets |F| <= max(1e-10, 4 eps (|x| + |b|)), takes
+one last sweep and is frozen, so a row's result does not depend on the rows
+beside it.  A row still unconverged after ``_MAX_SWEEPS`` sweeps, or left
+at a value <= 0, is solved again over that window by the step-by-step
+Newton loop, which raises ``SolverError`` for a step that does not
+converge, as for a drift that breaks the assumption.
+
+``solve_batch`` checks the grid once, then runs one loop per route over the
+whole batch of paths.  It works in one time-major buffer, a contiguous row
+per grid time, that first holds the driver increments; each closed-form step
+or Newton window turns its rows into the solution in place.  The result of
+shape (n_paths, n_points) is that buffer's transpose: a row per path, with
 contiguous columns.
 
 Also houses the drift assumption checker, the square-root-diffusion change of
@@ -96,6 +106,9 @@ class DriftSpec:
 
 
 _MAX_NEWTON_ITERS = 200
+_WINDOW = 32  # steps per Newton window; fixed, so no row's bits depend on its batch
+_MAX_SWEEPS = 16  # window sweeps before a row falls back to the per-step loop
+_CHUNK = 1024  # rows swept together: wider blocks would only grow the window scratch
 _NEWTON_TOL = 1e-10  # |x - dt f(t, x) - b| at which a Newton step stops
 # |F| cannot fall much below eps (|x| + |b|): past |x| + |b| ~ 1e5 that sets the stop
 _ROUNDING = 4.0 * np.finfo(np.float64).eps
@@ -279,11 +292,12 @@ def solve_batch(x0, drift: DriftSpec, driver_values: np.ndarray, times: np.ndarr
     per path, and is the transpose of the time-major buffer the steps fill:
     its columns, one per grid time, are contiguous.  A grid that is not
     uniform, or has fewer than two points, raises ``ValueError``.  Per-path
-    results are independent of the batch composition: each path's Newton
-    iteration freezes at its own convergence.  On the positive domain a
-    value <= 0 raises ``PositivityError`` naming the first step that
-    produced it: Newton checks after every step, the closed-form route once
-    over the solved block.
+    results are independent of the batch composition: Newton solves fixed
+    windows of ``_WINDOW`` steps, and each path's sweeps freeze at its own
+    convergence.  On the positive domain a value <= 0 raises
+    ``PositivityError`` naming the first step that produced it: Newton's
+    step loop checks after every step of a window it solves again, the
+    closed-form route once over the solved block.
     """
     drivers = np.atleast_2d(np.asarray(driver_values, dtype=np.float64))
     times = np.asarray(times, dtype=np.float64)
@@ -302,10 +316,10 @@ def solve_batch(x0, drift: DriftSpec, driver_values: np.ndarray, times: np.ndarr
     sol = np.empty((n_pts, n_paths))
     np.subtract(drivers[:, 1:].T, drivers[:, :-1].T, out=sol[1:])
     sol[0] = x0_vec
-    steps = enumerate(times[1:].tolist(), start=1)
     if drift.inverse_coeff is None:
-        _newton_steps(sol, steps, dt, drift.f, drift.dfdx, positive)
+        _newton_windows(sol, drivers, times, dt, drift.f, drift.dfdx, positive)
     else:
+        steps = enumerate(times[1:].tolist(), start=1)
         _closed_form_steps(sol, drivers, steps, dt, drift.inverse_coeff, positive)
     return sol.T
 
@@ -374,26 +388,168 @@ def _resolve_small_roots(sol, drivers, dt, coeffs) -> None:
         raise PositivityError(f"nonpositive value after step {int(bad.argmax()) + 1}") from None
 
 
-def _newton_steps(sol, steps, dt, f, dfdx, positive) -> None:
-    """Turn each increment row ``sol[k]`` into x_k, solving F(x) = x - dt f(t, x) - b = 0.
+def _newton_windows(sol, drivers, times, dt, f, dfdx, positive) -> None:
+    """Turn the increment rows of ``sol`` into x_1 ... x_n by Newton, ``_WINDOW`` steps at a time.
 
-    Newton starts from ``b`` plus the previous step's dt f (0 on the first
-    step), at least x_prev / 2 on the positive domain.  A convex drift makes
-    F concave and increasing, so on the positive domain a candidate needs
-    only the clamp ``>= x / 2`` to stay positive: a clamped point has either
-    F > 0 (step again) or F <= 0 (climb to the root).  Every row takes the
-    first iteration; from the second on, a row whose |F| is within tolerance
-    (a NaN residual never is) is frozen.  On converging a row takes one last
-    step -F/F' with the slope it holds, where F' >= 1: that step moves it by
-    at most the tolerance and is clamped at x / 2 like every candidate, so a
-    root below the tolerance stays positive.
+    In the window of steps k0+1 ... k0+w, with x_k0 solved, the residuals
+    G_k = x_k - x_(k-1) - dt f(t_k, x_k) - (phi_k - phi_(k-1)) have a lower
+    bidiagonal Jacobian: slope_k = 1 - dt df/dx(t_k, x_k) >= 1 on the
+    diagonal and -1 below it.  So a Newton sweep's correction is the affine
+    recurrence delta_k = s_k (delta_(k-1) - G_k), s_k = 1 / slope_k, from
+    delta_k0 = 0, and a doubling scan composes those maps over the window in
+    log2 w passes.  The scan only multiplies by the s_k, which lie in (0, 1]
+    for a nonincreasing drift, so it neither divides nor overflows near 0.
+    ``f`` and ``dfdx`` see the iterate as a (rows, w) view with the (w,)
+    window times: time runs along the last axis.  Rows are swept in chunks
+    of at most ``_CHUNK``, each copied into C-contiguous scratch of that
+    width, so the scratch does not grow with the batch; no row's arithmetic
+    reads another row, so the chunks leave every bit as it is.
+
+    The first sweep starts from x_k0 plus the increments and the last solved
+    step's drift increment dt f per step (0 in the first window), at least
+    x_k0 / 2 on the positive domain; there every candidate is clamped at
+    x / 2.  Every row takes the first sweep, as every row takes the step
+    loop's first iteration.  From the second on, a row has converged when
+    each of its steps meets |G_k| <= max(1e-10, 4 eps (|x_k| + |b_k|)),
+    b_k = x_(k-1) + phi_k - phi_(k-1) (a NaN residual never does).  It then
+    takes one last sweep with the slopes it holds, if they are all >= 1, and
+    leaves the live rows, which are gathered into a smaller block: a row's
+    bits depend only on its own drivers.  Rows still live after
+    ``_MAX_SWEEPS`` sweeps, and on the positive domain rows left holding a
+    value <= 0, are solved again over the window by ``_newton_steps`` from
+    x_k0, which raises the step's ``SolverError`` or ``PositivityError``.
+    """
+    n_steps, n_paths = sol.shape[0] - 1, sol.shape[1]
+    size = (min(_WINDOW, n_steps) + 1) * min(_CHUNK, n_paths)
+    # flat scratch, viewed C-contiguous as (window steps, rows of a chunk)
+    flats = [np.empty(size) for _ in range(7)]
+    increment = np.zeros(n_paths)  # the last solved step's dt f(t, x)
+    phi = drivers.T
+    for k0 in range(0, n_steps, _WINDOW):
+        w = min(_WINDOW, n_steps - k0)
+        window = slice(k0 + 1, k0 + 1 + w)
+        x = sol[window]
+        if k0:
+            np.subtract(sol[k0], sol[k0 - 1], out=increment)
+            increment -= np.subtract(phi[k0], phi[k0 - 1])
+        redo = np.zeros(n_paths, dtype=bool)
+        for r0 in range(0, n_paths, _CHUNK):
+            cols = slice(r0, min(r0 + _CHUNK, n_paths))
+            m = cols.stop - r0
+            # xs[0] is x_k0 and xs[j] the iterate at step k0 + j; start from
+            # x_k0 plus the increments and the last drift increment per step
+            xs = flats[0][: (w + 1) * m].reshape(w + 1, m)
+            inc = flats[1][: w * m].reshape(w, m)
+            np.copyto(inc, x[:, cols])
+            xs[0] = sol[k0, cols]
+            np.add(inc, increment[cols], out=xs[1:])
+            for j in range(1, w + 1):
+                xs[j] += xs[j - 1]
+            if positive:
+                np.maximum(xs[1:], 0.5 * xs[0], out=xs[1:])
+            live = _sweep_window(xs, inc, times[window], dt, f, dfdx, positive, flats[2:], x[:, cols])
+            redo[r0 + live] = True
+        # the columns of rows left live hold no solution; they are redone anyway
+        if positive:
+            redo |= (x <= 0).any(axis=0)
+        if redo.any():
+            rows = np.flatnonzero(redo)
+            sub = np.empty((w + 1, rows.size))
+            sub[0] = sol[k0, rows]
+            np.subtract(phi[window, rows], phi[k0 : k0 + w, rows], out=sub[1:])
+            _newton_steps(sub, k0 + 1, times[window].tolist(), dt, f, dfdx, positive, increment[rows])
+            x[:, rows] = sub[1:]
+
+
+def _sweep_window(xs, inc, t, dt, f, dfdx, positive, flats, out) -> np.ndarray:
+    """Newton sweeps over one window of one chunk of rows; the rows it left unconverged.
+
+    ``xs`` holds x_k0 and the start iterates, ``inc`` the driver increments
+    and ``t`` the window's times.  Each row that converges is written to its
+    column of ``out`` after its last sweep; the indices returned are of the
+    rows still live after ``_MAX_SWEEPS`` sweeps.
+    """
+    w, m = inc.shape
+    rows = np.arange(m)
+    g, a, p, c, tmp = (v[: w * m].reshape(w, m) for v in flats)
+    for sweep in range(_MAX_SWEEPS):
+        it, prev = xs[1:], xs[:-1]
+        b = np.add(prev, inc, out=c)  # c holds b_k until the scan
+        np.multiply(np.asarray(f(t, it.T), dtype=np.float64).T, dt, out=tmp)
+        np.subtract(it, b, out=g)
+        g -= tmp
+        np.multiply(np.asarray(dfdx(t, it.T), dtype=np.float64).T, -dt, out=a)
+        a += 1.0
+        update, conv = True, None
+        if sweep:  # as in the step loop, every row takes the first sweep
+            np.abs(b, out=b)
+            np.abs(it, out=tmp)
+            b += tmp
+            b *= _ROUNDING
+            np.maximum(b, _NEWTON_TOL, out=b)
+            np.abs(g, out=tmp)
+            conv = (tmp <= b).all(axis=0)
+            if conv.any():
+                # a converged row takes its last sweep only where every slope is >= 1
+                steep = (a >= 1.0).all(axis=0)
+                if not steep.all():
+                    update = ~conv | steep
+        # (a_k, c_k) = (s_k, s_k G_k) is step k's map as c -> a_k c + c_k;
+        # after the pass of stride s it is the composition of the maps of
+        # the 2s steps up to k, so after the last pass c_k = -delta_k
+        np.divide(1.0, a, out=a)
+        np.multiply(g, a, out=c)
+        s = 1
+        while s < w:
+            np.multiply(a[s:], c[:-s], out=tmp[s:])
+            c[s:] += tmp[s:]
+            if 2 * s < w:
+                np.multiply(a[s:], a[:-s], out=p[s:])
+                p[:s] = a[:s]
+                a, p = p, a
+            s *= 2
+        if positive:
+            np.multiply(it, 0.5, out=tmp)
+        np.subtract(it, c, out=it, where=update)
+        if positive:
+            np.maximum(it, tmp, out=it, where=update)
+        if conv is None or not conv.any():
+            continue
+        if rows.size == out.shape[1]:
+            np.copyto(out, it)
+        else:
+            out[:, rows[conv]] = it[:, conv]
+        keep = ~conv
+        rows, m = rows[keep], int(np.count_nonzero(keep))
+        if not m:
+            break
+        xs, inc = xs[:, keep], inc[:, keep]
+        g, a, p, c, tmp = (v[: w * m].reshape(w, m) for v in flats)
+    return rows
+
+
+def _newton_steps(sol, first, ts, dt, f, dfdx, positive, increment) -> None:
+    """Turn each increment row ``sol[i]`` into x at grid step ``first + i - 1``, one step at a time.
+
+    Row 0 holds the solved value before the first step, and ``increment``
+    the drift increment dt f that led to it.  Each step solves
+    F(x) = x - dt f(t, x) - b = 0 by Newton, started from ``b`` plus the
+    previous step's dt f, at least x_prev / 2 on the positive domain.  A
+    convex drift makes F concave and increasing, so on the positive domain a
+    candidate needs only the clamp ``>= x / 2`` to stay positive: a clamped
+    point has either F > 0 (step again) or F <= 0 (climb to the root).  Every
+    row takes the first iteration; from the second on, a row whose |F| is
+    within tolerance (a NaN residual never is) is frozen.  On converging a
+    row takes one last step -F/F' with the slope it holds, where F' >= 1:
+    that step moves it by at most the tolerance and is clamped at x / 2 like
+    every candidate, so a root below the tolerance stays positive.  This is
+    the fallback of ``_newton_windows`` for rows whose window sweep failed.
     """
     asarray, maximum, copyto, count = np.asarray, np.maximum, np.copyto, np.count_nonzero
     x = sol[0]
     n_paths = x.size
-    increment = 0.0  # the last step's dt f(t, x)
-    for k, t in steps:
-        b = x + sol[k]
+    for i, t in enumerate(ts, start=1):
+        b = x + sol[i]
         start = b + increment
         x = maximum(start, 0.5 * x) if positive else start
         res = x - dt * asarray(f(t, x), dtype=np.float64) - b
@@ -426,8 +582,8 @@ def _newton_steps(sol, steps, dt, f, dfdx, positive) -> None:
         increment = x - b
         # a nonpositive iterate would be fed to f on the next step
         if positive and count(x <= 0):
-            raise PositivityError(f"nonpositive value after step {k}")
-        sol[k] = x
+            raise PositivityError(f"nonpositive value after step {first + i - 1}")
+        sol[i] = x
 
 
 def cumulative_along_path(fn: Callable, times: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -398,11 +398,13 @@ def simulate_paths(
     per path of the block; the result is those arrays concatenated in row
     order.  Both arguments hold the block's rows on the first ``n_points``
     grid times (default: all of ``spec.times``), and the solve stops there.
-    The scheme is causal, so on given drivers those columns are bit-identical
-    to a full-horizon solve.  The drivers themselves are not the leading
-    columns of full-grid drivers: fBm restricted to [0, t] is fBm on the
-    shorter grid, so they are rows of ``_prefix_spec(spec, n_points)``, cut to
-    ``n_points`` columns.  A block holds about ``_BLOCK_BYTES`` of the full
+    The scheme is causal, so on given drivers those columns are a
+    full-horizon solve's: bit for bit on the closed-form route; on the Newton
+    route bit for bit through the last whole window of ``solver._WINDOW``
+    steps and to within rounding after it.  The drivers themselves are not
+    the leading columns of full-grid drivers: fBm restricted to [0, t] is fBm
+    on the shorter grid, so they are rows of ``_prefix_spec(spec, n_points)``,
+    cut to ``n_points`` columns.  A block holds about ``_BLOCK_BYTES`` of the full
     grid's increments and an even number of rows, so memory stays flat in
     ``n_paths``.  Rows keep their keys whatever the blocks, so no result
     depends on them.  ``reduce`` may not return a view of ``drivers``

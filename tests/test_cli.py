@@ -251,6 +251,9 @@ def _run_in(cwd: Path, monkeypatch, argv: list) -> tuple:
         (["moments", "--n-paths", "41", "--n-steps", "64"], 10),
         # more than the 16 paths whose residual is checked, over 10 blocks
         (["simulate", "--n-paths", "37", "--n-steps", "64"], 4),
+        # Newton: each block's window sweeps run over its rows only
+        (["verify-bound", "--drift", "power", "--singularity-exponent", "1.5", "--n-paths", "9",
+          "--n-steps", "64"], 2),
     ],
 )
 def test_path_blocks_do_not_change_artifacts(args, rows_at_64_steps, tmp_path, monkeypatch):
@@ -873,7 +876,7 @@ _ARTIFACT_SHA256 = {
         "report.txt": "e536d6bf95eda0bdd9d95317de611c3d897911a6a4ef1c049cc2d6a900661935",
     },
     "simulate-power-0.5": {
-        "paths.csv": "40cb85b1f384f5f5b203efafba020a470b4d2a210f2ffc8f79a4b133aa634f64",
+        "paths.csv": "c5509a9694622facb7393d0950459228db97cfcb35c08d04a692094960a0b7fb",
         "report.txt": "3bdbab0f2af157941cd9f7b4c99f60b2ba2e7f4af5e5b23dc918dac260116d76",
     },
     "verify-bound-power-1.5": {"report.txt": "af8f24084de85b11e10f6c836dd55460ca405cb093e14a779944c0c60cea8c19"},

@@ -232,7 +232,7 @@ class TestBatchedReport:
             ),
             (
                 power_drift(1.0, 0.0, 1.5),
-                "175dd1220653ded2faab8d41ba03bacb7eed1457bca829c01cdac30d4c20aa8a",
+                "72ee732b959b6258997cdbeabbcfbeba97127da7cd0ff1e82485b96bf07c9ec2",
             ),
         ],
         ids=["closed-form", "newton"],

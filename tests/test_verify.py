@@ -493,7 +493,9 @@ class TestMomentStability:
 def test_solve_horizon_keeps_leading_columns(drift):
     # 40 of 129 points are drawn as the 64-step prefix grid on [0, 0.5]; the
     # scheme is causal, so stopping the solve early leaves the bits a
-    # full-grid solve on the same drivers gives in those columns
+    # full-grid solve on the same drivers gives in those columns.  Newton
+    # solves 32-step windows as one system, so there the bits agree through
+    # the last whole window, and the 7 steps after it to rounding.
     spec = FbmSpec(hurst=0.75, n_steps=128, seed=4)
     _, d, s = _whole_batch(spec, drift, 1.0, 9, n_points=40)
     prefix = FbmSpec(hurst=0.75, horizon=0.5, n_steps=64, seed=4)
@@ -501,7 +503,9 @@ def test_solve_horizon_keeps_leading_columns(drift):
     drivers = sample_fbm_batch(spec, 9)
     drivers[:, :40] = d
     sols = solve_batch(1.0, drift, drivers, spec.times)
-    assert s.tobytes() == sols[:, :40].tobytes()
+    exact = 40 if drift.inverse_coeff is not None else 33
+    assert s[:, :exact].tobytes() == sols[:, :exact].tobytes()
+    assert np.allclose(s, sols[:, :40], rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize(
